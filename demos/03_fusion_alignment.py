@@ -42,7 +42,7 @@ def cosine_gap(za, zb):
     return matched, mismatched
 
 def report(tag):
-    embs = tr.embed_batch(batch, run.params, mcfg, fus.MODALITIES)
+    embs = fm.embed_batch(batch, run.params, mcfg, fus.MODALITIES)
     for a, b in run.align_cfg.pairs:
         m, x = cosine_gap(embs[a].data, embs[b].data)
         print(f"{tag}  {a}/{b:6s} matched {m:+.3f}  mismatched {x:+.3f}  "
@@ -65,8 +65,8 @@ print("\n== fusion weights track which modalities are present ==")
 subsets = [fus.MODALITIES, ("price", "text"), ("price", "graph"), ("macro",)]
 z_by_subset = {}
 for kinds in subsets:
-    embs = tr.embed_batch(batch, run.params, mcfg, kinds)
-    z, wts = tr.fuse_embeddings(embs, len(pairs), run.params, mcfg)
+    embs = fm.embed_batch(batch, run.params, mcfg, kinds)
+    z, wts = fm.fuse_embeddings(embs, len(pairs), run.params, mcfg)
     z_by_subset[kinds] = z.data
     cells = "  ".join(f"{k}={w:.2f}" for k, w in
                       zip(fus.MODALITIES, wts.mean(axis=0)))

@@ -33,8 +33,8 @@ run = ev.train_run(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
 print("\n== one-step forecast for asset 0 at the first test date ==")
 date = int(ds.splits["test"][0])
 batch = ds.batch_arrays([(0, date)])
-embs = tr.embed_batch(batch, run.params, mcfg, ("price", "text", "macro", "graph"))
-z, _ = tr.fuse_embeddings(embs, 1, run.params, mcfg)
+embs = fm.embed_batch(batch, run.params, mcfg, ("price", "text", "macro", "graph"))
+z, _ = fm.fuse_embeddings(embs, 1, run.params, mcfg)
 fc = heads.micro_forecast(ad.Tensor(z.data.copy()), 1, run.params, mcfg)
 fc = ev.denormalize_forecast(fc, ds, mcfg)
 print(f"mixture ({mcfg.mdn_components} components, raw return units):")
@@ -55,8 +55,8 @@ for k in (1, 3, 5):
 print("\n== quantile calibration on the test split ==")
 pairs = ds.sample_pairs("test")
 tb = ds.batch_arrays(pairs)
-embs = tr.embed_batch(tb, run.params, mcfg, ("price", "text", "macro", "graph"))
-zt, _ = tr.fuse_embeddings(embs, len(pairs), run.params, mcfg)
+embs = fm.embed_batch(tb, run.params, mcfg, ("price", "text", "macro", "graph"))
+zt, _ = fm.fuse_embeddings(embs, len(pairs), run.params, mcfg)
 w, m, s = heads.micro_head_batch(
     ad.reshape(zt, (len(pairs), 1, mcfg.d_model)), run.params, mcfg)
 for tau in (0.1, 0.5, 0.9):

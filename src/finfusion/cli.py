@@ -162,8 +162,8 @@ def cmd_forecast(args) -> int:
         raise ConfigError(f"date: {args.date} is not a usable dataset date")
     kinds = tuple(meta.get("modalities", fus.MODALITIES))
     batch = ds.batch_arrays([(args.asset, args.date)])
-    embs = tr.embed_batch(batch, params, mcfg, kinds)
-    z, _ = tr.fuse_embeddings(embs, 1, params, mcfg)
+    embs = fm.embed_batch(batch, params, mcfg, kinds)
+    z, _ = fm.fuse_embeddings(embs, 1, params, mcfg)
     fc = heads.micro_forecast(Tensor(z.data.copy()), args.horizon, params, mcfg)
     fc = ev.denormalize_forecast(fc, ds, mcfg)
 
@@ -198,7 +198,9 @@ def cmd_rl_run(args) -> int:
     params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
     seed = meta.get("seed", 0) if args.seed is None else args.seed
-    env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split)
+    kinds = tuple(meta.get("modalities", fus.MODALITIES))
+    env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split,
+                         kinds=kinds)
     rng = np.random.default_rng(seed)
     horizon = len(env.dates) - 1
     span = max(1, horizon - cfg.rl.episode_length)

@@ -845,64 +845,101 @@ def _nan_to_none(row: np.ndarray) -> list:
 
 
 def load_dataset(path: str) -> AlignedDataset:
-    with open(path, "r", encoding="utf-8") as fh:
-        meta = json.loads(fh.readline())
-        if meta.get("type") != "meta":
-            raise SchemaError("first record must be the meta header")
-        if meta.get("schema_version") != SCHEMA_VERSION:
-            raise SchemaError(
-                f"schema_version {meta.get('schema_version')} != {SCHEMA_VERSION}")
-        cfg = SyntheticConfig(**meta["config"])
-        t_all, a = cfg.n_steps, cfg.n_assets
-        n = cfg.n_institutions
-        j = len(INDICATOR_NAMES)
-        m = len(MACRO_SLOTS)
-        seq_len = int(meta["seq_len"])
-        ds = AlignedDataset(
-            config=cfg,
-            vocab=meta["vocab"],
-            ohlcv=np.empty((a, t_all, 5)),
-            indicators=np.full((a, t_all, j), np.nan),
-            tokens=np.zeros((a, t_all, seq_len), dtype=np.int64),
-            tok_len=np.zeros((a, t_all), dtype=np.int64),
-            macro=np.empty((t_all, m)),
-            macro_present=np.zeros((t_all, m), dtype=bool),
-            adjacency=np.asarray(meta["adjacency"], dtype=np.float64),
-            node_stress=np.empty((t_all, n)),
-            node_returns=np.empty((t_all, n)),
-            market_return=np.empty(t_all),
-            regime=np.empty(t_all, dtype=np.int64),
-            returns=np.empty((a, t_all)),
-            usable=np.zeros(t_all, dtype=bool),
-        )
-        ds.usable[np.asarray(meta["usable"], dtype=np.int64)] = True
-        ds.splits = {k: list(v) for k, v in meta["splits"].items()}
-        ds.norm = {
-            "price": NormStats.from_dict(meta["norm"]["price"]),
-            "macro": NormStats.from_dict(meta["norm"]["macro"]),
-            "graph": NormStats.from_dict(meta["norm"]["graph"]),
-            "y_mean": float(meta["norm"]["y_mean"]),
-            "y_std": float(meta["norm"]["y_std"]),
-        }
-        for line in fh:
-            rec = json.loads(line)
-            t = rec["date"]
-            if rec["type"] == "graph":
-                ds.node_stress[t] = rec["node_stress"]
-                ds.node_returns[t] = rec["node_returns"]
-                ds.market_return[t] = rec["market_return"]
-                ds.regime[t] = rec["regime"]
-            elif rec["type"] == "step":
-                a_i = rec["asset"]
-                ds.ohlcv[a_i, t] = rec["ohlcv"]
-                ds.indicators[a_i, t] = [
-                    np.nan if v is None else v for v in rec["indicators"]]
-                toks = rec["tokens"]
-                ds.tokens[a_i, t, : len(toks)] = toks
-                ds.tok_len[a_i, t] = len(toks)
-                ds.returns[a_i, t] = rec["return"]
-                ds.macro[t] = [np.nan if v is None else v for v in rec["macro"]]
-                ds.macro_present[t] = np.asarray(rec["macro_present"], dtype=bool)
-            else:
-                raise SchemaError(f"unknown record type {rec['type']!r}")
+    """Read a dataset written by ``save_dataset``.
+
+    Every date must carry exactly one graph record and every (date, asset)
+    exactly one step record. A malformed, truncated or incomplete file
+    raises SchemaError naming the offending line.
+    """
+    lineno = 1
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            ds = _read_meta(json.loads(fh.readline()))
+            t_all, a = ds.n_steps, ds.n_assets
+            seen_graph = np.zeros(t_all, dtype=bool)
+            seen_step = np.zeros((a, t_all), dtype=bool)
+            for lineno, line in enumerate(fh, start=2):
+                rec = json.loads(line)
+                t = rec["date"]
+                if not 0 <= t < t_all:
+                    raise SchemaError(f"date {t} outside 0..{t_all - 1}")
+                if rec["type"] == "graph":
+                    if seen_graph[t]:
+                        raise SchemaError(f"second graph record for date {t}")
+                    seen_graph[t] = True
+                    ds.node_stress[t] = rec["node_stress"]
+                    ds.node_returns[t] = rec["node_returns"]
+                    ds.market_return[t] = rec["market_return"]
+                    ds.regime[t] = rec["regime"]
+                elif rec["type"] == "step":
+                    a_i = rec["asset"]
+                    if not 0 <= a_i < a:
+                        raise SchemaError(f"asset {a_i} outside 0..{a - 1}")
+                    if seen_step[a_i, t]:
+                        raise SchemaError(
+                            f"second step record for asset {a_i}, date {t}")
+                    seen_step[a_i, t] = True
+                    ds.ohlcv[a_i, t] = rec["ohlcv"]
+                    ds.indicators[a_i, t] = [
+                        np.nan if v is None else v for v in rec["indicators"]]
+                    toks = rec["tokens"]
+                    ds.tokens[a_i, t, : len(toks)] = toks
+                    ds.tok_len[a_i, t] = len(toks)
+                    ds.returns[a_i, t] = rec["return"]
+                    ds.macro[t] = [np.nan if v is None else v for v in rec["macro"]]
+                    ds.macro_present[t] = np.asarray(rec["macro_present"], dtype=bool)
+                else:
+                    raise SchemaError(f"unknown record type {rec['type']!r}")
+    except SchemaError as e:
+        raise SchemaError(f"{path}, line {lineno}: {e}") from e
+    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
+        raise SchemaError(
+            f"{path}, line {lineno}: malformed record "
+            f"({type(e).__name__}: {e})") from e
+    if not seen_graph.all() or not seen_step.all():
+        raise SchemaError(
+            f"{path} is incomplete: {int(seen_graph.sum())} of {t_all} graph "
+            f"records and {int(seen_step.sum())} of {t_all * a} step records")
+    return ds
+
+
+def _read_meta(meta: dict) -> AlignedDataset:
+    """An AlignedDataset shaped by the meta header, awaiting its records."""
+    if meta.get("type") != "meta":
+        raise SchemaError("first record must be the meta header")
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        raise SchemaError(
+            f"schema_version {meta.get('schema_version')} != {SCHEMA_VERSION}")
+    cfg = SyntheticConfig(**meta["config"])
+    t_all, a = cfg.n_steps, cfg.n_assets
+    n = cfg.n_institutions
+    j = len(INDICATOR_NAMES)
+    m = len(MACRO_SLOTS)
+    seq_len = int(meta["seq_len"])
+    ds = AlignedDataset(
+        config=cfg,
+        vocab=meta["vocab"],
+        ohlcv=np.empty((a, t_all, 5)),
+        indicators=np.full((a, t_all, j), np.nan),
+        tokens=np.zeros((a, t_all, seq_len), dtype=np.int64),
+        tok_len=np.zeros((a, t_all), dtype=np.int64),
+        macro=np.empty((t_all, m)),
+        macro_present=np.zeros((t_all, m), dtype=bool),
+        adjacency=np.asarray(meta["adjacency"], dtype=np.float64),
+        node_stress=np.empty((t_all, n)),
+        node_returns=np.empty((t_all, n)),
+        market_return=np.empty(t_all),
+        regime=np.empty(t_all, dtype=np.int64),
+        returns=np.empty((a, t_all)),
+        usable=np.zeros(t_all, dtype=bool),
+    )
+    ds.usable[np.asarray(meta["usable"], dtype=np.int64)] = True
+    ds.splits = {k: list(v) for k, v in meta["splits"].items()}
+    ds.norm = {
+        "price": NormStats.from_dict(meta["norm"]["price"]),
+        "macro": NormStats.from_dict(meta["norm"]["macro"]),
+        "graph": NormStats.from_dict(meta["norm"]["graph"]),
+        "y_mean": float(meta["norm"]["y_mean"]),
+        "y_std": float(meta["norm"]["y_std"]),
+    }
     return ds

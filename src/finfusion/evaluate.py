@@ -16,16 +16,15 @@ from . import encoders as enc
 from . import fusion as fus
 from . import heads
 from . import metrics as mx
+from . import model as fm
 from . import training as tr
 from .errors import ContractError, DegenerateInputError, UndefinedMetricError
-
-EVAL_BATCH = 64
 
 
 def _forward_micro(dataset, params, cfg, pairs, kinds):
     batch = dataset.batch_arrays(pairs)
-    embs = tr.embed_batch(batch, params, cfg, kinds)
-    z, _ = tr.fuse_embeddings(embs, len(pairs), params, cfg)
+    embs = fm.embed_batch(batch, params, cfg, kinds)
+    z, _ = fm.fuse_embeddings(embs, len(pairs), params, cfg)
     w, m, s = heads.micro_head_batch(
         ad.reshape(z, (len(pairs), 1, cfg.d_model)), params, cfg)
     return batch, w.data, m.data, s.data
@@ -38,8 +37,8 @@ def predict_micro(dataset, params, cfg, split: str,
     if not pairs:
         raise ContractError(f"split {split!r} has no usable pairs")
     preds, trues = [], []
-    for i in range(0, len(pairs), EVAL_BATCH):
-        chunk = pairs[i:i + EVAL_BATCH]
+    for i in range(0, len(pairs), fm.EVAL_BATCH):
+        chunk = pairs[i:i + fm.EVAL_BATCH]
         batch, w, m, _ = _forward_micro(dataset, params, cfg, chunk, kinds)
         point_z = (w * m).sum(axis=-1)
         preds.append(point_z * dataset.norm["y_std"] + dataset.norm["y_mean"])
@@ -54,11 +53,11 @@ def predict_risk(dataset, params, cfg, split: str,
     if not dates:
         raise ContractError(f"split {split!r} has no dates")
     scores, contribs, crisis, stress, distress = [], [], [], [], []
-    for i in range(0, len(dates), EVAL_BATCH):
-        chunk = [(0, t) for t in dates[i:i + EVAL_BATCH]]
+    for i in range(0, len(dates), fm.EVAL_BATCH):
+        chunk = [(0, t) for t in dates[i:i + fm.EVAL_BATCH]]
         batch = dataset.batch_arrays(chunk)
-        embs = tr.embed_batch(batch, params, cfg, kinds)
-        z, _ = tr.fuse_embeddings(embs, len(chunk), params, cfg)
+        embs = fm.embed_batch(batch, params, cfg, kinds)
+        z, _ = fm.fuse_embeddings(embs, len(chunk), params, cfg)
         score, contrib = heads.macro_risk_batch(
             z, batch["graph_feats"], batch["graph_adj"], params, cfg)
         scores.append(score.data)
@@ -187,8 +186,8 @@ def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
             f"date {date} is outside the usable range of the dataset")
     pairs = [(a, date) for a in range(dataset.n_assets)]
     batch = dataset.batch_arrays(pairs)
-    embs = tr.embed_batch(batch, params, cfg, kinds)
-    z, _ = tr.fuse_embeddings(embs, len(pairs), params, cfg)
+    embs = fm.embed_batch(batch, params, cfg, kinds)
+    z, _ = fm.fuse_embeddings(embs, len(pairs), params, cfg)
 
     graph = enc.FinancialGraph(node_features=batch["graph_feats"][0],
                                adjacency=batch["graph_adj"][0])

@@ -26,6 +26,10 @@ DEFAULT_MACRO_GROUPS = {
     "market_stress": (6, 7),
 }
 
+# rows per chunk of a read-only backbone pass (evaluation, the RL env's state
+# table); fixed chunks bound the pass's peak memory and fix its rounding
+EVAL_BATCH = 64
+
 
 @dataclass
 class ModelConfig:
@@ -114,34 +118,50 @@ def n_parameters(params: dict) -> int:
     return sum(t.size for t in params.values())
 
 
+def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
+    """Run the encoders named in ``kinds`` over one assembled batch."""
+    embs = {}
+    if "price" in kinds:
+        embs["price"] = enc.encode_price_batch(batch["price"], params, cfg)
+    if "text" in kinds:
+        embs["text"] = enc.encode_text_batch(batch["tokens"], batch["tok_len"],
+                                             params, cfg)
+    if "macro" in kinds:
+        embs["macro"] = enc.encode_macro_batch(batch["macro"], params, cfg)
+    if "graph" in kinds:
+        _, embs["graph"] = enc.encode_graph_batch(
+            batch["graph_feats"], batch["graph_adj"], params, cfg)
+    return embs
+
+
+def fuse_embeddings(embs: dict, n_rows: int, params: dict, cfg):
+    """Fuse whichever modalities ``embs`` carries, marking the rest absent."""
+    presence = np.zeros((n_rows, len(fus.MODALITIES)), dtype=bool)
+    for ki, kind in enumerate(fus.MODALITIES):
+        presence[:, ki] = kind in embs
+    return fus.fuse_batch(embs, presence, params, cfg)
+
+
 def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
-                  record: dict | None = None) -> dict:
-    """Run encoders, fusion, and both task heads on one fully aligned batch.
+                  kinds=fus.MODALITIES) -> dict:
+    """Run the encoders named in ``kinds``, fusion, and both task heads on one
+    fully aligned batch; modalities outside ``kinds`` are fused as absent.
 
     ``batch`` carries numpy arrays: price (B, T, F), tokens (B, L) with
     tok_len (B,), macro (B, M), graph node features (B, N, Fg) and adjacency
-    (B, N, N). Returns tensors keyed by stage for the loss functions.
+    (B, N, N). Returns tensors keyed by stage for the loss functions, with an
+    ``emb_<kind>`` entry for each encoded modality.
     """
     b = batch["price"].shape[0]
-    emb_price = enc.encode_price_batch(batch["price"], params, cfg)
-    emb_text = enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, cfg)
-    emb_macro = enc.encode_macro_batch(batch["macro"], params, cfg)
-    _, emb_graph = enc.encode_graph_batch(
-        batch["graph_feats"], batch["graph_adj"], params, cfg)
-    presence = np.ones((b, 4), dtype=bool)
-    z, fuse_weights = fus.fuse_batch(
-        {"price": emb_price, "text": emb_text, "macro": emb_macro, "graph": emb_graph},
-        presence, params, cfg, record=record)
+    embs = embed_batch(batch, params, cfg, kinds)
+    z, fuse_weights = fuse_embeddings(embs, b, params, cfg)
     weights, means, sigmas = heads.micro_head_batch(
         ad.reshape(z, (b, 1, cfg.d_model)), params, cfg)
     risk_score, contributions = heads.macro_risk_batch(
         z, batch["graph_feats"], batch["graph_adj"], params, cfg)
     return {
         "z": z,
-        "emb_price": emb_price,
-        "emb_text": emb_text,
-        "emb_macro": emb_macro,
-        "emb_graph": emb_graph,
+        **{f"emb_{kind}": e for kind, e in embs.items()},
         "fuse_weights": fuse_weights,
         "mdn_weights": weights,
         "mdn_means": means,

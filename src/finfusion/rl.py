@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
 from .errors import ContractError, DimensionError
@@ -203,19 +204,32 @@ class DatasetEnv:
     (asset, date); profit uses the raw next-step return. Stress comes from
     the dataset (truth mode) or from the risk head's current assessment
     (model mode), always scaled by position exposure.
+
+    The env snapshots the backbone when it is built: the z and risk score of
+    every date in the split are computed once, fusing only the modalities in
+    ``kinds``, in fixed chunks of ``model.EVAL_BATCH`` rows, so a state does
+    not depend on which dates an episode visits. Only ``policy.*`` may move
+    while the env is in use; callers that move the backbone build a new env.
     """
 
     def __init__(self, dataset, params: dict, model_cfg, rl_cfg: RLConfig,
-                 split: str = "train", asset: int = 0):
+                 split: str = "train", asset: int = 0, kinds=fus.MODALITIES):
         self.ds = dataset
-        self.params = params
         self.model_cfg = model_cfg
         self.cfg = rl_cfg
         self.asset = asset
         self.dates = list(dataset.splits[split])
         if len(self.dates) < 2:
             raise ContractError(f"split '{split}' too short for an episode")
-        self._cache: dict = {}
+        zs, risks = [], []
+        for i in range(0, len(self.dates), model_mod.EVAL_BATCH):
+            chunk = self.dates[i:i + model_mod.EVAL_BATCH]
+            batch = dataset.batch_arrays([(asset, t) for t in chunk])
+            out = model_mod.forward_batch(batch, params, model_cfg, kinds=kinds)
+            zs.append(out["z"].data)
+            risks.append(out["risk_score"].data)
+        self.states = np.concatenate(zs)
+        self.risk = np.concatenate(risks)
         self.i = 0
 
     @property
@@ -226,37 +240,25 @@ class DatasetEnv:
     def remaining(self) -> int:
         return len(self.dates) - 1 - self.i
 
-    def _forward(self, date: int):
-        hit = self._cache.get(date)
-        if hit is None:
-            batch = self.ds.batch_arrays([(self.asset, date)])
-            out = model_mod.forward_batch(batch, self.params, self.model_cfg)
-            hit = (out["z"].data[0].copy(), float(out["risk_score"].data[0]))
-            self._cache[date] = hit
-        return hit
-
     def reset(self, start: int = 0) -> np.ndarray:
         if not 0 <= start < len(self.dates) - 1:
             raise ContractError("episode start out of range")
         self.i = start
-        z, _ = self._forward(self.dates[self.i])
-        return z
+        return self.states[self.i]
 
     def env_step(self, action: Action):
         action.require_in(self.cfg)
         if self.remaining < 1:
             raise ContractError("episode ran past the end of the split")
         date = self.dates[self.i]
-        z, risk_now = self._forward(date)
         profit = action.position * self.ds.y_next(self.asset, date)
         if self.cfg.r_sys_source == "model":
-            stress = risk_now
+            stress = float(self.risk[self.i])
         else:
             stress = self.ds.stress_next(date)
         r_sys = abs(action.position) * stress
         self.i += 1
-        z_next, _ = self._forward(self.dates[self.i])
-        return z_next, profit, r_sys
+        return self.states[self.i], profit, r_sys
 
 
 def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from . import encoders as enc
 from . import fusion as fus
 from . import heads
 from . import model as model_mod
@@ -301,29 +300,48 @@ def save_checkpoint(path: str, params: dict, meta: dict | None = None,
 
 
 def load_checkpoint(path: str):
-    """Returns (params dict of gradient-carrying tensors, meta, extras)."""
+    """Returns (params dict of gradient-carrying tensors, meta, extras).
+
+    A file that is not exactly the header plus the arrays it describes
+    (truncated, padded, or with a corrupt header) raises SchemaError.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise SchemaError("not a checkpoint file (bad magic)")
+    if len(blob) < 16:
+        raise SchemaError(f"checkpoint truncated in its {len(blob)}-byte preamble")
     version = struct.unpack("<I", blob[4:8])[0]
     if version != CHECKPOINT_VERSION:
         raise SchemaError(f"unsupported checkpoint version {version}")
     hlen = struct.unpack("<Q", blob[8:16])[0]
-    header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+    if len(blob) < 16 + hlen:
+        raise SchemaError(
+            f"checkpoint truncated: {len(blob)} bytes, header alone needs {16 + hlen}")
+    try:
+        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
+        entries = [(e["kind"], e["name"], tuple(int(d) for d in e["shape"]))
+                   for e in header["arrays"]]
+        meta = header["meta"]
+    except (ValueError, KeyError, TypeError) as e:
+        raise SchemaError(
+            f"checkpoint header is corrupt ({type(e).__name__}: {e})") from e
+    counts = [int(np.prod(shape)) if shape else 1 for _, _, shape in entries]
+    expected = 16 + hlen + 8 * sum(counts)
+    if len(blob) != expected:
+        raise SchemaError(
+            f"checkpoint is {len(blob)} bytes, its header describes {expected}")
     offset = 16 + hlen
     params, extras = {}, {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
+    for (kind, name, shape), count in zip(entries, counts):
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arr = arr.reshape(shape).astype(np.float64)
         offset += count * 8
-        if entry["kind"] == "param":
-            params[entry["name"]] = Tensor(arr, requires_grad=True)
+        if kind == "param":
+            params[name] = Tensor(arr, requires_grad=True)
         else:
-            extras[entry["name"]] = arr
-    return params, header["meta"], extras
+            extras[name] = arr
+    return params, meta, extras
 
 
 def save_optimizer(state: AdamWState) -> tuple:
@@ -353,30 +371,6 @@ def load_optimizer(extras: dict, meta: dict) -> AdamWState:
 
 def _chunks(items, size):
     return [items[i:i + size] for i in range(0, len(items), size)]
-
-
-def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
-    """Run the encoders named in ``kinds`` over one assembled batch."""
-    embs = {}
-    if "price" in kinds:
-        embs["price"] = enc.encode_price_batch(batch["price"], params, cfg)
-    if "text" in kinds:
-        embs["text"] = enc.encode_text_batch(batch["tokens"], batch["tok_len"],
-                                             params, cfg)
-    if "macro" in kinds:
-        embs["macro"] = enc.encode_macro_batch(batch["macro"], params, cfg)
-    if "graph" in kinds:
-        _, embs["graph"] = enc.encode_graph_batch(
-            batch["graph_feats"], batch["graph_adj"], params, cfg)
-    return embs
-
-
-def fuse_embeddings(embs: dict, n_rows: int, params: dict, cfg):
-    """Fuse whichever modalities ``embs`` carries, marking the rest absent."""
-    presence = np.zeros((n_rows, len(fus.MODALITIES)), dtype=bool)
-    for ki, kind in enumerate(fus.MODALITIES):
-        presence[:, ki] = kind in embs
-    return fus.fuse_batch(embs, presence, params, cfg)
 
 
 class TrainingRun:
@@ -421,10 +415,10 @@ class TrainingRun:
         return model_mod.param_subset(self.params, prefixes)
 
     def _embed(self, batch, kinds):
-        return embed_batch(batch, self.params, self.model_cfg, kinds)
+        return model_mod.embed_batch(batch, self.params, self.model_cfg, kinds)
 
     def _fuse(self, embs, n_rows):
-        return fuse_embeddings(embs, n_rows, self.params, self.model_cfg)
+        return model_mod.fuse_embeddings(embs, n_rows, self.params, self.model_cfg)
 
     def _check_finite(self, comps):
         for name, c in comps.items():
@@ -505,9 +499,13 @@ class TrainingRun:
             self._backward_and_step(loss, subset, opt, lr)
         return {"align": float(at.data), "total": float(loss.data)}
 
-    def _rl_epoch(self, rng, lr_scale=1.0):
-        env = rl_mod.DatasetEnv(self.dataset, self.params, self.model_cfg,
-                                self.rl_cfg, split="train")
+    def _rl_env(self):
+        """An env over the train split that snapshots the current backbone."""
+        return rl_mod.DatasetEnv(self.dataset, self.params, self.model_cfg,
+                                 self.rl_cfg, split="train",
+                                 kinds=self.modalities)
+
+    def _rl_epoch(self, env, rng, lr_scale=1.0):
         horizon = len(env.dates) - 1
         trajs = []
         for _ in range(self.cfg.episodes_per_epoch):
@@ -579,8 +577,10 @@ class TrainingRun:
             report = StageReport(stage, 0, {"total": []})
         elif stage == "rl-finetune":
             totals, returns = [], []
+            # only policy.* moves in this stage, so one snapshot serves it all
+            env = self._rl_env()
             for _ in range(n_epochs):
-                mean_return = self._rl_epoch(rng)
+                mean_return = self._rl_epoch(env, rng)
                 returns.append(mean_return)
                 totals.append(-self.weights.lambda4 * mean_return)
                 n_steps += 1
@@ -624,7 +624,9 @@ class TrainingRun:
                         epoch_terms.setdefault(k, []).append(v)
                     step += 1
                 if self.cfg.rl_in_joint and stage == "joint-multitask":
-                    mean_return = self._rl_epoch(rng, lr_scale=self.weights.lambda4)
+                    # the backbone moved during the epoch: snapshot it again
+                    mean_return = self._rl_epoch(self._rl_env(), rng,
+                                                 lr_scale=self.weights.lambda4)
                     epoch_terms.setdefault("return", []).append(mean_return)
                     step += 1
                 for k, vals in epoch_terms.items():
@@ -682,5 +684,10 @@ class TrainingRun:
 def load_params(path: str):
     """Checkpoint -> (params, ModelConfig, meta)."""
     params, meta, _ = load_checkpoint(path)
-    mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
+    try:
+        mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
+    except (KeyError, TypeError) as e:
+        raise SchemaError(
+            f"checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
+        ) from e
     return params, mcfg, meta

@@ -6,13 +6,17 @@ checkpoint are shared across the module.
 """
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
 import finfusion.cli as cli
+import finfusion.datapipe as dp
 import finfusion.metrics as mx
+import finfusion.model as fm
+import finfusion.training as tr
 
 TINY = {
     "synthetic.n_steps": 170,
@@ -211,6 +215,56 @@ def test_eval_corrupt_checkpoint_is_schema_error(work, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_one_line_schema_error(rc, capsys):
+    err = capsys.readouterr().err
+    assert rc == 5
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("cut", ["line-boundary", "mid-line"])
+def test_truncated_dataset_is_schema_error(work, tmp_path, capsys, cut):
+    lines = (work["data_dir"] / "dataset.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    keep = len(lines) * 2 // 3
+    body = "".join(lines[:keep])
+    if cut == "mid-line":
+        body += lines[keep][: len(lines[keep]) // 2]
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_text(body, encoding="utf-8")
+    rc = cli.main(["eval", "--checkpoint", work["ckpt"], "--data", str(bad)])
+    _assert_one_line_schema_error(rc, capsys)
+
+
+@pytest.mark.parametrize("cut", ["header", "arrays"])
+def test_truncated_checkpoint_is_schema_error(work, tmp_path, capsys, cut):
+    raw = (work["run"] / "seed_0" / "checkpoint.bin").read_bytes()
+    hlen = int.from_bytes(raw[8:16], "little")
+    end = 16 + hlen // 2 if cut == "header" else len(raw) - 8
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(raw[:end])
+    rc = cli.main(["forecast", "--checkpoint", str(bad), "--data", work["data"],
+                   "--asset", "0", "--date", "100"])
+    _assert_one_line_schema_error(rc, capsys)
+
+
+@pytest.mark.parametrize("model_config", [None, {"bogus": 1}])
+def test_checkpoint_without_usable_model_config_is_schema_error(
+        work, tmp_path, capsys, model_config):
+    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    meta = dict(meta)
+    if model_config is None:
+        del meta["model_config"]
+    else:
+        meta["model_config"] = dict(meta["model_config"], **model_config)
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    rc = cli.main(["forecast", "--checkpoint", str(bad), "--data", work["data"],
+                   "--asset", "0", "--date", "100"])
+    _assert_one_line_schema_error(rc, capsys)
+
+
 # ---------------------------------------------------------------------------
 # forecast
 
@@ -279,6 +333,29 @@ def test_rl_run_artifacts_and_determinism(work, tmp_path, capsys):
     assert len(traces) == 2
     assert all(len(t["steps"]) == 8 for t in traces)
     assert all(s["position"] in (-1, 0, 1) for s in traces[0]["steps"])
+
+
+def test_rl_run_builds_one_chunked_state_table_over_its_modalities(
+        work, tmp_path, capsys, monkeypatch):
+    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    ablated = tmp_path / "ablated.bin"
+    tr.save_checkpoint(str(ablated), params,
+                       meta=dict(meta, modalities=["price", "text"]))
+    kinds_seen = []
+    original = fm.forward_batch
+
+    def counted(*args, **kwargs):
+        kinds_seen.append(tuple(kwargs["kinds"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fm, "forward_batch", counted)
+    rc = cli.main(["rl-run", "--config", work["cfg"], "--checkpoint", str(ablated),
+                   "--data", work["data"], "--updates", "3", "--episodes", "2",
+                   "--out", str(tmp_path / "out")])
+    capsys.readouterr()
+    assert rc == 0
+    n_dates = len(dp.load_dataset(work["data"]).splits["train"])
+    assert kinds_seen == [("price", "text")] * math.ceil(n_dates / fm.EVAL_BATCH)
 
 
 def test_rl_run_seed_flag_changes_outcome(work, tmp_path, capsys):

@@ -322,6 +322,54 @@ def test_dataset_env_modes_differ(tiny_world):
                            t_model.r_sys[t_model.r_sys != 0])
 
 
+def test_forward_batch_default_matches_hand_assembly(tiny_world):
+    from finfusion import encoders as enc
+    from finfusion import fusion as fus
+    ds, mcfg, params = tiny_world
+    batch = ds.batch_arrays([(a, t) for t in ds.splits["train"][:5] for a in (0, 1)])
+    embs = {
+        "price": enc.encode_price_batch(batch["price"], params, mcfg),
+        "text": enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, mcfg),
+        "macro": enc.encode_macro_batch(batch["macro"], params, mcfg),
+        "graph": enc.encode_graph_batch(batch["graph_feats"], batch["graph_adj"],
+                                        params, mcfg)[1],
+    }
+    z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
+    out = model_mod.forward_batch(batch, params, mcfg)
+    assert out["z"].data.tobytes() == z.data.tobytes()
+
+
+def test_dataset_env_table_matches_batch1_forwards(tiny_world):
+    ds, mcfg, params = tiny_world
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(r_sys_source="model"))
+    assert len(env.dates) > model_mod.EVAL_BATCH  # more than one chunk
+    assert env.states.shape == (len(env.dates), mcfg.d_model)
+    for i, t in enumerate(env.dates):
+        out = model_mod.forward_batch(ds.batch_arrays([(0, t)]), params, mcfg)
+        np.testing.assert_allclose(env.states[i], out["z"].data[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(env.risk[i], out["risk_score"].data[0],
+                                   rtol=0, atol=1e-12)
+    assert np.array_equal(env.reset(3), env.states[3])
+    z_next, _, r_sys = env.env_step(rl.Action(-1.0))
+    assert np.array_equal(z_next, env.states[4])
+    assert r_sys == env.risk[3]
+
+
+def test_dataset_env_honours_modalities(tiny_world):
+    ds, mcfg, params = tiny_world
+    kinds = ("price", "text")
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(), kinds=kinds)
+    full = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig())
+    zs = []
+    for i in range(0, len(env.dates), model_mod.EVAL_BATCH):
+        chunk = env.dates[i:i + model_mod.EVAL_BATCH]
+        batch = ds.batch_arrays([(0, t) for t in chunk])
+        embs = model_mod.embed_batch(batch, params, mcfg, kinds)
+        zs.append(model_mod.fuse_embeddings(embs, len(chunk), params, mcfg)[0].data)
+    assert np.array_equal(env.states, np.concatenate(zs))
+    assert not np.allclose(env.states, full.states)
+
+
 def test_trace_export_roundtrip(tmp_path):
     cfg = rl.RLConfig(episode_length=8)
     env = rl.MarketEnv(cfg, seed=12, n_steps=64)

@@ -564,6 +564,39 @@ def test_joint_rl_flag_moves_policy_inside_joint_stage(world):
     assert "return" in rep.losses
 
 
+def _count_forward_calls(monkeypatch):
+    calls = []
+    original = fm.forward_batch
+
+    def counted(batch, *args, **kwargs):
+        calls.append(batch["price"].shape[0])
+        return original(batch, *args, **kwargs)
+
+    monkeypatch.setattr(fm, "forward_batch", counted)
+    return calls
+
+
+def test_rl_stage_builds_one_chunked_state_table(world, monkeypatch):
+    run = _run(world, _schedule(0, 0, 0, 3))
+    for s in ("unimodal-pretrain", "multimodal-align", "joint-multitask"):
+        run.run_stage(s)
+    calls = _count_forward_calls(monkeypatch)
+    run.run_stage("rl-finetune")
+    n_dates = len(world[0].splits["train"])
+    assert len(calls) == math.ceil(n_dates / fm.EVAL_BATCH)
+    assert sum(calls) == n_dates
+
+
+def test_joint_rl_rebuilds_the_state_table_each_epoch(world, monkeypatch):
+    run = _run(world, _schedule(0, 0, 2, 0), rl_in_joint=True)
+    run.run_stage("unimodal-pretrain")
+    run.run_stage("multimodal-align")
+    calls = _count_forward_calls(monkeypatch)
+    run.run_stage("joint-multitask")
+    n_dates = len(world[0].splits["train"])
+    assert len(calls) == 2 * math.ceil(n_dates / fm.EVAL_BATCH)
+
+
 def test_same_seed_runs_are_bit_identical(world):
     sched = _schedule(1, 1, 1, 1)
     a = _run(world, sched, seed=9)
