@@ -65,11 +65,10 @@ print("\n== fusion weights track which modalities are present ==")
 subsets = [fus.MODALITIES, ("price", "text"), ("price", "graph"), ("macro",)]
 z_by_subset = {}
 for kinds in subsets:
-    embs = fm.embed_batch(batch, run.params, mcfg, kinds)
-    z, wts = fm.fuse_embeddings(embs, len(pairs), run.params, mcfg)
-    z_by_subset[kinds] = z.data
+    out = fm.forward_batch(batch, run.params, mcfg, kinds, heads=())
+    z_by_subset[kinds] = out["z"].data
     cells = "  ".join(f"{k}={w:.2f}" for k, w in
-                      zip(fus.MODALITIES, wts.mean(axis=0)))
+                      zip(fus.MODALITIES, out["fuse_weights"].mean(axis=0)))
     print(f"{'+'.join(kinds):24s} {cells}")
 print("absent slots get exact zero weight; the rest renormalize")
 

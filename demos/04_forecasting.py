@@ -33,8 +33,7 @@ run = ev.train_run(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
 print("\n== one-step forecast for asset 0 at the first test date ==")
 date = int(ds.splits["test"][0])
 batch = ds.batch_arrays([(0, date)])
-embs = fm.embed_batch(batch, run.params, mcfg, ("price", "text", "macro", "graph"))
-z, _ = fm.fuse_embeddings(embs, 1, run.params, mcfg)
+z = fm.forward_batch(batch, run.params, mcfg, heads=())["z"]
 fc = heads.micro_forecast(ad.Tensor(z.data.copy()), 1, run.params, mcfg)
 fc = ev.denormalize_forecast(fc, ds, mcfg)
 print(f"mixture ({mcfg.mdn_components} components, raw return units):")
@@ -55,10 +54,8 @@ for k in (1, 3, 5):
 print("\n== quantile calibration on the test split ==")
 pairs = ds.sample_pairs("test")
 tb = ds.batch_arrays(pairs)
-embs = fm.embed_batch(tb, run.params, mcfg, ("price", "text", "macro", "graph"))
-zt, _ = fm.fuse_embeddings(embs, len(pairs), run.params, mcfg)
-w, m, s = heads.micro_head_batch(
-    ad.reshape(zt, (len(pairs), 1, mcfg.d_model)), run.params, mcfg)
+out = fm.forward_batch(tb, run.params, mcfg, heads=("micro",))
+w, m, s = out["mdn_weights"], out["mdn_means"], out["mdn_sigmas"]
 for tau in (0.1, 0.5, 0.9):
     q = heads.mixture_quantile(w, m, s, tau).data
     cover = float(np.mean(tb["y"] <= q))

@@ -162,8 +162,7 @@ def cmd_forecast(args) -> int:
         raise ConfigError(f"date: {args.date} is not a usable dataset date")
     kinds = tuple(meta.get("modalities", fus.MODALITIES))
     batch = ds.batch_arrays([(args.asset, args.date)])
-    embs = fm.embed_batch(batch, params, mcfg, kinds)
-    z, _ = fm.fuse_embeddings(embs, 1, params, mcfg)
+    z = fm.forward_batch(batch, params, mcfg, kinds, heads=())["z"]
     fc = heads.micro_forecast(Tensor(z.data.copy()), args.horizon, params, mcfg)
     fc = ev.denormalize_forecast(fc, ds, mcfg)
 
@@ -292,36 +291,28 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
     macro = rng.normal(size=(b, len(cfg.macro_slots)))
     gfeat = rng.normal(size=(b, n_nodes, cfg.graph_features))
     adj = np.abs(rng.normal(size=(b, n_nodes, n_nodes)))
-    probe = {k: Tensor(rng.normal(size=(b, d_model))) for k in fus.MODALITIES}
+    # unused draw: dropping it would shift y and the labels below
+    rng.normal(size=(len(fus.MODALITIES), b, d_model))
     y = rng.normal(size=b)
     flags = rng.integers(0, 2, size=b).astype(float)
     stress = rng.uniform(0, 1, size=b)
 
-    def embed_all():
-        embs = {
-            "price": enc.encode_price_batch(price, params, cfg),
-            "text": enc.encode_text_batch(tokens, tok_len, params, cfg),
-            "macro": enc.encode_macro_batch(macro, params, cfg),
-            "graph": enc.encode_graph_batch(gfeat, adj, params, cfg)[1],
-        }
-        return fus.fuse_batch(embs, np.ones((b, 4), dtype=bool), params, cfg)[0]
+    batch = {"price": price, "tokens": tokens, "tok_len": tok_len,
+             "macro": macro, "graph_feats": gfeat, "graph_adj": adj}
+
+    def mixture():
+        out = fm.forward_batch(batch, params, cfg, heads=("micro",))
+        return out["mdn_weights"], out["mdn_means"], out["mdn_sigmas"]
 
     def micro_loss(_):
-        z = embed_all()
-        wts, mns, sgs = heads.micro_head_batch(
-            ad.reshape(z, (b, 1, d_model)), params, cfg)
-        return heads.mdn_nll_batch(wts, mns, sgs, y)
+        return heads.mdn_nll_batch(*mixture(), y)
 
     def risk_term(_):
-        z = embed_all()
-        score, _ = heads.macro_risk_batch(z, gfeat, adj, params, cfg)
-        return tr.risk_loss(score, flags, stress)
+        out = fm.forward_batch(batch, params, cfg, heads=("risk",))
+        return tr.risk_loss(out["risk_score"], flags, stress)
 
     def forecast_term(_):
-        z = embed_all()
-        wts, mns, sgs = heads.micro_head_batch(
-            ad.reshape(z, (b, 1, d_model)), params, cfg)
-        return tr.forecast_loss(y, wts, mns, sgs, tr.ForecastLossConfig())
+        return tr.forecast_loss(y, *mixture(), tr.ForecastLossConfig())
 
     def align_term(_):
         e1 = enc.encode_price_batch(price, params, cfg)

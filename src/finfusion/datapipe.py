@@ -849,7 +849,9 @@ def load_dataset(path: str) -> AlignedDataset:
 
     Every date must carry exactly one graph record and every (date, asset)
     exactly one step record. A malformed, truncated or incomplete file
-    raises SchemaError naming the offending line.
+    raises SchemaError naming the offending line; price bars whose high and
+    low do not bracket open and close, or whose volume is negative, raise it
+    naming the date and asset.
     """
     lineno = 1
     try:
@@ -900,6 +902,13 @@ def load_dataset(path: str) -> AlignedDataset:
         raise SchemaError(
             f"{path} is incomplete: {int(seen_graph.sum())} of {t_all} graph "
             f"records and {int(seen_step.sum())} of {t_all * a} step records")
+    o, h, l, c, v = np.moveaxis(ds.ohlcv, -1, 0)
+    for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
+                      (l > np.minimum(o, c), "low is above min(open, close)"),
+                      (v < 0, "volume is negative")):
+        if bad.any():
+            a_i, t = np.argwhere(bad)[0]
+            raise SchemaError(f"{path}: step record for date {t}, asset {a_i}: {what}")
     return ds
 
 
@@ -910,9 +919,18 @@ def _read_meta(meta: dict) -> AlignedDataset:
     if meta.get("schema_version") != SCHEMA_VERSION:
         raise SchemaError(
             f"schema_version {meta.get('schema_version')} != {SCHEMA_VERSION}")
+    if meta.get("macro_slots") != list(MACRO_SLOTS):
+        raise SchemaError(
+            f"macro_slots {meta.get('macro_slots')} != {list(MACRO_SLOTS)}")
     cfg = SyntheticConfig(**meta["config"])
     t_all, a = cfg.n_steps, cfg.n_assets
     n = cfg.n_institutions
+    adjacency = np.asarray(meta["adjacency"], dtype=np.float64)
+    if adjacency.shape != (n, n):
+        raise SchemaError(f"adjacency is {adjacency.shape}, expected ({n}, {n})")
+    if np.any(adjacency < 0):
+        i, j = np.argwhere(adjacency < 0)[0]
+        raise SchemaError(f"adjacency weight [{i}, {j}] is negative")
     j = len(INDICATOR_NAMES)
     m = len(MACRO_SLOTS)
     seq_len = int(meta["seq_len"])
@@ -925,7 +943,7 @@ def _read_meta(meta: dict) -> AlignedDataset:
         tok_len=np.zeros((a, t_all), dtype=np.int64),
         macro=np.empty((t_all, m)),
         macro_present=np.zeros((t_all, m), dtype=bool),
-        adjacency=np.asarray(meta["adjacency"], dtype=np.float64),
+        adjacency=adjacency,
         node_stress=np.empty((t_all, n)),
         node_returns=np.empty((t_all, n)),
         market_return=np.empty(t_all),

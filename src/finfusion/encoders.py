@@ -3,19 +3,17 @@ financial graphs, each mapped to a fixed-width embedding.
 
 All encoders are pure functions of (input, params). Params live in a flat
 dict of named leaf tensors so training stages can select subsets by prefix.
-The transformer building blocks here are shared by the fusion layer.
+The transformer layer here is shared by the fusion layer, and the
+graph-attention layer by the systemic-risk head.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import (
-    ContractError,
     DegenerateInputError,
     DimensionError,
     ImputationRequiredError,
@@ -23,111 +21,6 @@ from .errors import (
 )
 
 MACRO_GROUPS = ("growth", "inflation", "credit", "market_stress")
-
-
-# ---------------------------------------------------------------------------
-# domain types
-
-@dataclass
-class PriceWindow:
-    """OHLCV history plus derived indicator columns for one asset."""
-
-    timestamps: np.ndarray  # (T,) ordinal day indices
-    ohlcv: np.ndarray       # (T, 5) open, high, low, close, volume
-    indicators: np.ndarray  # (T, J)
-
-    def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps)
-        self.ohlcv = np.asarray(self.ohlcv, dtype=np.float64)
-        self.indicators = np.asarray(self.indicators, dtype=np.float64)
-        t = self.ohlcv.shape[0]
-        if t < 1:
-            raise DegenerateInputError("price window has no rows")
-        if self.ohlcv.ndim != 2 or self.ohlcv.shape[1] != 5:
-            raise DimensionError(f"ohlcv must be (T, 5), got {self.ohlcv.shape}")
-        if self.indicators.shape[0] != t or self.timestamps.shape[0] != t:
-            raise DimensionError("timestamps, ohlcv, indicators disagree on T")
-        o, h, l, c, v = (self.ohlcv[:, i] for i in range(5))
-        if np.any(h < np.maximum(o, c)) or np.any(l > np.minimum(o, c)):
-            raise ContractError("high/low must bracket open and close")
-        if np.any(v < 0):
-            raise ContractError("volume must be nonnegative")
-
-    @property
-    def length(self) -> int:
-        return self.ohlcv.shape[0]
-
-    def features(self) -> np.ndarray:
-        return np.concatenate([self.ohlcv, self.indicators], axis=1)
-
-
-@dataclass
-class TokenSequence:
-    """Integer event tokens drawn from a fixed vocabulary."""
-
-    token_ids: np.ndarray
-
-    def __post_init__(self):
-        self.token_ids = np.asarray(self.token_ids, dtype=np.int64)
-        if self.token_ids.ndim != 1 or self.token_ids.size == 0:
-            raise DegenerateInputError("token sequence must be a nonempty 1-d list")
-        if np.any(self.token_ids < 0):
-            raise VocabularyError("negative token id")
-
-    @property
-    def length(self) -> int:
-        return self.token_ids.size
-
-
-@dataclass
-class MacroVector:
-    """One snapshot of macro indicators with named slots."""
-
-    values: np.ndarray
-    slot_names: tuple
-    frequency: str = "monthly"
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        self.slot_names = tuple(self.slot_names)
-        if self.values.ndim != 1 or self.values.size != len(self.slot_names):
-            raise DimensionError("macro values and slot names disagree")
-        if self.frequency not in ("monthly", "quarterly"):
-            raise ContractError(f"frequency must be monthly|quarterly, got {self.frequency!r}")
-
-
-@dataclass
-class FinancialGraph:
-    """Institution graph: node features plus nonnegative adjacency."""
-
-    node_features: np.ndarray  # (N, F)
-    adjacency: np.ndarray      # (N, N)
-
-    def __post_init__(self):
-        self.node_features = np.asarray(self.node_features, dtype=np.float64)
-        self.adjacency = np.asarray(self.adjacency, dtype=np.float64)
-        n = self.node_features.shape[0]
-        if self.adjacency.shape != (n, n):
-            raise DimensionError(
-                f"adjacency {self.adjacency.shape} does not match {n} nodes")
-        if np.any(self.adjacency < 0):
-            raise ContractError("adjacency weights must be nonnegative")
-
-    @property
-    def n_nodes(self) -> int:
-        return self.node_features.shape[0]
-
-
-@dataclass
-class ModalityEmbedding:
-    """Width-d_model vector tagged with the modality that produced it."""
-
-    vector: Tensor
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("price", "text", "macro", "graph"):
-            raise ContractError(f"unknown modality kind {self.kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +160,28 @@ def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
     return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
 
 
+def gat_layer(x: Tensor, adj: np.ndarray, params: dict, prefix: str,
+              record: dict | None = None) -> Tensor:
+    """Graph attention over (B, N, F) node states with (B, N, N) adjacency.
+
+    Edges are scored additively (leaky-ReLU of source + destination
+    projections), normalized per node over self plus neighbors, aggregated,
+    then passed through an ELU. Self-loops are always added.
+    """
+    b, n, _ = x.shape
+    keep = (adj > 0) | np.eye(n, dtype=bool)[None]
+    h = ad.matmul(x, params[f"{prefix}.w"])  # (B, N, d)
+    src = ad.matmul(h, params[f"{prefix}.a_src"])  # (B, N)
+    dst = ad.matmul(h, params[f"{prefix}.a_dst"])
+    scores = ad.leaky_relu(
+        ad.reshape(src, (b, n, 1)) + ad.reshape(dst, (b, 1, n)), alpha=0.2)
+    scores = ad.masked_fill_logits(scores, keep)
+    alpha = ad.softmax(scores, axis=-1)  # (B, N, N), rows sum to 1
+    if record is not None:
+        record["coeffs"] = alpha.data.copy()
+    return ad.elu(ad.matmul(alpha, h))
+
+
 def masked_mean_pool(x: Tensor, mask: np.ndarray | None) -> Tensor:
     """Mean over axis -2 restricted to mask-true rows."""
     if mask is None:
@@ -280,7 +195,7 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray | None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# batched encoder cores (used by training); single-sample API wraps these
+# batched encoders
 
 def encode_price_batch(features: np.ndarray, params: dict, cfg,
                        record: dict | None = None) -> Tensor:
@@ -358,12 +273,8 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
 
 def encode_graph_batch(features: np.ndarray, adjacency: np.ndarray, params: dict, cfg,
                        record: dict | None = None) -> tuple[Tensor, Tensor]:
-    """(B, N, F) node features and (B, N, N) adjacency -> node and pooled embeddings.
-
-    Each layer scores edges additively (leaky-ReLU of source + destination
-    projections), normalizes per node over self plus in-neighbors, aggregates,
-    then applies an ELU. Self-loops are always added.
-    """
+    """(B, N, F) node features and (B, N, N) adjacency -> node and pooled
+    embeddings, through ``cfg.graph_layers`` graph-attention layers."""
     feats = np.asarray(features, dtype=np.float64)
     adj = np.asarray(adjacency, dtype=np.float64)
     if feats.ndim != 3:
@@ -373,50 +284,12 @@ def encode_graph_batch(features: np.ndarray, adjacency: np.ndarray, params: dict
         raise DimensionError(f"adjacency {adj.shape} does not match features {feats.shape}")
     if f != cfg.graph_features:
         raise DimensionError(f"graph feature width {f} != configured {cfg.graph_features}")
-    keep = (adj > 0) | np.eye(n, dtype=bool)[None]
     x = Tensor(feats)
     for i in range(cfg.graph_layers):
-        h = ad.matmul(x, params[f"graph.layer{i}.w"])  # (B, N, d)
-        src = ad.matmul(h, params[f"graph.layer{i}.a_src"])  # (B, N)
-        dst = ad.matmul(h, params[f"graph.layer{i}.a_dst"])
-        scores = ad.leaky_relu(
-            ad.reshape(src, (b, n, 1)) + ad.reshape(dst, (b, 1, n)), alpha=0.2)
-        scores = ad.masked_fill_logits(scores, keep)
-        alpha = ad.softmax(scores, axis=-1)  # (B, N, N), rows sum to 1
+        rec = {} if record is not None else None
+        x = gat_layer(x, adj, params, f"graph.layer{i}", record=rec)
         if record is not None:
-            record[f"layer{i}.coeffs"] = alpha.data.copy()
-        x = ad.elu(ad.matmul(alpha, h))
+            record[f"layer{i}.coeffs"] = rec["coeffs"]
     pooled = ad.reduce_mean(x, axis=-2)
     return x, pooled
 
-
-# ---------------------------------------------------------------------------
-# single-sample typed API
-
-def encode_price(w: PriceWindow, params: dict, cfg,
-                 details: dict | None = None) -> ModalityEmbedding:
-    out = encode_price_batch(w.features()[None], params, cfg, record=details)
-    return ModalityEmbedding(ad.reshape(out, (cfg.d_model,)), "price")
-
-
-def encode_text(s: TokenSequence, params: dict, cfg,
-                details: dict | None = None) -> ModalityEmbedding:
-    ids = s.token_ids[None, :]
-    out = encode_text_batch(ids, np.array([s.length]), params, cfg, record=details)
-    return ModalityEmbedding(ad.reshape(out, (cfg.d_model,)), "text")
-
-
-def encode_macro(m: MacroVector, params: dict, cfg,
-                 details: dict | None = None) -> ModalityEmbedding:
-    if tuple(m.slot_names) != tuple(cfg.macro_slots):
-        raise ContractError("macro slot names do not match configuration")
-    out = encode_macro_batch(m.values[None], params, cfg, record=details)
-    return ModalityEmbedding(ad.reshape(out, (cfg.d_model,)), "macro")
-
-
-def encode_graph(g: FinancialGraph, params: dict, cfg,
-                 details: dict | None = None) -> tuple[Tensor, ModalityEmbedding]:
-    nodes, pooled = encode_graph_batch(
-        g.node_features[None], g.adjacency[None], params, cfg, record=details)
-    nodes = ad.reshape(nodes, (g.n_nodes, cfg.d_model))
-    return nodes, ModalityEmbedding(ad.reshape(pooled, (cfg.d_model,)), "graph")

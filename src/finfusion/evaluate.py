@@ -12,22 +12,12 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datapipe as dp
-from . import encoders as enc
 from . import fusion as fus
 from . import heads
 from . import metrics as mx
 from . import model as fm
 from . import training as tr
 from .errors import ContractError, DegenerateInputError, UndefinedMetricError
-
-
-def _forward_micro(dataset, params, cfg, pairs, kinds):
-    batch = dataset.batch_arrays(pairs)
-    embs = fm.embed_batch(batch, params, cfg, kinds)
-    z, _ = fm.fuse_embeddings(embs, len(pairs), params, cfg)
-    w, m, s = heads.micro_head_batch(
-        ad.reshape(z, (len(pairs), 1, cfg.d_model)), params, cfg)
-    return batch, w.data, m.data, s.data
 
 
 def predict_micro(dataset, params, cfg, split: str,
@@ -39,8 +29,9 @@ def predict_micro(dataset, params, cfg, split: str,
     preds, trues = [], []
     for i in range(0, len(pairs), fm.EVAL_BATCH):
         chunk = pairs[i:i + fm.EVAL_BATCH]
-        batch, w, m, _ = _forward_micro(dataset, params, cfg, chunk, kinds)
-        point_z = (w * m).sum(axis=-1)
+        batch = dataset.batch_arrays(chunk)
+        out = fm.forward_batch(batch, params, cfg, kinds, heads=("micro",))
+        point_z = (out["mdn_weights"].data * out["mdn_means"].data).sum(axis=-1)
         preds.append(point_z * dataset.norm["y_std"] + dataset.norm["y_mean"])
         trues.append(batch["y_raw"])
     return {"pred": np.concatenate(preds), "true": np.concatenate(trues)}
@@ -56,12 +47,9 @@ def predict_risk(dataset, params, cfg, split: str,
     for i in range(0, len(dates), fm.EVAL_BATCH):
         chunk = [(0, t) for t in dates[i:i + fm.EVAL_BATCH]]
         batch = dataset.batch_arrays(chunk)
-        embs = fm.embed_batch(batch, params, cfg, kinds)
-        z, _ = fm.fuse_embeddings(embs, len(chunk), params, cfg)
-        score, contrib = heads.macro_risk_batch(
-            z, batch["graph_feats"], batch["graph_adj"], params, cfg)
-        scores.append(score.data)
-        contribs.append(contrib.data)
+        out = fm.forward_batch(batch, params, cfg, kinds, heads=("risk",))
+        scores.append(out["risk_score"].data)
+        contribs.append(out["contributions"].data)
         crisis.append(batch["crisis_next"])
         stress.append(batch["stress_next"])
         distress.append(batch["node_distress"])
@@ -186,16 +174,17 @@ def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
             f"date {date} is outside the usable range of the dataset")
     pairs = [(a, date) for a in range(dataset.n_assets)]
     batch = dataset.batch_arrays(pairs)
-    embs = fm.embed_batch(batch, params, cfg, kinds)
-    z, _ = fm.fuse_embeddings(embs, len(pairs), params, cfg)
-
-    graph = enc.FinancialGraph(node_features=batch["graph_feats"][0],
-                               adjacency=batch["graph_adj"][0])
-    # bulletins are read-only: rows of z become constants for the heads
-    risk = heads.macro_risk(ad.Tensor(z.data[0].copy()), graph, params, cfg)
+    out = fm.forward_batch(batch, params, cfg, kinds, heads=("risk",))
+    # every row shares the date's graph; row 0 carries the market-wide score
+    score = float(out["risk_score"].data[0])
+    risk = heads.SystemicRiskOutput(
+        score=score, warning=bool(score >= cfg.warning_threshold),
+        contributions=out["contributions"].data[0].copy())
+    z = out["z"].data
     forecasts = []
     for a in range(dataset.n_assets):
-        hist = ad.Tensor(z.data[a:a + 1].copy())
+        # bulletins are read-only: rows of z become constants for the head
+        hist = ad.Tensor(z[a:a + 1].copy())
         fc = heads.micro_forecast(hist, horizon, params, cfg)
         forecasts.append(denormalize_forecast(fc, dataset, cfg))
     return heads.generate_bulletin(risk, forecasts,

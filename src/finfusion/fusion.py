@@ -22,40 +22,6 @@ MODALITIES = ("price", "text", "macro", "graph")
 
 
 @dataclass
-class ModalBundle:
-    """One aligned step of inputs; any subset of modalities may be present."""
-
-    price: enc.PriceWindow | None = None
-    text: enc.TokenSequence | None = None
-    macro: enc.MacroVector | None = None
-    graph: enc.FinancialGraph | None = None
-
-    def __post_init__(self):
-        if not any(self.get(kind) is not None for kind in MODALITIES):
-            raise DegenerateInputError("bundle has no modalities")
-
-    def get(self, kind: str):
-        return getattr(self, kind)
-
-    @property
-    def presence(self) -> np.ndarray:
-        return np.array([self.get(k) is not None for k in MODALITIES])
-
-
-@dataclass
-class FusedRepresentation:
-    """Unified vector z plus the fusion attention weights that produced it."""
-
-    z: Tensor
-    weights: np.ndarray  # (4,) aligned to MODALITIES; zero where absent
-
-    def __post_init__(self):
-        present = self.weights > 0
-        if present.any() and abs(self.weights[present].sum() - 1.0) > 1e-6:
-            raise ContractError("fusion weights over present modalities must sum to 1")
-
-
-@dataclass
 class AlignConfig:
     """Contrastive alignment settings."""
 
@@ -114,27 +80,6 @@ def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict, cfg,
     z = ad.matmul(ad.reshape(weights, (b, 1, 4)), x)  # (B, 1, d)
     z = ad.reshape(z, (b, cfg.d_model))
     return z, weights.data.copy()
-
-
-def fuse(bundle: ModalBundle, params: dict, cfg,
-         details: dict | None = None) -> FusedRepresentation:
-    """Encode each present modality and pool them into one representation."""
-    embeddings: dict = {}
-    if bundle.price is not None:
-        embeddings["price"] = ad.reshape(
-            enc.encode_price(bundle.price, params, cfg).vector, (1, cfg.d_model))
-    if bundle.text is not None:
-        embeddings["text"] = ad.reshape(
-            enc.encode_text(bundle.text, params, cfg).vector, (1, cfg.d_model))
-    if bundle.macro is not None:
-        embeddings["macro"] = ad.reshape(
-            enc.encode_macro(bundle.macro, params, cfg).vector, (1, cfg.d_model))
-    if bundle.graph is not None:
-        _, pooled = enc.encode_graph(bundle.graph, params, cfg)
-        embeddings["graph"] = ad.reshape(pooled.vector, (1, cfg.d_model))
-    z, weights = fuse_batch(embeddings, bundle.presence[None], params, cfg,
-                            record=details)
-    return FusedRepresentation(ad.reshape(z, (cfg.d_model,)), weights[0])
 
 
 def similarity(a, b) -> float:

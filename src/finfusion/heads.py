@@ -175,22 +175,15 @@ def mixture_cdf_value(x, weights, means, sigmas) -> float:
 def micro_forecast(z_history, k: int, params: dict, cfg) -> MicroForecast:
     """Roll the decoder forward k steps, feeding each point forecast back in.
 
-    ``z_history`` is a sequence of FusedRepresentation (or a (T, d) tensor).
-    Steps 1..k-1 append a learned embedding of the predicted return to the
-    history; the final step's mixture is returned.
+    ``z_history`` is a (T, d) tensor of fused states. Steps 1..k-1 append a
+    learned embedding of the predicted return to the history; the final
+    step's mixture is returned.
     """
     if k < 1:
         raise ContractError("horizon k must be >= 1")
-    if isinstance(z_history, Tensor):
-        hist = z_history
-    else:
-        reps = list(z_history)
-        if not reps:
-            raise DegenerateInputError("empty fused history")
-        hist = ad.stack([r.z for r in reps], axis=0)
-    if hist.ndim != 2:
-        raise DimensionError(f"history must be (T, d), got {hist.shape}")
-    seq = ad.reshape(hist, (1,) + hist.shape)
+    if z_history.ndim != 2:
+        raise DimensionError(f"history must be (T, d), got {z_history.shape}")
+    seq = ad.reshape(z_history, (1,) + z_history.shape)
     for _ in range(k):
         weights, means, sigmas = micro_head_batch(seq, params, cfg)
         point = ad.reduce_sum(weights * means, axis=-1)  # (1,)
@@ -307,35 +300,14 @@ def macro_risk_batch(z: Tensor, node_features: np.ndarray, adjacency: np.ndarray
         raise DimensionError(f"fused state must be (B, d_model), got {z.shape}")
     h = ad.matmul(Tensor(feats), params["risk.in.w"]) + params["risk.in.b"]
     h = h + ad.reshape(z, (b, 1, cfg.d_model))
-    keep = (adj > 0) | np.eye(n, dtype=bool)[None]
     for i in range(cfg.risk_gat_layers):
-        hw = ad.matmul(h, params[f"risk.gat{i}.w"])
-        src = ad.matmul(hw, params[f"risk.gat{i}.a_src"])
-        dst = ad.matmul(hw, params[f"risk.gat{i}.a_dst"])
-        scores = ad.leaky_relu(
-            ad.reshape(src, (b, n, 1)) + ad.reshape(dst, (b, 1, n)), alpha=0.2)
-        scores = ad.masked_fill_logits(scores, keep)
-        alpha = ad.softmax(scores, axis=-1)
-        h = ad.elu(ad.matmul(alpha, hw))
+        h = enc.gat_layer(h, adj, params, f"risk.gat{i}")
     node_logits = ad.matmul(h, params["risk.node.w"]) + params["risk.node.b"]
     contributions = ad.sigmoid(node_logits)  # (B, N)
     pooled = ad.reduce_mean(contributions, axis=-1)  # (B,)
     slope = ad.exp(params["risk.cal.slope_raw"])  # > 0 keeps monotonicity
     score = ad.sigmoid(pooled * slope + params["risk.cal.bias"])
     return score, contributions
-
-
-def macro_risk(z, g: enc.FinancialGraph, params: dict, cfg) -> SystemicRiskOutput:
-    zt = z.z if hasattr(z, "z") else z
-    zb = ad.reshape(zt, (1, cfg.d_model))
-    score, contributions = macro_risk_batch(
-        zb, g.node_features[None], g.adjacency[None], params, cfg)
-    s = float(score.data[0])
-    return SystemicRiskOutput(
-        score=s,
-        warning=bool(s >= cfg.warning_threshold),
-        contributions=contributions.data[0].copy(),
-    )
 
 
 # ---------------------------------------------------------------------------

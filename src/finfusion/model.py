@@ -1,5 +1,5 @@
-"""Model-wide configuration, parameter initialization, and the joint forward
-pass used by training and evaluation."""
+"""Model-wide configuration, parameter initialization, and the one forward
+pass that training, evaluation, queries and the RL environment share."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from . import fusion as fus
-from . import heads
+from . import heads as task_heads
 from .autodiff import Tensor
 from .errors import ConfigError
 
@@ -98,8 +98,8 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     params.update(enc.init_macro_params(cfg, rng))
     params.update(enc.init_graph_params(cfg, rng))
     params.update(fus.init_fusion_params(cfg, rng))
-    params.update(heads.init_micro_params(cfg, rng))
-    params.update(heads.init_risk_params(cfg, rng))
+    params.update(task_heads.init_micro_params(cfg, rng))
+    params.update(task_heads.init_risk_params(cfg, rng))
     params["policy.w"] = enc.xavier(rng, cfg.d_model, cfg.n_actions)
     params["policy.b"] = Tensor(np.zeros(cfg.n_actions), requires_grad=True)
     return params
@@ -112,10 +112,6 @@ def param_subset(params: dict, prefixes) -> dict:
         if any(name.startswith(p) for p in prefixes):
             chosen[name] = tensor
     return chosen
-
-
-def n_parameters(params: dict) -> int:
-    return sum(t.size for t in params.values())
 
 
 def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
@@ -134,38 +130,31 @@ def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
     return embs
 
 
-def fuse_embeddings(embs: dict, n_rows: int, params: dict, cfg):
-    """Fuse whichever modalities ``embs`` carries, marking the rest absent."""
-    presence = np.zeros((n_rows, len(fus.MODALITIES)), dtype=bool)
-    for ki, kind in enumerate(fus.MODALITIES):
-        presence[:, ki] = kind in embs
-    return fus.fuse_batch(embs, presence, params, cfg)
-
-
 def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
-                  kinds=fus.MODALITIES) -> dict:
-    """Run the encoders named in ``kinds``, fusion, and both task heads on one
-    fully aligned batch; modalities outside ``kinds`` are fused as absent.
+                  kinds=fus.MODALITIES, heads=("micro", "risk")) -> dict:
+    """Run the encoders named in ``kinds``, fusion, and the task heads named in
+    ``heads`` on one fully aligned batch; modalities outside ``kinds`` are
+    fused as absent.
 
     ``batch`` carries numpy arrays: price (B, T, F), tokens (B, L) with
     tok_len (B,), macro (B, M), graph node features (B, N, Fg) and adjacency
-    (B, N, N). Returns tensors keyed by stage for the loss functions, with an
-    ``emb_<kind>`` entry for each encoded modality.
+    (B, N, N). Returns tensors keyed by stage for the loss functions: ``z``,
+    ``embs`` (kind -> embedding of each encoded modality) and
+    ``fuse_weights`` always; ``mdn_*`` with the micro head, ``risk_score``
+    and ``contributions`` with the risk head.
     """
     b = batch["price"].shape[0]
     embs = embed_batch(batch, params, cfg, kinds)
-    z, fuse_weights = fuse_embeddings(embs, b, params, cfg)
-    weights, means, sigmas = heads.micro_head_batch(
-        ad.reshape(z, (b, 1, cfg.d_model)), params, cfg)
-    risk_score, contributions = heads.macro_risk_batch(
-        z, batch["graph_feats"], batch["graph_adj"], params, cfg)
-    return {
-        "z": z,
-        **{f"emb_{kind}": e for kind, e in embs.items()},
-        "fuse_weights": fuse_weights,
-        "mdn_weights": weights,
-        "mdn_means": means,
-        "mdn_sigmas": sigmas,
-        "risk_score": risk_score,
-        "contributions": contributions,
-    }
+    presence = np.zeros((b, len(fus.MODALITIES)), dtype=bool)
+    for ki, kind in enumerate(fus.MODALITIES):
+        presence[:, ki] = kind in embs
+    z, fuse_weights = fus.fuse_batch(embs, presence, params, cfg)
+    out = {"z": z, "embs": embs, "fuse_weights": fuse_weights}
+    if "micro" in heads:
+        mixture = task_heads.micro_head_batch(
+            ad.reshape(z, (b, 1, cfg.d_model)), params, cfg)
+        out.update(zip(("mdn_weights", "mdn_means", "mdn_sigmas"), mixture))
+    if "risk" in heads:
+        out["risk_score"], out["contributions"] = task_heads.macro_risk_batch(
+            z, batch["graph_feats"], batch["graph_adj"], params, cfg)
+    return out

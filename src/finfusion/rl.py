@@ -8,7 +8,7 @@ correctness can be verified by exact enumeration on a toy MDP.
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +62,6 @@ class Action:
 
 
 @dataclass
-class PolicyParams:
-    w: Tensor  # (d, n_actions)
-    b: Tensor  # (n_actions,)
-
-    def __post_init__(self):
-        if not (np.all(np.isfinite(self.w.data)) and np.all(np.isfinite(self.b.data))):
-            raise ContractError("policy parameters must be finite")
-        if self.w.ndim != 2 or self.b.shape != (self.w.shape[1],):
-            raise DimensionError("policy weight/bias shapes disagree")
-
-    @classmethod
-    def from_param_dict(cls, params: dict) -> "PolicyParams":
-        return cls(params["policy.w"], params["policy.b"])
-
-
-@dataclass
 class Trajectory:
     """One episode: states are the policy inputs, actions are indices into
     the configured action set. profits and r_sys are kept alongside the
@@ -108,10 +92,7 @@ class Trajectory:
 
 def policy(z, params) -> np.ndarray:
     """Action distribution softmax(W_a z + b) as a plain probability vector."""
-    if isinstance(params, PolicyParams):
-        w, b = params.w.data, params.b.data
-    else:
-        w, b = params["policy.w"].data, params["policy.b"].data
+    w, b = params["policy.w"].data, params["policy.b"].data
     zv = z.data if isinstance(z, Tensor) else np.asarray(z, dtype=np.float64)
     zv = zv.reshape(-1)
     if zv.shape[0] != w.shape[0]:
@@ -225,7 +206,8 @@ class DatasetEnv:
         for i in range(0, len(self.dates), model_mod.EVAL_BATCH):
             chunk = self.dates[i:i + model_mod.EVAL_BATCH]
             batch = dataset.batch_arrays([(asset, t) for t in chunk])
-            out = model_mod.forward_batch(batch, params, model_cfg, kinds=kinds)
+            out = model_mod.forward_batch(batch, params, model_cfg, kinds=kinds,
+                                          heads=("risk",))
             zs.append(out["z"].data)
             risks.append(out["risk_score"].data)
         self.states = np.concatenate(zs)

@@ -414,12 +414,6 @@ class TrainingRun:
         prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
         return model_mod.param_subset(self.params, prefixes)
 
-    def _embed(self, batch, kinds):
-        return model_mod.embed_batch(batch, self.params, self.model_cfg, kinds)
-
-    def _fuse(self, embs, n_rows):
-        return model_mod.fuse_embeddings(embs, n_rows, self.params, self.model_cfg)
-
     def _check_finite(self, comps):
         for name, c in comps.items():
             v = c.data if isinstance(c, Tensor) else np.asarray(c)
@@ -449,17 +443,15 @@ class TrainingRun:
     def _forecast_step(self, pair_batch, kinds, with_align, opt, lr):
         batch = self.dataset.batch_arrays(pair_batch)
         subset = self._subset(kinds, ("fusion.", "micro."))
-        n = len(pair_batch)
         with ad.Tape() as tape:
             self._tape = tape
-            embs = self._embed(batch, kinds)
-            z, _ = self._fuse(embs, n)
-            w, m, s = heads.micro_head_batch(
-                ad.reshape(z, (n, 1, self.model_cfg.d_model)), self.params,
-                self.model_cfg)
-            comps = {"forecast": forecast_loss(batch["y"], w, m, s, self.forecast_cfg)}
+            out = model_mod.forward_batch(batch, self.params, self.model_cfg,
+                                          kinds, heads=("micro",))
+            comps = {"forecast": forecast_loss(
+                batch["y"], out["mdn_weights"], out["mdn_means"],
+                out["mdn_sigmas"], self.forecast_cfg)}
             if with_align:
-                at = self._align_term(embs)
+                at = self._align_term(out["embs"])
                 if at is not None:
                     comps["align"] = at
             self._check_finite(comps)
@@ -470,15 +462,11 @@ class TrainingRun:
     def _risk_step(self, pair_batch, kinds, opt, lr):
         batch = self.dataset.batch_arrays(pair_batch)
         subset = self._subset(kinds, ("fusion.", "risk."))
-        n = len(pair_batch)
         with ad.Tape() as tape:
             self._tape = tape
-            embs = self._embed(batch, kinds)
-            z, _ = self._fuse(embs, n)
-            score, _ = heads.macro_risk_batch(
-                z, batch["graph_feats"], batch["graph_adj"], self.params,
-                self.model_cfg)
-            comps = {"risk": risk_loss(score, batch["crisis_next"],
+            out = model_mod.forward_batch(batch, self.params, self.model_cfg,
+                                          kinds, heads=("risk",))
+            comps = {"risk": risk_loss(out["risk_score"], batch["crisis_next"],
                                        batch["stress_next"])}
             self._check_finite(comps)
             loss = total_loss(comps, self.weights)
@@ -490,7 +478,9 @@ class TrainingRun:
         subset = self._subset(kinds, ())
         with ad.Tape() as tape:
             self._tape = tape
-            embs = self._embed(batch, kinds)
+            # alignment trains the encoders alone: no fusion, no heads
+            embs = model_mod.embed_batch(batch, self.params, self.model_cfg,
+                                         kinds)
             at = self._align_term(embs)
             if at is None:
                 raise ContractError("alignment stage has no usable modality pairs")

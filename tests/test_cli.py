@@ -221,6 +221,7 @@ def _assert_one_line_schema_error(rc, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
+    return lines[0]
 
 
 @pytest.mark.parametrize("cut", ["line-boundary", "mid-line"])
@@ -263,6 +264,48 @@ def test_checkpoint_without_usable_model_config_is_schema_error(
     rc = cli.main(["forecast", "--checkpoint", str(bad), "--data", work["data"],
                    "--asset", "0", "--date", "100"])
     _assert_one_line_schema_error(rc, capsys)
+
+
+def _break_invariant(src, dst, defect):
+    """Copy a dataset, breaking one invariant at asset 0, date 100."""
+    lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    if defect == "negative-adjacency":
+        i, j = np.argwhere(np.asarray(meta["adjacency"]) > 0)[0]
+        meta["adjacency"][i][j] *= -1.0
+    elif defect == "macro-slot-mismatch":
+        meta["macro_slots"] = meta["macro_slots"][::-1]
+    else:
+        k, rec = next((k, rec) for k, rec in enumerate(map(json.loads, lines))
+                      if rec["type"] == "step" and rec["date"] == 100
+                      and rec["asset"] == 0)
+        o, h, l, c, v = rec["ohlcv"]
+        rec["ohlcv"] = {
+            "high-below-open-close": [o, 0.99 * max(o, c), l, c, v],
+            "low-above-open-close": [o, h, 1.01 * min(o, c), c, v],
+            "negative-volume": [o, h, l, c, -1.0],
+        }[defect]
+        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
+    lines[0] = json.dumps(meta, sort_keys=True) + "\n"
+    dst.write_text("".join(lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("command", ["forecast", "report"])
+@pytest.mark.parametrize("defect", [
+    "high-below-open-close", "low-above-open-close", "negative-volume",
+    "negative-adjacency", "macro-slot-mismatch",
+])
+def test_dataset_breaking_an_invariant_is_schema_error(work, tmp_path, capsys,
+                                                       defect, command):
+    bad = tmp_path / "dataset.jsonl"
+    _break_invariant(work["data_dir"] / "dataset.jsonl", bad, defect)
+    argv = [command, "--checkpoint", work["ckpt"], "--data", str(bad),
+            "--date", "100"]
+    if command == "forecast":
+        argv += ["--asset", "0"]
+    line = _assert_one_line_schema_error(cli.main(argv), capsys)
+    if defect not in ("negative-adjacency", "macro-slot-mismatch"):
+        assert "date 100, asset 0" in line
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ from finfusion import autodiff as ad
 from finfusion import encoders as enc
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
 from finfusion.errors import (
-    ContractError,
     DegenerateInputError,
     DimensionError,
     ImputationRequiredError,
@@ -34,50 +33,26 @@ def setup():
     return cfg, params
 
 
-def make_window(rng, t=6):
-    close = 100 + np.cumsum(rng.normal(size=t))
-    o = close + rng.normal(scale=0.1, size=t)
-    h = np.maximum(o, close) + 0.5
-    l = np.minimum(o, close) - 0.5
-    v = rng.uniform(1e5, 2e5, size=t)
-    ohlcv = np.stack([o, h, l, close, v], axis=1)
-    # tiny config uses 3 input features, not the full OHLCV+indicator set
-    return ohlcv, np.arange(t)
-
-
 # ---------------------------------------------------------------------------
-# domain type invariants
+# degenerate inputs
 
-def test_price_window_rejects_bad_ohlc():
-    bad = np.array([[10.0, 9.0, 8.0, 9.5, 100.0]])  # high < open
-    with pytest.raises(ContractError):
-        enc.PriceWindow(np.arange(1), bad, np.zeros((1, 1)))
-
-
-def test_price_window_rejects_negative_volume():
-    bad = np.array([[10.0, 11.0, 9.0, 10.5, -1.0]])
-    with pytest.raises(ContractError):
-        enc.PriceWindow(np.arange(1), bad, np.zeros((1, 1)))
-
-
-def test_price_window_rejects_empty():
+def test_price_window_rejects_empty(setup):
+    cfg, params = setup
     with pytest.raises(DegenerateInputError):
-        enc.PriceWindow(np.arange(0), np.zeros((0, 5)), np.zeros((0, 1)))
+        enc.encode_price_batch(np.zeros((1, 0, 3)), params, cfg)
 
 
-def test_token_sequence_rejects_empty():
+def test_token_sequence_rejects_empty(setup):
+    cfg, params = setup
     with pytest.raises(DegenerateInputError):
-        enc.TokenSequence(np.array([], dtype=np.int64))
+        enc.encode_text_batch(np.array([[1, 2], [0, 0]]), np.array([2, 0]),
+                              params, cfg)
 
 
-def test_macro_vector_frequency_tag():
-    with pytest.raises(ContractError):
-        enc.MacroVector(np.zeros(2), ("a", "b"), frequency="daily")
-
-
-def test_graph_rejects_mismatched_adjacency():
+def test_graph_rejects_mismatched_adjacency(setup):
+    cfg, params = setup
     with pytest.raises(DimensionError):
-        enc.FinancialGraph(np.zeros((3, 2)), np.zeros((2, 2)))
+        enc.encode_graph_batch(np.zeros((1, 3, 3)), np.zeros((1, 2, 2)), params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +176,6 @@ def test_macro_nan_requires_imputation(setup):
         enc.encode_macro_batch(vals, params, cfg)
 
 
-def test_macro_slot_name_mismatch_rejected(setup):
-    cfg, params = setup
-    m = enc.MacroVector(np.zeros(2), ("x", "y"))
-    with pytest.raises(ContractError):
-        enc.encode_macro(m, params, cfg)
-
-
 # ---------------------------------------------------------------------------
 # graph encoder
 
@@ -234,8 +202,8 @@ def test_graph_symmetric_pair_identical_embeddings(setup):
     cfg, params = setup
     f = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    nodes, _ = enc.encode_graph(enc.FinancialGraph(f, adj), params, cfg)
-    assert np.allclose(nodes.data[0], nodes.data[1], atol=1e-12)
+    nodes, _ = enc.encode_graph_batch(f[None], adj[None], params, cfg)
+    assert np.allclose(nodes.data[0, 0], nodes.data[0, 1], atol=1e-12)
 
 
 def test_graph_feature_width_mismatch(setup):

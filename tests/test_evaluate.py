@@ -46,9 +46,9 @@ def test_predict_micro_batching_is_transparent(world):
     pairs = ds.sample_pairs("val")[:3]
     full = ev.predict_micro(ds, params, mcfg, "val")
     for i, pair in enumerate(pairs):
-        _, w, m, _ = ev._forward_micro(ds, params, mcfg, [pair], ("price", "text",
-                                                                  "macro", "graph"))
-        point = (w * m).sum(axis=-1)[0]
+        out = fm.forward_batch(ds.batch_arrays([pair]), params, mcfg,
+                               heads=("micro",))
+        point = (out["mdn_weights"].data * out["mdn_means"].data).sum(axis=-1)[0]
         raw = point * ds.norm["y_std"] + ds.norm["y_mean"]
         assert full["pred"][i] == pytest.approx(raw, rel=1e-9)
 

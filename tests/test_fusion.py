@@ -8,6 +8,7 @@ import pytest
 from finfusion import autodiff as ad
 from finfusion import encoders as enc
 from finfusion import fusion as fus
+from finfusion import model as model_mod
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
 from finfusion.errors import ContractError, DegenerateInputError, DimensionError
 from finfusion.model import ModelConfig, init_model_params
@@ -57,8 +58,6 @@ def test_fuse_empty_bundle_rejected(setup):
     cfg, params = setup
     with pytest.raises(DegenerateInputError):
         fus.fuse_batch({}, np.zeros((1, 4), dtype=bool), params, cfg)
-    with pytest.raises(DegenerateInputError):
-        fus.ModalBundle()
 
 
 def _removal_reference(embs_present, slots, params, cfg):
@@ -108,14 +107,23 @@ def test_fuse_permutation_equivariant_with_zero_type_embeddings(setup):
 
 
 def test_fuse_typed_api(setup):
+    # forward_batch fuses only the modality types named in kinds
     cfg, params = setup
-    macro = enc.MacroVector(np.zeros(len(cfg.macro_slots)), cfg.macro_slots)
-    text = enc.TokenSequence(np.array([1, 2, 3]))
-    bundle = fus.ModalBundle(macro=macro, text=text)
-    rep = fus.fuse(bundle, params, cfg)
-    assert rep.z.shape == (cfg.d_model,)
-    present = rep.weights > 0
-    assert present.tolist() == [False, True, True, False]
+    rng = np.random.default_rng(7)
+    batch = {
+        "price": rng.normal(size=(2, 4, cfg.price_features)),
+        "tokens": np.array([[1, 2, 3], [4, 5, 0]]),
+        "tok_len": np.array([3, 2]),
+        "macro": np.zeros((2, len(cfg.macro_slots))),
+        "graph_feats": rng.normal(size=(2, 3, cfg.graph_features)),
+        "graph_adj": np.ones((2, 3, 3)),
+    }
+    out = model_mod.forward_batch(batch, params, cfg, kinds=("text", "macro"),
+                                  heads=())
+    assert out["z"].shape == (2, cfg.d_model)
+    assert sorted(out["embs"]) == ["macro", "text"]
+    present = out["fuse_weights"] > 0
+    assert present.tolist() == [[False, True, True, False]] * 2
 
 
 def test_fuse_gradients(setup):

@@ -1,5 +1,6 @@
 """Task heads: mixture forecasting, systemic risk scoring, bulletins."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from scipy import stats
 from scipy.special import ndtri
 
 from finfusion import autodiff as ad
-from finfusion import encoders as enc
+from finfusion import datapipe as dp
+from finfusion import evaluate as ev
 from finfusion import heads
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
 from finfusion.errors import ContractError, DegenerateInputError, DimensionError
@@ -65,7 +67,7 @@ def test_horizon_validation(setup):
     with pytest.raises(ContractError):
         heads.micro_forecast(hist, 0, params, cfg)
     with pytest.raises(DegenerateInputError):
-        heads.micro_forecast([], 1, params, cfg)
+        heads.micro_forecast(Tensor(np.zeros((0, cfg.d_model))), 1, params, cfg)
 
 
 def test_micro_head_batch_gradients(setup):
@@ -207,14 +209,20 @@ def test_risk_score_range_and_warning(setup):
         assert np.all((contrib.data >= 0) & (contrib.data <= 1))
 
 
-def test_risk_warning_thresholding(setup):
-    cfg, params = setup
+def test_risk_warning_thresholding():
     out = heads.SystemicRiskOutput(score=0.7, warning=True, contributions=np.zeros(3))
     assert out.warning
-    g = enc.FinancialGraph(np.zeros((3, cfg.graph_features)), np.zeros((3, 3)))
-    z = Tensor(np.zeros(cfg.d_model))
-    res = heads.macro_risk(z, g, params, cfg)
-    assert res.warning == (res.score >= cfg.warning_threshold)
+    ds = dp.build_dataset(dp.SyntheticConfig(
+        n_steps=170, n_assets=1, n_institutions=3, seed=5))
+    cfg = tiny_cfg(price_features=12, graph_features=len(dp.GRAPH_FEATURE_NAMES),
+                   vocab_size=len(ds.vocab))
+    params = init_model_params(cfg, np.random.default_rng(6))
+    # a threshold at the median score puts dates on both sides of it
+    median = float(np.median(ev.predict_risk(ds, params, cfg, "test")["score"]))
+    cfg = dataclasses.replace(cfg, warning_threshold=median)
+    risk = ev.predict_risk(ds, params, cfg, "test")
+    assert np.array_equal(risk["warning"], risk["score"] >= median)
+    assert 0 < risk["warning"].sum() < risk["warning"].size
 
 
 def test_risk_zero_edges_equals_self_loop_only_reference(setup):

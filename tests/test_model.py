@@ -1,0 +1,61 @@
+"""The shared forward pass: encoders, fusion and the requested task heads."""
+
+import numpy as np
+import pytest
+
+from finfusion import datapipe as dp
+from finfusion import encoders as enc
+from finfusion import fusion as fus
+from finfusion import model as fm
+from tests.test_encoders import tiny_cfg
+
+HEAD_KEYS = {
+    "micro": ("mdn_weights", "mdn_means", "mdn_sigmas"),
+    "risk": ("risk_score", "contributions"),
+}
+
+
+@pytest.fixture(scope="module")
+def world():
+    ds = dp.build_dataset(dp.SyntheticConfig(n_steps=170, n_assets=2,
+                                             n_institutions=4, seed=21))
+    mcfg = tiny_cfg(price_features=12,
+                    graph_features=len(dp.GRAPH_FEATURE_NAMES),
+                    vocab_size=len(ds.vocab))
+    params = fm.init_model_params(mcfg, np.random.default_rng(0))
+    batch = ds.batch_arrays([(a, t) for t in ds.splits["train"][:5] for a in (0, 1)])
+    return batch, mcfg, params
+
+
+def _bytes(x):
+    return np.asarray(getattr(x, "data", x)).tobytes()
+
+
+def test_forward_batch_default_matches_hand_assembly(world):
+    batch, mcfg, params = world
+    embs = {
+        "price": enc.encode_price_batch(batch["price"], params, mcfg),
+        "text": enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, mcfg),
+        "macro": enc.encode_macro_batch(batch["macro"], params, mcfg),
+        "graph": enc.encode_graph_batch(batch["graph_feats"], batch["graph_adj"],
+                                        params, mcfg)[1],
+    }
+    z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
+    out = fm.forward_batch(batch, params, mcfg)
+    assert out["z"].data.tobytes() == z.data.tobytes()
+
+
+@pytest.mark.parametrize("heads", [(), ("micro",), ("risk",)],
+                         ids=["no-heads", "micro", "risk"])
+def test_forward_batch_head_subset_matches_default(world, heads):
+    batch, mcfg, params = world
+    full = fm.forward_batch(batch, params, mcfg)
+    part = fm.forward_batch(batch, params, mcfg, heads=heads)
+    shared = {"z", "embs", "fuse_weights"}
+    assert set(full) == shared | {k for keys in HEAD_KEYS.values() for k in keys}
+    assert set(part) == shared | {k for h in heads for k in HEAD_KEYS[h]}
+    for key in set(part) - {"embs"}:
+        assert _bytes(part[key]) == _bytes(full[key]), key
+    assert list(part["embs"]) == list(fus.MODALITIES)
+    for kind, emb in part["embs"].items():
+        assert _bytes(emb) == _bytes(full["embs"][kind]), kind

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from finfusion import datapipe as dp
+from finfusion import fusion as fus
+from finfusion import heads
 from finfusion import model as model_mod
 from finfusion import rl
 from finfusion.autodiff import Tensor
@@ -322,23 +324,6 @@ def test_dataset_env_modes_differ(tiny_world):
                            t_model.r_sys[t_model.r_sys != 0])
 
 
-def test_forward_batch_default_matches_hand_assembly(tiny_world):
-    from finfusion import encoders as enc
-    from finfusion import fusion as fus
-    ds, mcfg, params = tiny_world
-    batch = ds.batch_arrays([(a, t) for t in ds.splits["train"][:5] for a in (0, 1)])
-    embs = {
-        "price": enc.encode_price_batch(batch["price"], params, mcfg),
-        "text": enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, mcfg),
-        "macro": enc.encode_macro_batch(batch["macro"], params, mcfg),
-        "graph": enc.encode_graph_batch(batch["graph_feats"], batch["graph_adj"],
-                                        params, mcfg)[1],
-    }
-    z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
-    out = model_mod.forward_batch(batch, params, mcfg)
-    assert out["z"].data.tobytes() == z.data.tobytes()
-
-
 def test_dataset_env_table_matches_batch1_forwards(tiny_world):
     ds, mcfg, params = tiny_world
     env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(r_sys_source="model"))
@@ -365,9 +350,31 @@ def test_dataset_env_honours_modalities(tiny_world):
         chunk = env.dates[i:i + model_mod.EVAL_BATCH]
         batch = ds.batch_arrays([(0, t) for t in chunk])
         embs = model_mod.embed_batch(batch, params, mcfg, kinds)
-        zs.append(model_mod.fuse_embeddings(embs, len(chunk), params, mcfg)[0].data)
+        presence = np.zeros((len(chunk), 4), dtype=bool)
+        presence[:, :2] = True  # price, text
+        zs.append(fus.fuse_batch(embs, presence, params, mcfg)[0].data)
     assert np.array_equal(env.states, np.concatenate(zs))
     assert not np.allclose(env.states, full.states)
+
+
+def test_dataset_env_runs_only_the_risk_head(tiny_world, monkeypatch):
+    ds, mcfg, params = tiny_world
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the env build ran the micro head")
+
+    monkeypatch.setattr(heads, "micro_head_batch", forbidden)
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig())
+    monkeypatch.undo()
+    zs, risks = [], []
+    for i in range(0, len(env.dates), model_mod.EVAL_BATCH):
+        chunk = env.dates[i:i + model_mod.EVAL_BATCH]
+        out = model_mod.forward_batch(ds.batch_arrays([(0, t) for t in chunk]),
+                                      params, mcfg)
+        zs.append(out["z"].data)
+        risks.append(out["risk_score"].data)
+    assert env.states.tobytes() == np.concatenate(zs).tobytes()
+    assert env.risk.tobytes() == np.concatenate(risks).tobytes()
 
 
 def test_trace_export_roundtrip(tmp_path):

@@ -564,15 +564,27 @@ def test_joint_rl_flag_moves_policy_inside_joint_stage(world):
     assert "return" in rep.losses
 
 
-def _count_forward_calls(monkeypatch):
-    calls = []
-    original = fm.forward_batch
+def _count_env_forward_calls(monkeypatch):
+    """Rows of each forward_batch call made while a DatasetEnv is built;
+    training steps make their own calls, which are not counted."""
+    calls, building = [], []
+    original_forward = fm.forward_batch
+    original_init = frl.DatasetEnv.__init__
 
     def counted(batch, *args, **kwargs):
-        calls.append(batch["price"].shape[0])
-        return original(batch, *args, **kwargs)
+        if building:
+            calls.append(batch["price"].shape[0])
+        return original_forward(batch, *args, **kwargs)
+
+    def init(self, *args, **kwargs):
+        building.append(self)
+        try:
+            original_init(self, *args, **kwargs)
+        finally:
+            building.pop()
 
     monkeypatch.setattr(fm, "forward_batch", counted)
+    monkeypatch.setattr(frl.DatasetEnv, "__init__", init)
     return calls
 
 
@@ -580,7 +592,7 @@ def test_rl_stage_builds_one_chunked_state_table(world, monkeypatch):
     run = _run(world, _schedule(0, 0, 0, 3))
     for s in ("unimodal-pretrain", "multimodal-align", "joint-multitask"):
         run.run_stage(s)
-    calls = _count_forward_calls(monkeypatch)
+    calls = _count_env_forward_calls(monkeypatch)
     run.run_stage("rl-finetune")
     n_dates = len(world[0].splits["train"])
     assert len(calls) == math.ceil(n_dates / fm.EVAL_BATCH)
@@ -591,7 +603,7 @@ def test_joint_rl_rebuilds_the_state_table_each_epoch(world, monkeypatch):
     run = _run(world, _schedule(0, 0, 2, 0), rl_in_joint=True)
     run.run_stage("unimodal-pretrain")
     run.run_stage("multimodal-align")
-    calls = _count_forward_calls(monkeypatch)
+    calls = _count_env_forward_calls(monkeypatch)
     run.run_stage("joint-multitask")
     n_dates = len(world[0].splits["train"])
     assert len(calls) == 2 * math.ceil(n_dates / fm.EVAL_BATCH)
