@@ -12,7 +12,6 @@ auditable.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -107,9 +106,6 @@ class Tensor:
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""

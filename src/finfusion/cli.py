@@ -62,14 +62,12 @@ def cmd_generate(args) -> int:
         "config_hash": cfg.hash(),
         "n_assets": ds.n_assets,
         "n_steps": ds.n_steps,
-        "n_step_records": ds.n_steps * ds.n_assets,
-        "n_graph_records": ds.n_steps,
         "n_usable_dates": int(ds.usable.sum()),
     }
     _write(os.path.join(args.out, "manifest.json"),
            json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     _write(os.path.join(args.out, "config.json"), cfg.echo())
-    print(f"wrote {data_path}: {manifest['n_step_records']} step records, "
+    print(f"wrote {data_path}: {ds.n_steps} date records, "
           f"{manifest['n_usable_dates']} usable dates")
     return EXIT_OK
 

@@ -30,7 +30,7 @@ MONTH_DAYS = 21
 QUARTER_DAYS = 63
 FREQ_SPACING = {"daily": 1, "monthly": MONTH_DAYS, "quarterly": QUARTER_DAYS}
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 INDICATOR_NAMES = ("sma10", "sma20", "rsi14", "macd", "macd_signal",
                    "ret_std20", "turnover")
@@ -731,6 +731,18 @@ class AlignedDataset:
         }
 
 
+def usable_dates(indicators: np.ndarray, macro: np.ndarray, window: int) -> np.ndarray:
+    """(T,) bool: dates whose trailing ``window`` dates have every asset's
+    indicators past warmup, whose macro row is observed, and whose next date
+    (the one-step-ahead label) exists."""
+    valid = ~np.isnan(indicators).any(axis=(0, 2))
+    # a date is usable when all ``window`` dates ending at it are valid
+    usable = np.convolve(valid, np.ones(window))[:valid.size] == window
+    usable &= ~np.isnan(macro).any(axis=1)
+    usable[-1] = False
+    return usable
+
+
 def build_dataset(cfg: SyntheticConfig) -> AlignedDataset:
     """Generate, impute observation gaps, align to daily, derive indicators,
     and fit normalization."""
@@ -742,29 +754,13 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
     """Processing stage alone; series/raw normally come from generate_synthetic."""
     t_all = cfg.n_steps
     gap_free = {name: kalman_impute(s, window=24) for name, s in series.items()}
-    macro, present, names = align_temporal(gap_free, t_all)
+    macro, _, names = align_temporal(gap_free, t_all)
     # availability of the original (gappy) observations, for provenance
     _, raw_present, _ = align_temporal(series, t_all)
     if names != list(MACRO_SLOTS):
         raise ContractError("macro series out of order")
 
-    a = cfg.n_assets
-    indicators = np.empty((a, t_all, len(INDICATOR_NAMES)))
-    valid = np.empty((a, t_all), dtype=bool)
-    for i in range(a):
-        indicators[i], valid[i] = compute_indicators(raw["ohlcv"][i])
-
-    macro_ready = present.all(axis=1)
-    usable = np.zeros(t_all, dtype=bool)
-    w = cfg.window
-    for t in range(t_all - 1):  # t+1 label must exist
-        if t - w + 1 < 0:
-            continue
-        if not valid[:, t - w + 1:t + 1].all():
-            continue
-        if not macro_ready[t]:
-            continue
-        usable[t] = True
+    indicators = np.stack([compute_indicators(o)[0] for o in raw["ohlcv"]])
 
     ds = AlignedDataset(
         config=cfg,
@@ -781,7 +777,7 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
         market_return=raw["market_return"],
         regime=raw["regime"],
         returns=raw["returns"],
-        usable=usable,
+        usable=usable_dates(indicators, macro, cfg.window),
     )
     ds.finalize()
     return ds
@@ -791,7 +787,7 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
 # JSON-lines serialization
 
 def save_dataset(ds: AlignedDataset, path: str) -> None:
-    """One meta record, then per-date graph and per-(date, asset) step rows."""
+    """One meta header, then one record per date in date order."""
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "type": "meta",
@@ -812,103 +808,115 @@ def save_dataset(ds: AlignedDataset, path: str) -> None:
             "adjacency": ds.adjacency.tolist(),
         }
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        idx = ds.adjacency.nonzero()
-        edges = [[int(i), int(j), ds.adjacency[i, j]] for i, j in zip(*idx)]
         for t in range(ds.n_steps):
-            grec = {
-                "type": "graph",
+            rec = {
                 "date": t,
-                "edges": edges,
+                "regime": int(ds.regime[t]),
+                "market_return": float(ds.market_return[t]),
                 "node_stress": ds.node_stress[t].tolist(),
                 "node_returns": ds.node_returns[t].tolist(),
-                "market_return": float(ds.market_return[t]),
-                "regime": int(ds.regime[t]),
+                "macro": _nan_to_none(ds.macro[t]),
+                "macro_present": ds.macro_present[t].astype(int).tolist(),
+                "ohlcv": ds.ohlcv[:, t].tolist(),
+                "indicators": [_nan_to_none(row) for row in ds.indicators[:, t]],
+                "tokens": [ds.tokens[a, t, :ds.tok_len[a, t]].tolist()
+                           for a in range(ds.n_assets)],
+                "returns": ds.returns[:, t].tolist(),
             }
-            fh.write(json.dumps(grec, sort_keys=True) + "\n")
-            for a in range(ds.n_assets):
-                rec = {
-                    "type": "step",
-                    "date": t,
-                    "asset": a,
-                    "ohlcv": ds.ohlcv[a, t].tolist(),
-                    "indicators": _nan_to_none(ds.indicators[a, t]),
-                    "tokens": ds.tokens[a, t, : ds.tok_len[a, t]].tolist(),
-                    "return": float(ds.returns[a, t]),
-                    "macro": _nan_to_none(ds.macro[t]),
-                    "macro_present": ds.macro_present[t].astype(int).tolist(),
-                }
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _nan_to_none(row: np.ndarray) -> list:
     return [None if np.isnan(v) else float(v) for v in row]
 
 
+def _field(rec: dict, key: str, shape: tuple) -> np.ndarray:
+    """``rec[key]`` as a float array (``null`` reads as NaN) of exactly
+    ``shape``: numpy would broadcast a short list silently."""
+    try:
+        x = np.asarray(rec[key], dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"{key} is not a {shape} array of numbers") from e
+    if x.shape != shape:
+        raise SchemaError(f"{key} has shape {x.shape}, expected {shape}")
+    return x
+
+
 def load_dataset(path: str) -> AlignedDataset:
     """Read a dataset written by ``save_dataset``.
 
-    Every date must carry exactly one graph record and every (date, asset)
-    exactly one step record. A malformed, truncated or incomplete file
-    raises SchemaError naming the offending line; price bars whose high and
-    low do not bracket open and close, or whose volume is negative, raise it
-    naming the date and asset.
-    """
+    SchemaError names the line and the field unless record k holds date k,
+    each field has its shape and finite values (``null`` only in indicators
+    and macro), flags are 0/1, each asset has 1..seq_len token ids from the
+    vocabulary, price bars are well formed, and the header's usable dates
+    and splits match the data."""
     lineno = 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
             ds = _read_meta(json.loads(fh.readline()))
-            t_all, a = ds.n_steps, ds.n_assets
-            seen_graph = np.zeros(t_all, dtype=bool)
-            seen_step = np.zeros((a, t_all), dtype=bool)
+            fields = {  # field: (its values with the date axis first, null allowed)
+                "regime": (ds.regime, False),
+                "market_return": (ds.market_return, False),
+                "node_stress": (ds.node_stress, False),
+                "node_returns": (ds.node_returns, False),
+                "macro": (ds.macro, True),
+                "macro_present": (ds.macro_present, False),
+                "ohlcv": (ds.ohlcv.swapaxes(0, 1), False),
+                "indicators": (ds.indicators.swapaxes(0, 1), True),
+                "returns": (ds.returns.swapaxes(0, 1), False),
+            }
+            seq_len, n_vocab = ds.tokens.shape[2], len(ds.vocab)
             for lineno, line in enumerate(fh, start=2):
+                t = lineno - 2
                 rec = json.loads(line)
-                t = rec["date"]
-                if not 0 <= t < t_all:
-                    raise SchemaError(f"date {t} outside 0..{t_all - 1}")
-                if rec["type"] == "graph":
-                    if seen_graph[t]:
-                        raise SchemaError(f"second graph record for date {t}")
-                    seen_graph[t] = True
-                    ds.node_stress[t] = rec["node_stress"]
-                    ds.node_returns[t] = rec["node_returns"]
-                    ds.market_return[t] = rec["market_return"]
-                    ds.regime[t] = rec["regime"]
-                elif rec["type"] == "step":
-                    a_i = rec["asset"]
-                    if not 0 <= a_i < a:
-                        raise SchemaError(f"asset {a_i} outside 0..{a - 1}")
-                    if seen_step[a_i, t]:
+                if rec["date"] != t:
+                    raise SchemaError(f"date {rec['date']} where date {t} belongs")
+                if rec["regime"] not in (0, 1):
+                    raise SchemaError(f"regime {rec['regime']!r} is not 0 or 1")
+                if not set(rec["macro_present"]) <= {0, 1}:
+                    raise SchemaError("macro_present holds a flag other than 0 or 1")
+                for key, (by_date, _) in fields.items():
+                    by_date[t] = _field(rec, key, by_date.shape[1:])
+                if len(rec["tokens"]) != ds.n_assets:
+                    raise SchemaError(f"tokens has {len(rec['tokens'])} lists, not {ds.n_assets}")
+                for a, ids in enumerate(rec["tokens"]):
+                    if not (1 <= len(ids) <= seq_len
+                            and all(type(i) is int and 0 <= i < n_vocab for i in ids)):
                         raise SchemaError(
-                            f"second step record for asset {a_i}, date {t}")
-                    seen_step[a_i, t] = True
-                    ds.ohlcv[a_i, t] = rec["ohlcv"]
-                    ds.indicators[a_i, t] = [
-                        np.nan if v is None else v for v in rec["indicators"]]
-                    toks = rec["tokens"]
-                    ds.tokens[a_i, t, : len(toks)] = toks
-                    ds.tok_len[a_i, t] = len(toks)
-                    ds.returns[a_i, t] = rec["return"]
-                    ds.macro[t] = [np.nan if v is None else v for v in rec["macro"]]
-                    ds.macro_present[t] = np.asarray(rec["macro_present"], dtype=bool)
-                else:
-                    raise SchemaError(f"unknown record type {rec['type']!r}")
+                            f"tokens[{a}] is not 1..{seq_len} ids from 0..{n_vocab - 1}")
+                    ds.tokens[a, t, :len(ids)] = ids
+                    ds.tok_len[a, t] = len(ids)
+            if lineno - 1 != ds.n_steps:
+                raise SchemaError(f"only {lineno - 1} of {ds.n_steps} date records")
+        for key, (by_date, nullable) in fields.items():
+            bad = np.isinf(by_date) | (np.isnan(by_date) & (not nullable))
+            bad = bad.reshape(ds.n_steps, -1).any(axis=1)
+            if bad.any():
+                lineno = int(np.argmax(bad)) + 2
+                raise SchemaError(f"{key} holds a non-finite value")
+        o, h, l, c, v = np.moveaxis(ds.ohlcv, -1, 0)
+        for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
+                          (l > np.minimum(o, c), "low is above min(open, close)"),
+                          (v < 0, "volume is negative")):
+            if bad.any():
+                a, t = np.argwhere(bad)[0]
+                lineno = t + 2
+                raise SchemaError(f"date {t}, asset {a}: {what}")
+        lineno = 1  # the header's usable dates and splits, against the data
+        usable = usable_dates(ds.indicators, ds.macro, ds.config.window)
+        if not np.array_equal(ds.usable, usable):
+            raise SchemaError("usable dates disagree with the data at date "
+                              f"{int(np.argmax(ds.usable != usable))}")
+        for name in ("train", "val", "test"):
+            stray = [t for t in ds.splits[name] if not usable[t] or t < 0]
+            if stray:
+                raise SchemaError(f"split {name!r} holds unusable date {stray[0]}")
     except SchemaError as e:
         raise SchemaError(f"{path}, line {lineno}: {e}") from e
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
         raise SchemaError(
             f"{path}, line {lineno}: malformed record "
             f"({type(e).__name__}: {e})") from e
-    if not seen_graph.all() or not seen_step.all():
-        raise SchemaError(
-            f"{path} is incomplete: {int(seen_graph.sum())} of {t_all} graph "
-            f"records and {int(seen_step.sum())} of {t_all * a} step records")
-    o, h, l, c, v = np.moveaxis(ds.ohlcv, -1, 0)
-    for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
-                      (l > np.minimum(o, c), "low is above min(open, close)"),
-                      (v < 0, "volume is negative")):
-        if bad.any():
-            a_i, t = np.argwhere(bad)[0]
-            raise SchemaError(f"{path}: step record for date {t}, asset {a_i}: {what}")
     return ds
 
 

@@ -196,7 +196,6 @@ class DatasetEnv:
     def __init__(self, dataset, params: dict, model_cfg, rl_cfg: RLConfig,
                  split: str = "train", asset: int = 0, kinds=fus.MODALITIES):
         self.ds = dataset
-        self.model_cfg = model_cfg
         self.cfg = rl_cfg
         self.asset = asset
         self.dates = list(dataset.splits[split])
@@ -213,10 +212,6 @@ class DatasetEnv:
         self.states = np.concatenate(zs)
         self.risk = np.concatenate(risks)
         self.i = 0
-
-    @property
-    def state_dim(self) -> int:
-        return self.model_cfg.d_model
 
     @property
     def remaining(self) -> int:

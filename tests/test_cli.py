@@ -11,6 +11,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import finfusion.cli as cli
 import finfusion.datapipe as dp
@@ -72,11 +74,17 @@ def test_generate_artifacts_and_manifest(work):
     manifest = json.loads((work["data_dir"] / "manifest.json").read_text())
     assert manifest["n_assets"] == 2
     assert manifest["n_steps"] == 170
-    assert manifest["n_step_records"] == 170 * 2
-    assert manifest["n_graph_records"] == 170
+    assert "n_step_records" not in manifest and "n_graph_records" not in manifest
     assert len(manifest["config_hash"]) == 64
     echoed = json.loads((work["data_dir"] / "config.json").read_text())
     assert echoed["synthetic.n_steps"] == 170
+    # one meta header, then one record per date in date order
+    records = [json.loads(line) for line in
+               (work["data_dir"] / "dataset.jsonl").read_text().splitlines()]
+    assert len(records) == 1 + 170
+    assert records[0]["type"] == "meta"
+    assert [rec["date"] for rec in records[1:]] == list(range(170))
+    assert not any("type" in rec or "edges" in rec for rec in records[1:])
 
 
 def test_generate_is_byte_reproducible(work, tmp_path):
@@ -266,46 +274,115 @@ def test_checkpoint_without_usable_model_config_is_schema_error(
     _assert_one_line_schema_error(rc, capsys)
 
 
-def _break_invariant(src, dst, defect):
-    """Copy a dataset, breaking one invariant at asset 0, date 100."""
+# defect: (path of the field in the date-100 record, the value put there)
+_RECORD_DEFECTS = {
+    "short-node_stress": (("node_stress",), [0.5]),
+    "short-node_returns": (("node_returns",), [0.5]),
+    "short-macro": (("macro",), [0.02]),
+    "short-macro_present": (("macro_present",), [1]),
+    "short-ohlcv": (("ohlcv", 0), [100.0, 101.0, 99.0, 100.0]),
+    "short-indicators": (("indicators", 0), [1.0] * 6),
+    "short-returns": (("returns",), [0.0]),
+    "short-tokens": (("tokens",), [[11, 1, 27]]),
+    "empty-token-list": (("tokens", 0), []),
+    "long-token-list": (("tokens", 0), [11] * 6),
+    "nan-close": (("ohlcv", 0, 3), math.nan),
+    "inf-volume": (("ohlcv", 0, 4), math.inf),
+    "nan-node_stress": (("node_stress", 0), math.nan),
+    "inf-macro": (("macro", 0), math.inf),
+    "token-999": (("tokens", 0, 0), 999),
+    "token-minus-1": (("tokens", 0, 0), -1),
+    "fractional-token": (("tokens", 0, 0), 11.5),
+    "regime-7": (("regime",), 7),
+    "macro_present-2": (("macro_present", 0), 2),
+}
+
+# defect: what the one-line error must name
+_DATASET_DEFECTS = {
+    "high-below-open-close": "date 100, asset 0",
+    "low-above-open-close": "date 100, asset 0",
+    "negative-volume": "date 100, asset 0",
+    "negative-adjacency": "adjacency weight",
+    "macro-slot-mismatch": "macro_slots",
+    "usable-early-date": "usable dates disagree with the data at date 5",
+    "usable-last-date": "usable dates disagree with the data at date 169",
+    "split-last-date": "split 'test' holds unusable date 169",
+    "schema-version-1": "schema_version 1 != 2",
+    **{defect: f"line 102: {path[0]}"
+       for defect, (path, _) in _RECORD_DEFECTS.items()},
+}
+
+
+def _break_dataset(src, dst, defect):
+    """Copy a dataset, breaking it in the header or at asset 0 of the
+    date-100 record (line 102)."""
     lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
-    meta = json.loads(lines[0])
+    meta, rec = json.loads(lines[0]), json.loads(lines[101])
+    assert rec["date"] == 100
+    last = meta["config"]["n_steps"] - 1
     if defect == "negative-adjacency":
         i, j = np.argwhere(np.asarray(meta["adjacency"]) > 0)[0]
         meta["adjacency"][i][j] *= -1.0
     elif defect == "macro-slot-mismatch":
         meta["macro_slots"] = meta["macro_slots"][::-1]
+    elif defect == "usable-early-date":
+        meta["usable"].insert(0, 5)
+    elif defect == "usable-last-date":
+        meta["usable"].append(last)
+    elif defect == "split-last-date":
+        meta["splits"]["test"].append(last)
+    elif defect == "schema-version-1":
+        meta["schema_version"] = 1
+    elif defect in _RECORD_DEFECTS:
+        path, value = _RECORD_DEFECTS[defect]
+        target = rec
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     else:
-        k, rec = next((k, rec) for k, rec in enumerate(map(json.loads, lines))
-                      if rec["type"] == "step" and rec["date"] == 100
-                      and rec["asset"] == 0)
-        o, h, l, c, v = rec["ohlcv"]
-        rec["ohlcv"] = {
+        o, h, l, c, v = rec["ohlcv"][0]
+        rec["ohlcv"][0] = {
             "high-below-open-close": [o, 0.99 * max(o, c), l, c, v],
             "low-above-open-close": [o, h, 1.01 * min(o, c), c, v],
             "negative-volume": [o, h, l, c, -1.0],
         }[defect]
-        lines[k] = json.dumps(rec, sort_keys=True) + "\n"
     lines[0] = json.dumps(meta, sort_keys=True) + "\n"
+    lines[101] = json.dumps(rec, sort_keys=True) + "\n"
     dst.write_text("".join(lines), encoding="utf-8")
 
 
 @pytest.mark.parametrize("command", ["forecast", "report"])
-@pytest.mark.parametrize("defect", [
-    "high-below-open-close", "low-above-open-close", "negative-volume",
-    "negative-adjacency", "macro-slot-mismatch",
-])
+@pytest.mark.parametrize("defect", list(_DATASET_DEFECTS))
 def test_dataset_breaking_an_invariant_is_schema_error(work, tmp_path, capsys,
                                                        defect, command):
     bad = tmp_path / "dataset.jsonl"
-    _break_invariant(work["data_dir"] / "dataset.jsonl", bad, defect)
+    _break_dataset(work["data_dir"] / "dataset.jsonl", bad, defect)
     argv = [command, "--checkpoint", work["ckpt"], "--data", str(bad),
             "--date", "100"]
     if command == "forecast":
         argv += ["--asset", "0"]
     line = _assert_one_line_schema_error(cli.main(argv), capsys)
-    if defect not in ("negative-adjacency", "macro-slot-mismatch"):
-        assert "date 100, asset 0" in line
+    assert _DATASET_DEFECTS[defect] in line
+
+
+@seed(20261018)
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_dataset_with_a_replaced_byte_fails_cleanly(work, tmp_path, capsys, data):
+    raw = (work["data_dir"] / "dataset.jsonl").read_bytes()
+    offset = data.draw(st.integers(raw.index(b"\n") + 1, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[offset]))
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_bytes(raw[:offset] + bytes([byte]) + raw[offset + 1:])
+    for argv in (["forecast", "--asset", "0"], ["report"]):
+        rc = cli.main(argv + ["--checkpoint", work["ckpt"], "--data", str(bad),
+                              "--date", "100"])
+        err = capsys.readouterr().err
+        # 4 stays possible: a replaced digit can make a finite but absurd price
+        assert rc in (0, 4, 5), err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (0 if rc == 0 else 1)
 
 
 # ---------------------------------------------------------------------------

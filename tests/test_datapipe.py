@@ -2,6 +2,7 @@
 and tail-risk oracle tests."""
 
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -416,23 +417,42 @@ def test_save_load_roundtrip(tmp_path, small_ds):
     path = tmp_path / "ds.jsonl"
     dp.save_dataset(ds, str(path))
     back = dp.load_dataset(str(path))
-    assert np.allclose(back.ohlcv, ds.ohlcv)
-    assert np.array_equal(back.tokens, ds.tokens)
-    assert np.array_equal(back.regime, ds.regime)
-    assert np.allclose(back.node_stress, ds.node_stress)
+    # every array comes back with its dtype and bits, NaN pattern included
+    for f in dataclasses.fields(dp.AlignedDataset):
+        want, got = getattr(ds, f.name), getattr(back, f.name)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, f.name
+            assert np.array_equal(got, want, equal_nan=True), f.name
+    assert back.config == ds.config
+    assert back.vocab == ds.vocab
     assert back.splits == ds.splits
-    m1 = back.norm["price"].mean
-    m2 = ds.norm["price"].mean
-    assert np.allclose(m1, m2)
-    got = ~np.isnan(back.indicators)
-    want = ~np.isnan(ds.indicators)
-    assert np.array_equal(got, want)
-    assert np.allclose(back.indicators[got], ds.indicators[want])
+    for key in ("price", "macro", "graph"):
+        for attr in ("mean", "std", "constant"):
+            want = getattr(ds.norm[key], attr)
+            assert np.array_equal(getattr(back.norm[key], attr), want)
+    assert back.norm["y_mean"] == ds.norm["y_mean"]
+    assert back.norm["y_std"] == ds.norm["y_std"]
     # batches built from the reloaded dataset match exactly
     pairs = ds.sample_pairs("val")[:8]
     b1, b2 = ds.batch_arrays(pairs), back.batch_arrays(pairs)
-    assert np.allclose(b1["price"], b2["price"])
+    assert np.array_equal(b1["price"], b2["price"])
     assert np.array_equal(b1["direction"], b2["direction"])
+    # and saving it again writes the same bytes
+    again = tmp_path / "again.jsonl"
+    dp.save_dataset(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+
+
+def test_usable_dates_matches_the_per_date_rule(small_ds):
+    ds = small_ds
+    w = ds.config.window
+    valid = ~np.isnan(ds.indicators).any(axis=2)
+    macro_ready = ~np.isnan(ds.macro).any(axis=1)
+    want = np.zeros(ds.n_steps, dtype=bool)
+    for t in range(w - 1, ds.n_steps - 1):
+        want[t] = valid[:, t - w + 1:t + 1].all() and macro_ready[t]
+    assert np.array_equal(ds.usable, want)
+    assert np.array_equal(dp.usable_dates(ds.indicators, ds.macro, w), want)
 
 
 def test_schema_version_guard(tmp_path, small_ds):
