@@ -30,7 +30,7 @@ MONTH_DAYS = 21
 QUARTER_DAYS = 63
 FREQ_SPACING = {"daily": 1, "monthly": MONTH_DAYS, "quarterly": QUARTER_DAYS}
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 INDICATOR_NAMES = ("sma10", "sma20", "rsi14", "macd", "macd_signal",
                    "ret_std20", "turnover")
@@ -63,6 +63,11 @@ _SIGMA_IDIO = (0.010, 0.020)  # per-asset idiosyncratic vol
 
 NODE_DISTRESS_THRESHOLD = 0.6
 FLAT_BAND = 5e-4  # |return| below this counts as flat for direction labels
+
+# time-ordered splits over the usable dates; test takes what train and val leave
+TRAIN_FRAC = 0.7
+VAL_FRAC = 0.15
+MIN_USABLE_DATES = 10
 
 
 def build_vocab(n_assets: int = 16) -> list[str]:
@@ -406,14 +411,13 @@ def _rolling_mean(x: np.ndarray, w: int) -> np.ndarray:
 
 
 def compute_indicators(ohlcv) -> tuple[np.ndarray, np.ndarray]:
-    """Derive the indicator matrix from OHLCV rows.
+    """Derive the indicator matrix from (T, 5) OHLCV rows.
 
-    Accepts a (T, 5) array or anything with an ``ohlcv`` attribute. Returns
-    (indicators (T, 7), valid (T,)): sma10, sma20, rsi14 (Wilder), macd,
-    macd signal, rolling 20-step return stdev, turnover vs 20-day volume.
-    Warmup rows hold NaN and are flagged invalid rather than failing.
+    Returns (indicators (T, 7), valid (T,)): sma10, sma20, rsi14 (Wilder),
+    macd, macd signal, rolling 20-step return stdev, turnover vs 20-day
+    volume. Warmup rows hold NaN and are flagged invalid rather than failing.
     """
-    arr = np.asarray(getattr(ohlcv, "ohlcv", ohlcv), dtype=np.float64)
+    arr = np.asarray(ohlcv, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 5:
         raise ContractError(f"expected (T, 5) OHLCV, got {arr.shape}")
     t = arr.shape[0]
@@ -483,16 +487,6 @@ class NormStats:
     def apply(self, x: np.ndarray) -> np.ndarray:
         return (x - self.mean) / self.std
 
-    def to_dict(self) -> dict:
-        return {"mean": self.mean.tolist(), "std": self.std.tolist(),
-                "constant": self.constant.astype(int).tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(np.asarray(d["mean"], dtype=np.float64),
-                   np.asarray(d["std"], dtype=np.float64),
-                   np.asarray(d["constant"], dtype=bool))
-
 
 def normalize_fit(columns: np.ndarray, fit_rows) -> NormStats:
     """Population mean/std per column over ``fit_rows``; zero-variance
@@ -560,9 +554,11 @@ def systemic_expected_shortfall(system: np.ndarray, crisis_mask: np.ndarray) -> 
 class AlignedDataset:
     """Everything the model consumes, on one shared daily axis.
 
-    Arrays span the full timeline; ``usable`` marks steps where indicator
-    warmup has passed, macro history exists, a full window fits, and the
-    one-step-ahead label is defined. Splits index into the usable dates.
+    The constructor takes the arrays, which span the full timeline;
+    ``finalize`` derives the rest from them and the config: ``usable`` marks
+    dates where indicator warmup has passed, macro history exists, a full
+    window fits and the one-step-ahead label is defined, the splits index
+    into the usable dates, and the normalised tables feed ``batch_arrays``.
     """
 
     config: SyntheticConfig
@@ -579,9 +575,14 @@ class AlignedDataset:
     market_return: np.ndarray   # (T,)
     regime: np.ndarray          # (T,)
     returns: np.ndarray         # (A, T) realized log returns
-    usable: np.ndarray          # (T,) bool
-    splits: dict = field(default_factory=dict)
-    norm: dict = field(default_factory=dict)
+    # derived by finalize
+    usable: np.ndarray = field(init=False)      # (T,) bool
+    splits: dict = field(init=False)            # split name -> usable dates
+    norm: dict = field(init=False)              # fitted on the train dates
+    price_z: np.ndarray = field(init=False)     # (A, T, 12) normalised
+    macro_z: np.ndarray = field(init=False)     # (T, M) normalised
+    graph_z: np.ndarray = field(init=False)     # (T, N, 6) normalised
+    y_z: np.ndarray = field(init=False)         # (A, T) normalised returns
 
     @property
     def n_assets(self) -> int:
@@ -599,14 +600,8 @@ class AlignedDataset:
     def y_next(self, asset: int, t: int) -> float:
         return float(self.returns[asset, t + 1])
 
-    def crisis_next(self, t: int) -> int:
-        return int(self.regime[t + 1])
-
     def stress_next(self, t: int) -> float:
         return float(self.node_stress[t + 1].mean())
-
-    def node_distress_next(self, t: int) -> np.ndarray:
-        return self.node_stress[t + 1] > NODE_DISTRESS_THRESHOLD
 
     # features -----------------------------------------------------------
     def price_feature_matrix(self, asset: int) -> np.ndarray:
@@ -636,41 +631,46 @@ class AlignedDataset:
         return np.concatenate(
             [self.node_stress[..., None], self.node_returns[..., None], static], axis=-1)
 
-    def finalize(self, train_frac: float = 0.7, val_frac: float = 0.15) -> None:
-        """Carve time-ordered splits over usable dates and fit normalization
-        statistics on the training range only."""
+    def finalize(self) -> None:
+        """Derive the model-ready state from the arrays and the config: the
+        usable dates, time-ordered splits over them, normalisation statistics
+        fitted on the train dates only, and the normalised feature tables.
+        Building and loading a dataset both end here, so a loaded dataset
+        never takes this state from its file."""
+        self.usable = usable_dates(self.indicators, self.macro, self.config.window)
         dates = np.flatnonzero(self.usable)
         n = dates.size
-        if n < 10:
-            raise ContractError(f"only {n} usable steps; increase n_steps")
-        n_train = int(round(n * train_frac))
-        n_val = int(round(n * val_frac))
+        if n < MIN_USABLE_DATES:
+            raise ContractError(
+                f"only {n} usable dates, at least {MIN_USABLE_DATES} are needed")
+        n_train = int(round(n * TRAIN_FRAC))
+        n_val = int(round(n * VAL_FRAC))
         self.splits = {
             "train": dates[:n_train].tolist(),
             "val": dates[n_train:n_train + n_val].tolist(),
             "test": dates[n_train + n_val:].tolist(),
         }
-        train_dates = np.asarray(self.splits["train"])
-        # price stats pool all assets over train dates
-        price_cols = np.concatenate(
-            [self.price_feature_matrix(a)[train_dates] for a in range(self.n_assets)])
-        price_stats = normalize_fit(price_cols, slice(None))
-        macro_stats = normalize_fit(self.macro, train_dates)
-        gf = self.graph_feature_matrix()[train_dates].reshape(-1, len(GRAPH_FEATURE_NAMES))
-        graph_stats = normalize_fit(gf, slice(None))
-        y_pool = np.concatenate(
-            [self.returns[a, train_dates + 1] for a in range(self.n_assets)])
-        y_mean = float(y_pool.mean())
+        train = dates[:n_train]
+        y_pool = self.returns[:, train + 1].ravel()
         y_std = float(y_pool.std())
         if y_std == 0.0:
             raise DegenerateInputError("constant training returns")
+        price = np.stack([self.price_feature_matrix(a) for a in range(self.n_assets)])
+        graph = self.graph_feature_matrix()
+        # price stats pool all assets over the train dates
         self.norm = {
-            "price": price_stats,
-            "macro": macro_stats,
-            "graph": graph_stats,
-            "y_mean": y_mean,
+            "price": normalize_fit(price[:, train].reshape(-1, price.shape[-1]),
+                                   slice(None)),
+            "macro": normalize_fit(self.macro, train),
+            "graph": normalize_fit(graph[train].reshape(-1, graph.shape[-1]),
+                                   slice(None)),
+            "y_mean": float(y_pool.mean()),
             "y_std": y_std,
         }
+        self.price_z = self.norm["price"].apply(price)
+        self.macro_z = self.norm["macro"].apply(self.macro)
+        self.graph_z = self.norm["graph"].apply(graph)
+        self.y_z = (self.returns - self.norm["y_mean"]) / y_std
 
     # model-ready sampling ----------------------------------------------
     def sample_pairs(self, split: str) -> list:
@@ -678,55 +678,28 @@ class AlignedDataset:
         return [(a, t) for t in dates for a in range(self.n_assets)]
 
     def batch_arrays(self, pairs) -> dict:
-        """Assemble normalized model inputs and labels for (asset, date) pairs."""
-        if not self.norm:
-            raise ContractError("finalize() must run before batching")
-        w = self.config.window
-        pstats: NormStats = self.norm["price"]
-        mstats: NormStats = self.norm["macro"]
-        gstats: NormStats = self.norm["graph"]
-        price = np.empty((len(pairs), w, 12))
-        feats = self.graph_feature_matrix()
-        tok = []
-        tlen = np.empty(len(pairs), dtype=np.int64)
-        macro = np.empty((len(pairs), self.macro.shape[1]))
-        gf = np.empty((len(pairs), self.n_institutions, len(GRAPH_FEATURE_NAMES)))
-        y = np.empty(len(pairs))
-        y_raw = np.empty(len(pairs))
-        direction = np.empty(len(pairs), dtype=np.int64)
-        crisis = np.empty(len(pairs), dtype=np.int64)
-        stress = np.empty(len(pairs))
-        node_distress = np.empty((len(pairs), self.n_institutions), dtype=np.int64)
-        cache = {a: self.price_feature_matrix(a) for a in {a for a, _ in pairs}}
-        flat_band = FLAT_BAND
-        for i, (a, t) in enumerate(pairs):
-            price[i] = pstats.apply(cache[a][t - w + 1:t + 1])
-            tok.append(self.tokens[a, t])
-            tlen[i] = self.tok_len[a, t]
-            macro[i] = mstats.apply(self.macro[t])
-            gf[i] = gstats.apply(feats[t])
-            raw = self.y_next(a, t)
-            y_raw[i] = raw
-            y[i] = (raw - self.norm["y_mean"]) / self.norm["y_std"]
-            direction[i] = 0 if raw < -flat_band else (2 if raw > flat_band else 1)
-            crisis[i] = self.crisis_next(t)
-            stress[i] = self.stress_next(t)
-            node_distress[i] = self.node_distress_next(t)
-        adj = np.broadcast_to(self.adjacency,
-                              (len(pairs),) + self.adjacency.shape).copy()
+        """Normalised model inputs and next-date labels for (asset, date)
+        pairs on usable dates, indexed from the tables ``finalize`` built."""
+        a, t = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        if np.any((t < 0) | (t >= self.n_steps)) or not self.usable[t].all():
+            raise ContractError("batch_arrays takes usable dates only")
+        window = t[:, None] + np.arange(1 - self.config.window, 1)
+        nxt = t + 1
+        y_raw = self.returns[a, nxt]
         return {
-            "price": price,
-            "tokens": np.asarray(tok, dtype=np.int64),
-            "tok_len": tlen,
-            "macro": macro,
-            "graph_feats": gf,
-            "graph_adj": adj,
-            "y": y,
+            "price": self.price_z[a[:, None], window],
+            "tokens": self.tokens[a, t],
+            "tok_len": self.tok_len[a, t],
+            "macro": self.macro_z[t],
+            "graph_feats": self.graph_z[t],
+            "graph_adj": np.broadcast_to(
+                self.adjacency, (t.size,) + self.adjacency.shape).copy(),
+            "y": self.y_z[a, nxt],
             "y_raw": y_raw,
-            "direction": direction,
-            "crisis_next": crisis,
-            "stress_next": stress,
-            "node_distress": node_distress,
+            "direction": np.where(y_raw < -FLAT_BAND, 0, np.where(y_raw > FLAT_BAND, 2, 1)),
+            "crisis_next": self.regime[nxt].astype(np.int64),
+            "stress_next": self.node_stress[nxt].mean(axis=1),
+            "node_distress": (self.node_stress[nxt] > NODE_DISTRESS_THRESHOLD).astype(np.int64),
             "pairs": list(pairs),
         }
 
@@ -777,7 +750,6 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
         market_return=raw["market_return"],
         regime=raw["regime"],
         returns=raw["returns"],
-        usable=usable_dates(indicators, macro, cfg.window),
     )
     ds.finalize()
     return ds
@@ -787,7 +759,9 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
 # JSON-lines serialization
 
 def save_dataset(ds: AlignedDataset, path: str) -> None:
-    """One meta header, then one record per date in date order."""
+    """One meta header, then one record per date in date order. The header's
+    usable dates and splits are what ``finalize`` derives, for readers of the
+    file; the loader derives them again and requires them to match."""
     with open(path, "w", encoding="utf-8") as fh:
         meta = {
             "type": "meta",
@@ -798,13 +772,6 @@ def save_dataset(ds: AlignedDataset, path: str) -> None:
             "macro_slots": list(MACRO_SLOTS),
             "splits": ds.splits,
             "usable": np.flatnonzero(ds.usable).tolist(),
-            "norm": {
-                "price": ds.norm["price"].to_dict(),
-                "macro": ds.norm["macro"].to_dict(),
-                "graph": ds.norm["graph"].to_dict(),
-                "y_mean": ds.norm["y_mean"],
-                "y_std": ds.norm["y_std"],
-            },
             "adjacency": ds.adjacency.tolist(),
         }
         fh.write(json.dumps(meta, sort_keys=True) + "\n")
@@ -843,17 +810,22 @@ def _field(rec: dict, key: str, shape: tuple) -> np.ndarray:
 
 
 def load_dataset(path: str) -> AlignedDataset:
-    """Read a dataset written by ``save_dataset``.
+    """Read a dataset written by ``save_dataset`` and ``finalize`` it.
 
     SchemaError names the line and the field unless record k holds date k,
     each field has its shape and finite values (``null`` only in indicators
     and macro), flags are 0/1, each asset has 1..seq_len token ids from the
-    vocabulary, price bars are well formed, and the header's usable dates
-    and splits match the data."""
+    vocabulary, price bars are well formed, ``finalize`` accepts the data,
+    and the header's usable dates and splits are the ones it derives."""
     lineno = 1
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            ds = _read_meta(json.loads(fh.readline()))
+            meta = json.loads(fh.readline())
+            ds = _read_meta(meta)
+            header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
+            for name in ("train", "val", "test"):
+                header_dates[f"split {name!r} dates"] = np.asarray(
+                    meta["splits"][name], dtype=np.int64)
             fields = {  # field: (its values with the date axis first, null allowed)
                 "regime": (ds.regime, False),
                 "market_return": (ds.market_return, False),
@@ -902,21 +874,23 @@ def load_dataset(path: str) -> AlignedDataset:
                 a, t = np.argwhere(bad)[0]
                 lineno = t + 2
                 raise SchemaError(f"date {t}, asset {a}: {what}")
-        lineno = 1  # the header's usable dates and splits, against the data
-        usable = usable_dates(ds.indicators, ds.macro, ds.config.window)
-        if not np.array_equal(ds.usable, usable):
-            raise SchemaError("usable dates disagree with the data at date "
-                              f"{int(np.argmax(ds.usable != usable))}")
-        for name in ("train", "val", "test"):
-            stray = [t for t in ds.splits[name] if not usable[t] or t < 0]
-            if stray:
-                raise SchemaError(f"split {name!r} holds unusable date {stray[0]}")
     except SchemaError as e:
         raise SchemaError(f"{path}, line {lineno}: {e}") from e
     except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
         raise SchemaError(
             f"{path}, line {lineno}: malformed record "
             f"({type(e).__name__}: {e})") from e
+    try:
+        ds.finalize()
+    except ContractError as e:  # too few usable dates, constant training returns
+        raise SchemaError(f"{path}: {e}") from e
+    derived = {"usable dates": np.flatnonzero(ds.usable),
+               **{f"split {name!r} dates": v for name, v in ds.splits.items()}}
+    for what, dates in header_dates.items():
+        if not np.array_equal(dates, derived[what]):
+            stray = np.setxor1d(dates, derived[what])
+            at = f" at date {stray[0]}" if stray.size else ""
+            raise SchemaError(f"{path}, line 1: {what} disagree with the data{at}")
     return ds
 
 
@@ -942,7 +916,7 @@ def _read_meta(meta: dict) -> AlignedDataset:
     j = len(INDICATOR_NAMES)
     m = len(MACRO_SLOTS)
     seq_len = int(meta["seq_len"])
-    ds = AlignedDataset(
+    return AlignedDataset(
         config=cfg,
         vocab=meta["vocab"],
         ohlcv=np.empty((a, t_all, 5)),
@@ -957,15 +931,4 @@ def _read_meta(meta: dict) -> AlignedDataset:
         market_return=np.empty(t_all),
         regime=np.empty(t_all, dtype=np.int64),
         returns=np.empty((a, t_all)),
-        usable=np.zeros(t_all, dtype=bool),
     )
-    ds.usable[np.asarray(meta["usable"], dtype=np.int64)] = True
-    ds.splits = {k: list(v) for k, v in meta["splits"].items()}
-    ds.norm = {
-        "price": NormStats.from_dict(meta["norm"]["price"]),
-        "macro": NormStats.from_dict(meta["norm"]["macro"]),
-        "graph": NormStats.from_dict(meta["norm"]["graph"]),
-        "y_mean": float(meta["norm"]["y_mean"]),
-        "y_std": float(meta["norm"]["y_std"]),
-    }
-    return ds

@@ -202,12 +202,8 @@ def micro_forecast(z_history, k: int, params: dict, cfg) -> MicroForecast:
 # ---------------------------------------------------------------------------
 # mixture-density negative log likelihood
 
-def mdn_nll(f: MicroForecast, y: float) -> float:
-    """-log sum_k w_k Normal(y; mu_k, sigma_k)."""
-    return mdn_nll_values(f.weights, f.means, f.sigmas, y)
-
-
 def mdn_nll_values(weights, means, sigmas, y) -> float:
+    """-log sum_k w_k Normal(y; mu_k, sigma_k)."""
     w = np.asarray(weights, dtype=np.float64)
     m = np.asarray(means, dtype=np.float64)
     s = np.asarray(sigmas, dtype=np.float64)

@@ -339,21 +339,6 @@ def format_metric(name, value):
     return f"{value:.4f}"
 
 
-def render_table(title, columns, rows):
-    """Aligned plain-text table. rows is a sequence of (label, metric map)."""
-    header = ["Model"] + [h for _, h in columns]
-    body = []
-    for label, metrics in rows:
-        body.append([label] + [format_metric(k, metrics.get(k)) for k, _ in columns])
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = [title,
-             "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-             "  ".join("-" * w for w in widths)]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines)
-
-
 def render_report(report, title, columns, label="this run"):
     """Render an EvalReport as a one-row table, mean with spread when known."""
     cells = {}

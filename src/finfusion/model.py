@@ -12,12 +12,8 @@ from . import encoders as enc
 from . import fusion as fus
 from . import heads as task_heads
 from .autodiff import Tensor
+from .datapipe import MACRO_SLOTS
 from .errors import ConfigError
-
-DEFAULT_MACRO_SLOTS = (
-    "gdp_growth", "cpi_inflation", "m2_growth", "ppi_inflation",
-    "credit_spread", "interbank_rate", "vix_proxy", "fx_volatility",
-)
 
 DEFAULT_MACRO_GROUPS = {
     "growth": (0, 2),
@@ -41,7 +37,7 @@ class ModelConfig:
     d_ff: int = 0  # 0 means 4 * d_model
     vocab_size: int = 512
     price_features: int = 12
-    macro_slots: tuple = DEFAULT_MACRO_SLOTS
+    macro_slots: tuple = MACRO_SLOTS
     macro_groups: dict = field(default_factory=lambda: dict(DEFAULT_MACRO_GROUPS))
     macro_group_dim: int = 16
     macro_hidden: int = 64

@@ -201,8 +201,6 @@ def total_loss(components, w: LossWeights):
     ``components`` is a mapping from term name to scalar (tensor or float);
     missing terms contribute nothing.
     """
-    if not isinstance(components, dict):
-        components = dict(zip(("forecast", "risk", "align", "rl"), components))
     unknown = set(components) - {"forecast", "risk", "align", "rl"}
     if unknown:
         raise ContractError(f"unknown loss terms {sorted(unknown)}")
@@ -414,12 +412,6 @@ class TrainingRun:
         prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
         return model_mod.param_subset(self.params, prefixes)
 
-    def _check_finite(self, comps):
-        for name, c in comps.items():
-            v = c.data if isinstance(c, Tensor) else np.asarray(c)
-            if not np.all(np.isfinite(v)):
-                raise NumericalError(f"{name} loss is not finite")
-
     def _align_term(self, embs):
         terms = []
         for a, b in self.align_cfg.pairs:
@@ -454,7 +446,6 @@ class TrainingRun:
                 at = self._align_term(out["embs"])
                 if at is not None:
                     comps["align"] = at
-            self._check_finite(comps)
             loss = total_loss(comps, self.weights)
             self._backward_and_step(loss, subset, opt, lr)
         return {k: float(v.data) for k, v in comps.items()} | {"total": float(loss.data)}
@@ -468,7 +459,6 @@ class TrainingRun:
                                           kinds, heads=("risk",))
             comps = {"risk": risk_loss(out["risk_score"], batch["crisis_next"],
                                        batch["stress_next"])}
-            self._check_finite(comps)
             loss = total_loss(comps, self.weights)
             self._backward_and_step(loss, subset, opt, lr)
         return {"risk": float(comps["risk"].data), "total": float(loss.data)}
@@ -484,7 +474,6 @@ class TrainingRun:
             at = self._align_term(embs)
             if at is None:
                 raise ContractError("alignment stage has no usable modality pairs")
-            self._check_finite({"align": at})
             loss = total_loss({"align": at}, self.weights)
             self._backward_and_step(loss, subset, opt, lr)
         return {"align": float(at.data), "total": float(loss.data)}

@@ -306,17 +306,30 @@ _DATASET_DEFECTS = {
     "macro-slot-mismatch": "macro_slots",
     "usable-early-date": "usable dates disagree with the data at date 5",
     "usable-last-date": "usable dates disagree with the data at date 169",
-    "split-last-date": "split 'test' holds unusable date 169",
-    "schema-version-1": "schema_version 1 != 2",
+    "split-last-date": "split 'test' dates disagree with the data at date 169",
+    "schema-version-1": "schema_version 1 != 3",
+    "schema-version-2": "schema_version 2 != 3",
+    "no-usable-dates": "only 0 usable dates, at least 10 are needed",
+    "constant-returns": "constant training returns",
     **{defect: f"line 102: {path[0]}"
        for defect, (path, _) in _RECORD_DEFECTS.items()},
 }
 
 
 def _break_dataset(src, dst, defect):
-    """Copy a dataset, breaking it in the header or at asset 0 of the
-    date-100 record (line 102)."""
+    """Copy a dataset, breaking it in the header, in every record or at
+    asset 0 of the date-100 record (line 102)."""
     lines = src.read_text(encoding="utf-8").splitlines(keepends=True)
+    if defect in ("no-usable-dates", "constant-returns"):
+        for i, line in enumerate(lines[1:], start=1):
+            rec = json.loads(line)
+            if defect == "no-usable-dates":
+                rec["indicators"] = [[None] * len(r) for r in rec["indicators"]]
+            else:
+                rec["returns"] = [0.0] * len(rec["returns"])
+            lines[i] = json.dumps(rec, sort_keys=True) + "\n"
+        dst.write_text("".join(lines), encoding="utf-8")
+        return
     meta, rec = json.loads(lines[0]), json.loads(lines[101])
     assert rec["date"] == 100
     last = meta["config"]["n_steps"] - 1
@@ -331,8 +344,8 @@ def _break_dataset(src, dst, defect):
         meta["usable"].append(last)
     elif defect == "split-last-date":
         meta["splits"]["test"].append(last)
-    elif defect == "schema-version-1":
-        meta["schema_version"] = 1
+    elif defect.startswith("schema-version-"):
+        meta["schema_version"] = int(defect[-1])
     elif defect in _RECORD_DEFECTS:
         path, value = _RECORD_DEFECTS[defect]
         target = rec

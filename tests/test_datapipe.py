@@ -3,6 +3,7 @@ and tail-risk oracle tests."""
 
 import copy
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -388,9 +389,90 @@ def test_batch_arrays_shapes_and_finiteness(small_ds):
 def test_labels_are_next_step(small_ds):
     ds = small_ds
     t = ds.splits["train"][5]
-    assert ds.y_next(0, t) == ds.returns[0, t + 1]
-    assert ds.crisis_next(t) == ds.regime[t + 1]
-    assert ds.stress_next(t) == pytest.approx(ds.node_stress[t + 1].mean())
+    b = ds.batch_arrays([(0, t)])
+    assert ds.y_next(0, t) == b["y_raw"][0] == ds.returns[0, t + 1]
+    assert b["crisis_next"][0] == ds.regime[t + 1]
+    assert ds.stress_next(t) == b["stress_next"][0]
+    assert b["stress_next"][0] == pytest.approx(ds.node_stress[t + 1].mean())
+    assert np.array_equal(b["node_distress"][0],
+                          ds.node_stress[t + 1] > dp.NODE_DISTRESS_THRESHOLD)
+
+
+def _batch_reference(ds, pairs):
+    """batch_arrays as a per-row loop over the unnormalised features."""
+    w = ds.config.window
+    pstats, mstats, gstats = ds.norm["price"], ds.norm["macro"], ds.norm["graph"]
+    price = np.empty((len(pairs), w, 12))
+    feats = ds.graph_feature_matrix()
+    tok = []
+    tlen = np.empty(len(pairs), dtype=np.int64)
+    macro = np.empty((len(pairs), ds.macro.shape[1]))
+    gf = np.empty((len(pairs), ds.n_institutions, len(dp.GRAPH_FEATURE_NAMES)))
+    y = np.empty(len(pairs))
+    y_raw = np.empty(len(pairs))
+    direction = np.empty(len(pairs), dtype=np.int64)
+    crisis = np.empty(len(pairs), dtype=np.int64)
+    stress = np.empty(len(pairs))
+    node_distress = np.empty((len(pairs), ds.n_institutions), dtype=np.int64)
+    cache = {a: ds.price_feature_matrix(a) for a in {a for a, _ in pairs}}
+    for i, (a, t) in enumerate(pairs):
+        price[i] = pstats.apply(cache[a][t - w + 1:t + 1])
+        tok.append(ds.tokens[a, t])
+        tlen[i] = ds.tok_len[a, t]
+        macro[i] = mstats.apply(ds.macro[t])
+        gf[i] = gstats.apply(feats[t])
+        raw = ds.y_next(a, t)
+        y_raw[i] = raw
+        y[i] = (raw - ds.norm["y_mean"]) / ds.norm["y_std"]
+        direction[i] = 0 if raw < -dp.FLAT_BAND else (2 if raw > dp.FLAT_BAND else 1)
+        crisis[i] = int(ds.regime[t + 1])
+        stress[i] = ds.stress_next(t)
+        node_distress[i] = ds.node_stress[t + 1] > dp.NODE_DISTRESS_THRESHOLD
+    adj = np.broadcast_to(ds.adjacency, (len(pairs),) + ds.adjacency.shape).copy()
+    return {
+        "price": price,
+        "tokens": np.asarray(tok, dtype=np.int64),
+        "tok_len": tlen,
+        "macro": macro,
+        "graph_feats": gf,
+        "graph_adj": adj,
+        "y": y,
+        "y_raw": y_raw,
+        "direction": direction,
+        "crisis_next": crisis,
+        "stress_next": stress,
+        "node_distress": node_distress,
+        "pairs": list(pairs),
+    }
+
+
+@pytest.mark.parametrize("which", ["train", "val", "test", "single-pair",
+                                   "all-assets-one-date", "one-asset"])
+def test_batch_arrays_matches_the_per_row_reference(small_ds, which):
+    ds = small_ds
+    t = ds.splits["test"][3]
+    pairs = {
+        "single-pair": [(1, t)],
+        # the batch bulletin_for_date builds
+        "all-assets-one-date": [(a, t) for a in range(ds.n_assets)],
+        "one-asset": [(2, u) for u in ds.splits["val"]],
+    }.get(which) or ds.sample_pairs(which)
+    got, want = ds.batch_arrays(pairs), _batch_reference(ds, pairs)
+    assert set(got) == set(want)
+    assert got.pop("pairs") == want.pop("pairs")
+    for key, w in want.items():
+        assert got[key].dtype == w.dtype, key
+        assert got[key].shape == w.shape, key
+        assert got[key].tobytes() == w.tobytes(), key
+
+
+@pytest.mark.parametrize("date", ["first", "warmup", "last", "negative"])
+def test_batch_arrays_rejects_dates_that_are_not_usable(small_ds, date):
+    ds = small_ds
+    t = {"first": 0, "warmup": ds.splits["train"][0] - 1,
+         "last": ds.n_steps - 1, "negative": -1}[date]
+    with pytest.raises(ContractError):
+        ds.batch_arrays([(0, ds.splits["train"][0]), (0, t)])
 
 
 def test_no_test_range_leakage_into_train_batches(small_ds):
@@ -432,6 +514,15 @@ def test_save_load_roundtrip(tmp_path, small_ds):
             assert np.array_equal(getattr(back.norm[key], attr), want)
     assert back.norm["y_mean"] == ds.norm["y_mean"]
     assert back.norm["y_std"] == ds.norm["y_std"]
+    # the loader derives the normalised tables again, bit for bit
+    for key in ("price_z", "macro_z", "graph_z", "y_z"):
+        want, got = getattr(ds, key), getattr(back, key)
+        assert got.dtype == want.dtype, key
+        assert np.array_equal(got, want, equal_nan=True), key
+    header = json.loads(path.read_text().splitlines()[0])
+    assert "norm" not in header
+    assert header["usable"] == np.flatnonzero(ds.usable).tolist()
+    assert header["splits"] == ds.splits
     # batches built from the reloaded dataset match exactly
     pairs = ds.sample_pairs("val")[:8]
     b1, b2 = ds.batch_arrays(pairs), back.batch_arrays(pairs)

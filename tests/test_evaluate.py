@@ -62,7 +62,7 @@ def test_predict_risk_aligns_labels(world):
     assert np.all((got["score"] >= 0) & (got["score"] <= 1))
     assert np.array_equal(got["warning"], (got["score"] >= 0.5).astype(int))
     for i, t in enumerate(dates[:5]):
-        assert got["crisis"][i] == ds.crisis_next(t)
+        assert got["crisis"][i] == ds.regime[t + 1]
         assert got["stress"][i] == pytest.approx(ds.stress_next(t))
 
 

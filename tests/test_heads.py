@@ -90,10 +90,7 @@ def test_micro_head_batch_gradients(setup):
 # mdn_nll
 
 def test_mdn_nll_standard_normal_at_zero():
-    f = heads.MicroForecast(
-        horizon=1, point=0.0, direction_probs=[0.3, 0.4, 0.3],
-        weights=[1.0], means=[0.0], sigmas=[1.0])
-    out = heads.mdn_nll(f, 0.0)
+    out = heads.mdn_nll_values([1.0], [0.0], [1.0], y=0.0)
     assert out == pytest.approx(0.5 * math.log(2 * math.pi), abs=1e-6)
     assert out == pytest.approx(0.9189, abs=1e-4)
 

@@ -344,19 +344,24 @@ def test_report_json_roundtrip():
 # ---------------------------------------------------------------------------
 # rendering
 
-def test_render_table_shapes_and_formats():
-    rows = [("model-a", {"directional_accuracy": 0.674, "mape": 10.9, "hit_ratio": 0.643})]
-    text = mx.render_table("Forecast quality", mx.FORECAST_COLUMNS, rows)
+def test_render_report_shapes_and_formats():
+    rep = mx.aggregate_seeds([{"directional_accuracy": 0.674, "mape": 10.9,
+                               "hit_ratio": 0.643}])
+    text = mx.render_report(rep, "Forecast quality", mx.FORECAST_COLUMNS,
+                            label="model-a")
     assert "67.4%" in text
     assert "10.9" in text
     assert "64.3%" in text
+    assert "+/-" not in text  # one seed has no spread
     assert text.splitlines()[1].startswith("Model")
+    assert text.splitlines()[3].startswith("model-a")
     assert len(text.splitlines()) == 4
 
 
 def test_render_handles_undefined():
-    rows = [("m", {"directional_accuracy": 0.5, "mape": 9.0, "hit_ratio": None})]
-    text = mx.render_table("t", mx.FORECAST_COLUMNS, rows)
+    rep = mx.aggregate_seeds([{"directional_accuracy": 0.5, "mape": 9.0,
+                               "hit_ratio": None}])
+    text = mx.render_report(rep, "t", mx.FORECAST_COLUMNS)
     assert "n/a" in text
 
 
