@@ -10,6 +10,7 @@ joint stage trains the heads.
 import numpy as np
 
 import finfusion.datapipe as dp
+import finfusion.encoders as enc
 import finfusion.fusion as fus
 import finfusion.model as fm
 import finfusion.training as tr
@@ -42,7 +43,8 @@ def cosine_gap(za, zb):
     return matched, mismatched
 
 def report(tag):
-    embs = fm.embed_batch(batch, run.params, mcfg, fus.MODALITIES)
+    embs = fm.embed_batch(batch, run.params, mcfg, fus.MODALITIES,
+                          enc.graph_keep(batch["graph_adj"]))
     for a, b in run.align_cfg.pairs:
         m, x = cosine_gap(embs[a].data, embs[b].data)
         print(f"{tag}  {a}/{b:6s} matched {m:+.3f}  mismatched {x:+.3f}  "

@@ -8,6 +8,13 @@ Broadcasting is deliberately narrow: equal shapes, scalars, or a lower-rank
 operand aligned against the trailing dimensions (size-1 expansion allowed).
 Anything fancier must go through an explicit reshape so backward rules stay
 auditable.
+
+Finiteness is checked at boundaries, not after every op. The public
+``Tensor(...)`` constructor rejects non-finite input, and ``exp``, ``log``
+and ``sqrt`` reject a non-finite result, since those are where a finite
+input overflows or leaves the domain. Every other op lets NaN and inf flow
+through; callers check what they consume once with ``require_finite``: the
+training step its loss and gradients, forward-only passes their outputs.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
+    "require_finite",
     "grad_check",
     "custom_op",
     "add",
@@ -56,8 +64,9 @@ __all__ = [
 _EPS_MASK = -1e9  # additive mask value; exp underflows to exactly 0.0
 
 
-def _require_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
+def require_finite(arr: np.ndarray, context: str) -> None:
+    """Raise NumericalError naming ``context`` unless every value is finite."""
+    if not np.isfinite(arr).all():
         raise NumericalError(f"non-finite values in {context}")
 
 
@@ -74,7 +83,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
-        _require_finite(arr, "tensor construction")
+        require_finite(arr, "tensor construction")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
@@ -208,7 +217,6 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
     live outside this module.
     """
     arr = np.asarray(data, dtype=np.float64)
-    _require_finite(arr, "op output")
     out = Tensor.__new__(Tensor)
     out.data = arr
     out.requires_grad = False
@@ -274,7 +282,7 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> f
         lo = f(x).item()
         flat[i] = orig
         fd[i] = (hi - lo) / (2.0 * eps)
-    _require_finite(fd, "finite-difference estimates")
+    require_finite(fd, "finite-difference estimates")
     denom = np.maximum(1.0, np.abs(fd))
     rel = np.abs(analytic.ravel() - fd) / denom
     return float(rel.max()) if rel.size else 0.0
@@ -376,21 +384,21 @@ def pow_const(a: Tensor, exponent: float) -> Tensor:
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):
         out = np.exp(a.data)
-    _require_finite(out, "exp")
+    require_finite(out, "exp")
     return custom_op(out, (a,), lambda g: (g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore", divide="ignore"):
         out = np.log(a.data)
-    _require_finite(out, "log")
+    require_finite(out, "log")
     return custom_op(out, (a,), lambda g: (g / a.data,))
 
 
 def sqrt(a: Tensor) -> Tensor:
     with np.errstate(invalid="ignore"):
         out = np.sqrt(a.data)
-    _require_finite(out, "sqrt")
+    require_finite(out, "sqrt")
     return custom_op(out, (a,), lambda g: (g * 0.5 / out,))
 
 
@@ -441,7 +449,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul batch dims disagree: {a.shape} x {b.shape}")
     out = np.matmul(a.data, b.data)
-    _require_finite(out, "matmul")
 
     def bwd(g):
         if a.ndim == 1 and b.ndim == 1:

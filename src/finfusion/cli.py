@@ -433,7 +433,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # overflow and invalid-value warnings would only repeat, on stderr,
+        # what the package's finiteness checks report as one error line
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except SchemaError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -692,8 +692,9 @@ class AlignedDataset:
             "tok_len": self.tok_len[a, t],
             "macro": self.macro_z[t],
             "graph_feats": self.graph_z[t],
+            # one static graph: a read-only view repeats it for every row
             "graph_adj": np.broadcast_to(
-                self.adjacency, (t.size,) + self.adjacency.shape).copy(),
+                self.adjacency, (t.size,) + self.adjacency.shape),
             "y": self.y_z[a, nxt],
             "y_raw": y_raw,
             "direction": np.where(y_raw < -FLAT_BAND, 0, np.where(y_raw > FLAT_BAND, 2, 1)),

@@ -160,16 +160,36 @@ def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
     return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
 
 
-def gat_layer(x: Tensor, adj: np.ndarray, params: dict, prefix: str,
+def graph_keep(adjacency: np.ndarray) -> np.ndarray:
+    """(B, N, N) attention mask of a graph-attention layer: the edges with
+    positive weight plus a self-loop on every node."""
+    adj = np.asarray(adjacency)
+    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+        raise DimensionError(f"expected (B, N, N) adjacency, got {adj.shape}")
+    return (adj > 0) | np.eye(adj.shape[1], dtype=bool)
+
+
+def require_graph_keep(keep: np.ndarray, b: int, n: int) -> np.ndarray:
+    """``keep`` as a boolean array, checked to mask ``b`` graphs of ``n``
+    nodes; a raw adjacency is rejected, since it lacks the self-loops."""
+    keep = np.asarray(keep)
+    if keep.dtype != bool:
+        raise DimensionError("graph mask must be boolean; build it with graph_keep")
+    if keep.shape != (b, n, n):
+        raise DimensionError(f"graph mask {keep.shape} does not match {b} graphs of {n} nodes")
+    return keep
+
+
+def gat_layer(x: Tensor, keep: np.ndarray, params: dict, prefix: str,
               record: dict | None = None) -> Tensor:
-    """Graph attention over (B, N, F) node states with (B, N, N) adjacency.
+    """Graph attention over (B, N, F) node states with a (B, N, N)
+    ``graph_keep`` mask.
 
     Edges are scored additively (leaky-ReLU of source + destination
     projections), normalized per node over self plus neighbors, aggregated,
-    then passed through an ELU. Self-loops are always added.
+    then passed through an ELU.
     """
     b, n, _ = x.shape
-    keep = (adj > 0) | np.eye(n, dtype=bool)[None]
     h = ad.matmul(x, params[f"{prefix}.w"])  # (B, N, d)
     src = ad.matmul(h, params[f"{prefix}.a_src"])  # (B, N)
     dst = ad.matmul(h, params[f"{prefix}.a_dst"])
@@ -271,25 +291,23 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
     return ad.matmul(ad.tanh(pre), params["macro.mlp.w2"]) + params["macro.mlp.b2"]
 
 
-def encode_graph_batch(features: np.ndarray, adjacency: np.ndarray, params: dict, cfg,
+def encode_graph_batch(features: np.ndarray, keep: np.ndarray, params: dict, cfg,
                        record: dict | None = None) -> tuple[Tensor, Tensor]:
-    """(B, N, F) node features and (B, N, N) adjacency -> node and pooled
-    embeddings, through ``cfg.graph_layers`` graph-attention layers."""
+    """(B, N, F) node features and their (B, N, N) ``graph_keep`` mask ->
+    node and pooled embeddings, through ``cfg.graph_layers`` graph-attention
+    layers."""
     feats = np.asarray(features, dtype=np.float64)
-    adj = np.asarray(adjacency, dtype=np.float64)
     if feats.ndim != 3:
         raise DimensionError(f"expected (B, N, F) features, got {feats.shape}")
     b, n, f = feats.shape
-    if adj.shape != (b, n, n):
-        raise DimensionError(f"adjacency {adj.shape} does not match features {feats.shape}")
+    keep = require_graph_keep(keep, b, n)
     if f != cfg.graph_features:
         raise DimensionError(f"graph feature width {f} != configured {cfg.graph_features}")
     x = Tensor(feats)
     for i in range(cfg.graph_layers):
         rec = {} if record is not None else None
-        x = gat_layer(x, adj, params, f"graph.layer{i}", record=rec)
+        x = gat_layer(x, keep, params, f"graph.layer{i}", record=rec)
         if record is not None:
             record[f"layer{i}.coeffs"] = rec["coeffs"]
     pooled = ad.reduce_mean(x, axis=-2)
     return x, pooled
-

@@ -191,6 +191,8 @@ def micro_forecast(z_history, k: int, params: dict, cfg) -> MicroForecast:
         nxt = ad.reshape(nxt + params["micro.feedback.b"], (1, 1, cfg.d_model))
         seq = ad.concat([seq, nxt], axis=1)
     w, m, s = weights.data[0], means.data[0], sigmas.data[0]
+    # a forward-only path: its ops do not check, so check what it returns
+    ad.require_finite(np.stack((w, m, s)), "forecast mixture")
     return MicroForecast(
         horizon=k,
         point=float(np.sum(w * m)),
@@ -274,9 +276,10 @@ def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
 # ---------------------------------------------------------------------------
 # systemic risk head
 
-def macro_risk_batch(z: Tensor, node_features: np.ndarray, adjacency: np.ndarray,
+def macro_risk_batch(z: Tensor, node_features: np.ndarray, keep: np.ndarray,
                      params: dict, cfg) -> tuple[Tensor, Tensor]:
-    """Score systemic stress from the fused state and the institution graph.
+    """Score systemic stress from the fused state and the institution graph,
+    given as its (B, N, N) ``encoders.graph_keep`` mask.
 
     Returns (score (B,), contributions (B, N)). Node features conditioned on
     z pass through graph-attention layers; per-node sigmoids are averaged and
@@ -284,20 +287,18 @@ def macro_risk_batch(z: Tensor, node_features: np.ndarray, adjacency: np.ndarray
     contribution.
     """
     feats = np.asarray(node_features, dtype=np.float64)
-    adj = np.asarray(adjacency, dtype=np.float64)
     if feats.ndim != 3:
         raise DimensionError(f"expected (B, N, F) node features, got {feats.shape}")
     b, n, f = feats.shape
     if n < 1:
         raise ContractError("empty graph")
-    if adj.shape != (b, n, n):
-        raise DimensionError("adjacency does not match node features")
+    keep = enc.require_graph_keep(keep, b, n)
     if z.shape != (b, cfg.d_model):
         raise DimensionError(f"fused state must be (B, d_model), got {z.shape}")
     h = ad.matmul(Tensor(feats), params["risk.in.w"]) + params["risk.in.b"]
     h = h + ad.reshape(z, (b, 1, cfg.d_model))
     for i in range(cfg.risk_gat_layers):
-        h = enc.gat_layer(h, adj, params, f"risk.gat{i}")
+        h = enc.gat_layer(h, keep, params, f"risk.gat{i}")
     node_logits = ad.matmul(h, params["risk.node.w"]) + params["risk.node.b"]
     contributions = ad.sigmoid(node_logits)  # (B, N)
     pooled = ad.reduce_mean(contributions, axis=-1)  # (B,)

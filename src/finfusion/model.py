@@ -110,8 +110,9 @@ def param_subset(params: dict, prefixes) -> dict:
     return chosen
 
 
-def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
-    """Run the encoders named in ``kinds`` over one assembled batch."""
+def embed_batch(batch: dict, params: dict, cfg, kinds, keep: np.ndarray) -> dict:
+    """Run the encoders named in ``kinds`` over one assembled batch whose
+    graph has the ``encoders.graph_keep`` mask ``keep``."""
     embs = {}
     if "price" in kinds:
         embs["price"] = enc.encode_price_batch(batch["price"], params, cfg)
@@ -122,7 +123,7 @@ def embed_batch(batch: dict, params: dict, cfg, kinds) -> dict:
         embs["macro"] = enc.encode_macro_batch(batch["macro"], params, cfg)
     if "graph" in kinds:
         _, embs["graph"] = enc.encode_graph_batch(
-            batch["graph_feats"], batch["graph_adj"], params, cfg)
+            batch["graph_feats"], keep, params, cfg)
     return embs
 
 
@@ -138,9 +139,13 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
     ``embs`` (kind -> embedding of each encoded modality) and
     ``fuse_weights`` always; ``mdn_*`` with the micro head, ``risk_score``
     and ``contributions`` with the risk head.
+
+    The ops inside do not check finiteness; the returned tensors are checked
+    once here, so every caller gets finite outputs or a NumericalError.
     """
     b = batch["price"].shape[0]
-    embs = embed_batch(batch, params, cfg, kinds)
+    keep = enc.graph_keep(batch["graph_adj"])
+    embs = embed_batch(batch, params, cfg, kinds, keep)
     presence = np.zeros((b, len(fus.MODALITIES)), dtype=bool)
     for ki, kind in enumerate(fus.MODALITIES):
         presence[:, ki] = kind in embs
@@ -152,5 +157,8 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
         out.update(zip(("mdn_weights", "mdn_means", "mdn_sigmas"), mixture))
     if "risk" in heads:
         out["risk_score"], out["contributions"] = task_heads.macro_risk_batch(
-            z, batch["graph_feats"], batch["graph_adj"], params, cfg)
+            z, batch["graph_feats"], keep, params, cfg)
+    for name, t in list(embs.items()) + list(out.items()):
+        if isinstance(t, Tensor):
+            ad.require_finite(t.data, f"forward output {name}")
     return out

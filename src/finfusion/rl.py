@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError
+from .errors import ContractError, DimensionError, NumericalError
 
 DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 
@@ -101,6 +101,21 @@ def policy(z, params) -> np.ndarray:
     logits = logits - logits.max()
     e = np.exp(logits)
     return e / e.sum()
+
+
+def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
+    """Draw an action index from ``probs``, as ``rng.choice(len(probs),
+    p=probs)`` does: the same single uniform draw, the same index, without
+    that call's validation overhead.
+
+    A non-finite distribution (from diverged policy weights) raises
+    NumericalError instead of sampling.
+    """
+    cdf = probs.cumsum()
+    if not math.isfinite(cdf[-1]):
+        raise NumericalError("non-finite action distribution")
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def reward(profit: float, r_sys: float, cfg: RLConfig) -> float:
@@ -248,8 +263,7 @@ def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
     if steps < 1:
         raise ContractError("no room left for a single step")
     for _ in range(steps):
-        probs = policy(state, params)
-        a_idx = int(rng.choice(len(cfg.actions), p=probs))
+        a_idx = sample_action(policy(state, params), rng)
         act = Action(cfg.actions[a_idx])
         next_state, profit, r_sys = env.env_step(act)
         states.append(state)
@@ -306,6 +320,8 @@ def reinforce_update(trajectories, params: dict, cfg: RLConfig,
     """One ascent step on the policy leaves, in place. Returns the gradient
     actually applied (useful for monitoring)."""
     grad = reinforce_gradient(trajectories, params, cfg, use_baseline)
+    for name, g in grad.items():
+        ad.require_finite(g, f"policy gradient {name}")
     for name, g in grad.items():
         params[name].data += lr * g
     return grad

@@ -1,5 +1,5 @@
-"""Loss composition, AdamW, the warmup-cosine schedule, staged training,
-and bit-exact checkpoints.
+"""Loss composition, AdamW over a flat parameter buffer, the warmup-cosine
+schedule, staged training, and bit-exact checkpoints.
 
 The training procedure runs four stages in a fixed order: single-modality
 pretraining, contrastive alignment, joint multitask training, and RL
@@ -7,6 +7,7 @@ fine-tuning of the policy head. Each stage gets a fresh optimizer and its
 own RNG stream so a seeded run is reproducible bit for bit.
 """
 
+import contextlib
 import json
 import math
 import struct
@@ -15,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
+from . import encoders as enc
 from . import fusion as fus
 from . import heads
 from . import model as model_mod
@@ -235,37 +237,95 @@ def lr_schedule(step: int, peak: float, warmup_steps: int, total_steps: int) -> 
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
+class ParamBuffer:
+    """A parameter dict's leaves packed, in sorted-name order, into one
+    float64 vector, with a gradient vector in the same layout.
+
+    Packing rebinds each leaf's ``data`` and ``grad`` to views into the two
+    vectors, so ops, ``backward`` and in-place edits of a leaf all read and
+    write the buffer. Sorted order keeps every dotted prefix (``price.``,
+    ``fusion.`` ...) one contiguous run.
+    """
+
+    def __init__(self, params: dict):
+        self.spans: dict = {}
+        offset = 0
+        for name in sorted(params):
+            self.spans[name] = (offset, offset + params[name].size)
+            offset += params[name].size
+        self.data = np.empty(offset)
+        self.grad = np.zeros(offset)
+        for name, (lo, hi) in self.spans.items():
+            leaf = params[name]
+            self.data[lo:hi] = leaf.data.ravel()
+            leaf.data = self.data[lo:hi].reshape(leaf.shape)
+            leaf.grad = self.grad[lo:hi].reshape(leaf.shape)
+
+    def runs(self, names) -> list:
+        """Contiguous [lo, hi) spans that together cover the named leaves."""
+        out = []
+        for lo, hi in sorted(self.spans[n] for n in names):
+            if out and out[-1][1] == lo:
+                out[-1] = (out[-1][0], hi)
+            else:
+                out.append((lo, hi))
+        return out
+
+
 @dataclass
 class AdamWState:
-    """First/second moments and per-parameter step counts, keyed by name."""
+    """First/second moments as vectors in a ``ParamBuffer``'s layout
+    (allocated on the first step), and per-leaf step counts keyed by name."""
 
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: dict = field(default_factory=dict)
 
 
-def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
+def adamw_step(buf: ParamBuffer, names, state: AdamWState, lr: float,
                weight_decay: float = 0.01) -> None:
-    """One decoupled-weight-decay adaptive-moment update, in place.
+    """One decoupled-weight-decay adaptive-moment update of the leaves
+    ``names`` from the gradients in ``buf.grad``, in place.
 
-    Only parameters named in ``grads`` move; weight decay is applied to
-    exactly those, keeping untouched pathways untouched.
+    Only the named leaves move; weight decay is applied to exactly those,
+    keeping untouched pathways untouched. Each contiguous run of named
+    leaves is updated with a few vector ops. A leaf's bias correction
+    follows its own step count, so a leaf that joins late starts fresh.
     """
-    for name in sorted(grads):
-        p = params[name]
-        g = np.asarray(grads[name], dtype=np.float64)
-        if g.shape != p.shape:
-            raise DimensionError(f"{name}: gradient shape {g.shape} != {p.shape}")
-        t = state.t.get(name, 0) + 1
-        state.t[name] = t
-        m = state.m.get(name, np.zeros_like(g))
-        v = state.v.get(name, np.zeros_like(g))
-        m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
-        v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g * g
-        state.m[name], state.v[name] = m, v
-        mhat = m / (1.0 - _ADAM_BETA1 ** t)
-        vhat = v / (1.0 - _ADAM_BETA2 ** t)
-        p.data -= lr * (mhat / (np.sqrt(vhat) + _ADAM_EPS) + weight_decay * p.data)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(buf.data), np.zeros_like(buf.data)
+    elif state.m.shape != buf.data.shape:
+        raise DimensionError(
+            f"optimizer state holds {state.m.size} values, the buffer {buf.data.size}")
+    # [lo, hi, t]: adjacent leaves that share a step count share a correction
+    pieces = []
+    for name in sorted(names):
+        t = state.t[name] = state.t.get(name, 0) + 1
+        lo, hi = buf.spans[name]
+        if pieces and pieces[-1][1] == lo and pieces[-1][2] == t:
+            pieces[-1][1] = hi
+        else:
+            pieces.append([lo, hi, t])
+    for lo, hi in buf.runs(names):
+        p, g = buf.data[lo:hi], buf.grad[lo:hi]
+        m, v = state.m[lo:hi], state.v[lo:hi]
+        step, denom = np.empty(hi - lo), np.empty(hi - lo)
+        m *= _ADAM_BETA1
+        m += np.multiply(g, 1.0 - _ADAM_BETA1, out=step)
+        v *= _ADAM_BETA2
+        np.multiply(g, 1.0 - _ADAM_BETA2, out=step)
+        v += np.multiply(step, g, out=step)
+        for a, b, t in pieces:
+            if lo <= a < hi:
+                np.divide(m[a - lo:b - lo], 1.0 - _ADAM_BETA1 ** t, out=step[a - lo:b - lo])
+                np.divide(v[a - lo:b - lo], 1.0 - _ADAM_BETA2 ** t, out=denom[a - lo:b - lo])
+        # p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)
+        np.sqrt(denom, out=denom)
+        denom += _ADAM_EPS
+        step /= denom
+        step += np.multiply(p, weight_decay, out=denom)
+        step *= lr
+        p -= step
 
 
 # ---------------------------------------------------------------------------
@@ -342,33 +402,25 @@ def load_checkpoint(path: str):
     return params, meta, extras
 
 
-def save_optimizer(state: AdamWState) -> tuple:
-    """(extras dict, meta fragment) for embedding optimizer state in a
-    checkpoint."""
-    extras = {}
-    for n, a in state.m.items():
-        extras[f"adamw.m.{n}"] = a
-    for n, a in state.v.items():
-        extras[f"adamw.v.{n}"] = a
-    return extras, {"adamw_t": dict(state.t)}
-
-
-def load_optimizer(extras: dict, meta: dict) -> AdamWState:
-    state = AdamWState()
-    for key, arr in extras.items():
-        if key.startswith("adamw.m."):
-            state.m[key[len("adamw.m."):]] = arr.copy()
-        elif key.startswith("adamw.v."):
-            state.v[key[len("adamw.v."):]] = arr.copy()
-    state.t = {k: int(v) for k, v in meta.get("adamw_t", {}).items()}
-    return state
-
-
 # ---------------------------------------------------------------------------
 # staged training
 
 def _chunks(items, size):
     return [items[i:i + size] for i in range(0, len(items), size)]
+
+
+@contextlib.contextmanager
+def _divergence(stage: str, step: int, caught=(NumericalError, ContractError)):
+    """Report a failure of the ``caught`` kinds inside a step as divergence.
+
+    Inputs were validated up front, so a mid-step violation of a loss's
+    contract means the numbers blew up.
+    """
+    try:
+        yield
+    except caught as e:
+        raise NumericalError(
+            f"training diverged at stage {stage}, step {step}: {e}") from e
 
 
 class TrainingRun:
@@ -401,6 +453,8 @@ class TrainingRun:
         children = ss.spawn(len(STAGES) + 1)
         self.params = model_mod.init_model_params(
             model_cfg, np.random.default_rng(children[0]))
+        self.buffer = ParamBuffer(self.params)
+        self._subsets: dict = {}
         self._stage_seed = dict(zip(STAGES, children[1:]))
         self.completed: list = []
         self.reports: list = []
@@ -409,8 +463,13 @@ class TrainingRun:
     # single optimization steps
 
     def _subset(self, kinds, extra):
-        prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
-        return model_mod.param_subset(self.params, prefixes)
+        """Names of the leaves a step moves, and their buffer runs."""
+        key = (tuple(kinds), tuple(extra))
+        if key not in self._subsets:
+            prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
+            names = sorted(model_mod.param_subset(self.params, prefixes))
+            self._subsets[key] = (names, self.buffer.runs(names))
+        return self._subsets[key]
 
     def _align_term(self, embs):
         terms = []
@@ -425,12 +484,16 @@ class TrainingRun:
         return acc * (1.0 / len(terms))
 
     def _backward_and_step(self, loss, subset, opt, lr):
-        tape = self._tape
-        for p in subset.values():
-            p.zero_grad()
-        ad.backward(loss, tape)
-        grads = {n: t.grad.copy() for n, t in subset.items()}
-        adamw_step(self.params, grads, opt, lr, self.cfg.weight_decay)
+        """Check the loss, backpropagate, check the stepped gradients, and
+        step them; the only finiteness checks a training step makes beyond
+        those of ``exp``, ``log`` and ``sqrt``."""
+        names, runs = subset
+        ad.require_finite(loss.data, "loss")
+        self.buffer.grad.fill(0.0)
+        ad.backward(loss, self._tape)
+        for lo, hi in runs:
+            ad.require_finite(self.buffer.grad[lo:hi], "gradients")
+        adamw_step(self.buffer, names, opt, lr, self.cfg.weight_decay)
 
     def _forecast_step(self, pair_batch, kinds, with_align, opt, lr):
         batch = self.dataset.batch_arrays(pair_batch)
@@ -470,7 +533,7 @@ class TrainingRun:
             self._tape = tape
             # alignment trains the encoders alone: no fusion, no heads
             embs = model_mod.embed_batch(batch, self.params, self.model_cfg,
-                                         kinds)
+                                         kinds, enc.graph_keep(batch["graph_adj"]))
             at = self._align_term(embs)
             if at is None:
                 raise ContractError("alignment stage has no usable modality pairs")
@@ -556,10 +619,12 @@ class TrainingRun:
             report = StageReport(stage, 0, {"total": []})
         elif stage == "rl-finetune":
             totals, returns = [], []
-            # only policy.* moves in this stage, so one snapshot serves it all
-            env = self._rl_env()
+            with _divergence(stage, 0, NumericalError):
+                # only policy.* moves in this stage, so one snapshot serves it all
+                env = self._rl_env()
             for _ in range(n_epochs):
-                mean_return = self._rl_epoch(env, rng)
+                with _divergence(stage, n_steps, NumericalError):
+                    mean_return = self._rl_epoch(env, rng)
                 returns.append(mean_return)
                 totals.append(-self.weights.lambda4 * mean_return)
                 n_steps += 1
@@ -585,7 +650,7 @@ class TrainingRun:
                 for task, kinds, with_align, batch in self._stage_steps(stage, rng):
                     lr = lr_schedule(step, self.cfg.peak_lr,
                                      self.cfg.warmup_steps, total_steps)
-                    try:
+                    with _divergence(stage, step):
                         if task == "forecast":
                             terms = self._forecast_step(batch, kinds, with_align,
                                                         opt, lr)
@@ -593,19 +658,14 @@ class TrainingRun:
                             terms = self._risk_step(batch, kinds, opt, lr)
                         else:
                             terms = self._align_step(batch, kinds, opt, lr)
-                    except (NumericalError, ContractError) as e:
-                        # inputs were validated up front, so a mid-step
-                        # violation means the numbers blew up
-                        raise NumericalError(
-                            f"training diverged at stage {stage}, step {step}: {e}"
-                        ) from e
                     for k, v in terms.items():
                         epoch_terms.setdefault(k, []).append(v)
                     step += 1
                 if self.cfg.rl_in_joint and stage == "joint-multitask":
-                    # the backbone moved during the epoch: snapshot it again
-                    mean_return = self._rl_epoch(self._rl_env(), rng,
-                                                 lr_scale=self.weights.lambda4)
+                    with _divergence(stage, step, NumericalError):
+                        # the backbone moved during the epoch: snapshot it again
+                        mean_return = self._rl_epoch(self._rl_env(), rng,
+                                                     lr_scale=self.weights.lambda4)
                     epoch_terms.setdefault("return", []).append(mean_return)
                     step += 1
                 for k, vals in epoch_terms.items():

@@ -8,6 +8,7 @@ checkpoint are shared across the module.
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -502,6 +503,45 @@ def test_rl_run_seed_flag_changes_outcome(work, tmp_path, capsys):
     s2 = json.loads((out2 / "summary.json").read_text())
     assert s1["seed"] == 1 and s2["seed"] == 2
     assert s1["mean_return"] != s2["mean_return"]
+
+
+def test_rl_run_on_a_diverged_policy_is_numerical_error(work, tmp_path, capsys):
+    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    # finite, but the logits overflow, so the action distribution is NaN
+    params["policy.w"].data[...] = 1e308
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    rc = cli.main(["rl-run", "--config", work["cfg"], "--checkpoint", str(bad),
+                   "--data", work["data"], "--updates", "1", "--episodes", "1",
+                   "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 4
+    assert err.splitlines() == ["error: non-finite action distribution"]
+
+
+# ---------------------------------------------------------------------------
+# non-finite model outputs
+
+@pytest.mark.parametrize("argv", [
+    ["forecast", "--asset", "0", "--date", "100", "--horizon", "3"],
+    ["report", "--date", "100"],
+    ["eval", "--split", "test"],
+], ids=["forecast", "report", "eval"])
+def test_non_finite_output_is_one_line_numerical_error(work, tmp_path, capsys,
+                                                        argv):
+    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    params["micro.out_mu.w"].data[...] = 1e308
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    with warnings.catch_warnings():
+        # a numpy overflow warning would surface as an exception here
+        warnings.simplefilter("error")
+        rc = cli.main(argv[:1] + ["--checkpoint", str(bad), "--data", work["data"]]
+                      + argv[1:])
+    err = capsys.readouterr().err
+    assert rc == 4
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: non-finite values in ")
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,8 @@ def test_token_sequence_rejects_empty(setup):
 def test_graph_rejects_mismatched_adjacency(setup):
     cfg, params = setup
     with pytest.raises(DimensionError):
-        enc.encode_graph_batch(np.zeros((1, 3, 3)), np.zeros((1, 2, 2)), params, cfg)
+        enc.encode_graph_batch(np.zeros((1, 3, 3)), enc.graph_keep(np.zeros((1, 2, 2))),
+                               params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +185,7 @@ def test_graph_isolated_node_self_coefficient(setup):
     feats = np.random.default_rng(8).normal(size=(1, 3, 3))
     adj = np.zeros((1, 3, 3))
     rec = {}
-    enc.encode_graph_batch(feats, adj, params, cfg, record=rec)
+    enc.encode_graph_batch(feats, enc.graph_keep(adj), params, cfg, record=rec)
     assert np.allclose(rec["layer0.coeffs"][0], np.eye(3))
 
 
@@ -194,7 +195,7 @@ def test_graph_coefficients_sum_to_one(setup):
     feats = rng.normal(size=(2, 4, 3))
     adj = (rng.uniform(size=(2, 4, 4)) > 0.5).astype(float)
     rec = {}
-    enc.encode_graph_batch(feats, adj, params, cfg, record=rec)
+    enc.encode_graph_batch(feats, enc.graph_keep(adj), params, cfg, record=rec)
     assert np.allclose(rec["layer0.coeffs"].sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -202,14 +203,24 @@ def test_graph_symmetric_pair_identical_embeddings(setup):
     cfg, params = setup
     f = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    nodes, _ = enc.encode_graph_batch(f[None], adj[None], params, cfg)
+    nodes, _ = enc.encode_graph_batch(f[None], enc.graph_keep(adj[None]), params, cfg)
     assert np.allclose(nodes.data[0, 0], nodes.data[0, 1], atol=1e-12)
+
+
+def test_graph_encoder_takes_a_mask_not_an_adjacency(setup):
+    cfg, params = setup
+    adj = np.ones((1, 3, 3))
+    with pytest.raises(DimensionError):
+        enc.encode_graph_batch(np.zeros((1, 3, 3)), adj, params, cfg)
+    with pytest.raises(DimensionError):
+        enc.graph_keep(np.ones((3, 3)))
 
 
 def test_graph_feature_width_mismatch(setup):
     cfg, params = setup
     with pytest.raises(DimensionError):
-        enc.encode_graph_batch(np.zeros((1, 2, 5)), np.zeros((1, 2, 2)), params, cfg)
+        enc.encode_graph_batch(np.zeros((1, 2, 5)), enc.graph_keep(np.zeros((1, 2, 2))),
+                               params, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +233,7 @@ def test_all_encoders_same_width(setup):
     t = enc.encode_text_batch(np.array([[1, 2]]), np.array([2]), params, cfg)
     m = enc.encode_macro_batch(rng.normal(size=(1, len(cfg.macro_slots))), params, cfg)
     _, g = enc.encode_graph_batch(rng.normal(size=(1, 3, 3)),
-                                  np.ones((1, 3, 3)), params, cfg)
+                                  enc.graph_keep(np.ones((1, 3, 3))), params, cfg)
     stacked = ad.concat([p, t, m, g], axis=0)
     assert stacked.shape == (4, cfg.d_model)
 
@@ -251,7 +262,7 @@ def test_encoder_end_to_end_gradients(setup, target):
         elif target.startswith("macro"):
             out = enc.encode_macro_batch(macro, params, cfg)
         else:
-            _, out = enc.encode_graph_batch(gf, adj, params, cfg)
+            _, out = enc.encode_graph_batch(gf, enc.graph_keep(adj), params, cfg)
         return reduce_sum(out * Tensor(weights))
 
     err = grad_check(f, params[target], eps=1e-5)

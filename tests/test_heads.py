@@ -10,6 +10,7 @@ from scipy.special import ndtri
 
 from finfusion import autodiff as ad
 from finfusion import datapipe as dp
+from finfusion import encoders as enc
 from finfusion import evaluate as ev
 from finfusion import heads
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
@@ -200,7 +201,7 @@ def test_risk_score_range_and_warning(setup):
         z = Tensor(rng.normal(size=(1, cfg.d_model)) * 3)
         feats = rng.normal(size=(1, 4, cfg.graph_features))
         adj = (rng.uniform(size=(1, 4, 4)) > 0.5).astype(float)
-        score, contrib = heads.macro_risk_batch(z, feats, adj, params, cfg)
+        score, contrib = heads.macro_risk_batch(z, feats, enc.graph_keep(adj), params, cfg)
         s = float(score.data[0])
         assert 0.0 <= s <= 1.0
         assert np.all((contrib.data >= 0) & (contrib.data <= 1))
@@ -228,7 +229,8 @@ def test_risk_zero_edges_equals_self_loop_only_reference(setup):
     z = Tensor(rng.normal(size=(1, cfg.d_model)))
     feats = rng.normal(size=(1, 3, cfg.graph_features))
     zero_adj = np.zeros((1, 3, 3))
-    score, contrib = heads.macro_risk_batch(z, feats, zero_adj, params, cfg)
+    score, contrib = heads.macro_risk_batch(z, feats, enc.graph_keep(zero_adj),
+                                            params, cfg)
     # reference: identity attention, so each node aggregates only itself
     h = ad.matmul(Tensor(feats), params["risk.in.w"]) + params["risk.in.b"]
     h = h + ad.reshape(z, (1, 1, cfg.d_model))
@@ -257,7 +259,7 @@ def test_risk_empty_graph_rejected(setup):
     z = Tensor(np.zeros((1, cfg.d_model)))
     with pytest.raises(ContractError):
         heads.macro_risk_batch(z, np.zeros((1, 0, cfg.graph_features)),
-                               np.zeros((1, 0, 0)), params, cfg)
+                               enc.graph_keep(np.zeros((1, 0, 0))), params, cfg)
 
 
 def test_risk_gradients(setup):
@@ -269,7 +271,7 @@ def test_risk_gradients(setup):
     adj = (rng.uniform(size=(2, 3, 3)) > 0.4).astype(float)
 
     def f(_):
-        score, _c = heads.macro_risk_batch(z, feats, adj, params, cfg)
+        score, _c = heads.macro_risk_batch(z, feats, enc.graph_keep(adj), params, cfg)
         return reduce_sum(score)
 
     for target in ("risk.in.w", "risk.gat0.w", "risk.node.w", "risk.cal.slope_raw"):

@@ -7,6 +7,8 @@ from finfusion import datapipe as dp
 from finfusion import encoders as enc
 from finfusion import fusion as fus
 from finfusion import model as fm
+from finfusion.autodiff import Tensor
+from finfusion.errors import NumericalError
 from tests.test_encoders import tiny_cfg
 
 HEAD_KEYS = {
@@ -37,7 +39,8 @@ def test_forward_batch_default_matches_hand_assembly(world):
         "price": enc.encode_price_batch(batch["price"], params, mcfg),
         "text": enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, mcfg),
         "macro": enc.encode_macro_batch(batch["macro"], params, mcfg),
-        "graph": enc.encode_graph_batch(batch["graph_feats"], batch["graph_adj"],
+        "graph": enc.encode_graph_batch(batch["graph_feats"],
+                                        enc.graph_keep(batch["graph_adj"]),
                                         params, mcfg)[1],
     }
     z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
@@ -59,3 +62,23 @@ def test_forward_batch_head_subset_matches_default(world, heads):
     assert list(part["embs"]) == list(fus.MODALITIES)
     for kind, emb in part["embs"].items():
         assert _bytes(emb) == _bytes(full["embs"][kind]), kind
+
+
+def test_adjacency_view_gives_the_same_bits_as_a_copy(world):
+    batch, mcfg, params = world
+    assert not batch["graph_adj"].flags.writeable
+    copied = dict(batch, graph_adj=batch["graph_adj"].copy())
+    assert copied["graph_adj"].flags.writeable
+    view_out = fm.forward_batch(batch, params, mcfg)
+    copy_out = fm.forward_batch(copied, params, mcfg)
+    for key in ("risk_score", "contributions", "z"):
+        assert _bytes(view_out[key]) == _bytes(copy_out[key]), key
+    assert _bytes(view_out["embs"]["graph"]) == _bytes(copy_out["embs"]["graph"])
+
+
+def test_forward_batch_rejects_non_finite_outputs(world):
+    batch, mcfg, params = world
+    poisoned = dict(params, **{"risk.node.w": Tensor(params["risk.node.w"].data)})
+    poisoned["risk.node.w"].data[...] = np.nan
+    with pytest.raises(NumericalError, match="forward output"):
+        fm.forward_batch(batch, poisoned, mcfg, heads=("risk",))

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from finfusion import datapipe as dp
+from finfusion import encoders as enc
 from finfusion import fusion as fus
 from finfusion import heads
 from finfusion import model as model_mod
 from finfusion import rl
 from finfusion.autodiff import Tensor
-from finfusion.errors import ContractError, DimensionError
+from finfusion.errors import ContractError, DimensionError, NumericalError
 
 
 def _policy_params(rng_or_values, d, n_actions):
@@ -171,6 +172,27 @@ def test_rollout_respects_horizon_and_episode_cap():
     assert len(tr2) == 10  # episode-length bound
 
 
+@pytest.mark.parametrize("n_actions", [2, 3, 5])
+def test_sampled_actions_match_rng_choice(n_actions):
+    # seeded policies from near-uniform to nearly deterministic
+    for seed in range(40):
+        r = np.random.default_rng(seed)
+        logits = r.normal(scale=(0.1, 1.0, 10.0, 40.0)[seed % 4], size=n_actions)
+        e = np.exp(logits - logits.max())
+        probs = e / e.sum()
+        mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [rl.sample_action(probs, mine) for _ in range(64)]
+        want = [int(theirs.choice(n_actions, p=probs)) for _ in range(64)]
+        assert got == want
+        # each draw used exactly one uniform, as choice does
+        assert mine.random() == theirs.random()
+
+
+def test_non_finite_action_distribution_rejected():
+    with pytest.raises(NumericalError):
+        rl.sample_action(np.array([0.5, np.nan, 0.5]), np.random.default_rng(0))
+
+
 def test_action_outside_set_rejected():
     cfg = rl.RLConfig()
     env = rl.MarketEnv(cfg, seed=7, n_steps=64)
@@ -190,6 +212,19 @@ def test_zero_advantages_leave_params_unchanged():
     trajs = [rl.Trajectory(states=np.ones((3, 2)), actions=[0, 1, 0],
                            rewards=[2.0, 2.0, 2.0])]
     rl.reinforce_update(trajs, params, cfg, lr=0.5)
+    assert np.array_equal(params["policy.w"].data, before_w)
+
+
+def test_non_finite_policy_gradient_leaves_params_unchanged():
+    cfg = rl.RLConfig(actions=(-1.0, 1.0))
+    params = _policy_params((np.ones((2, 2)), np.zeros(2)), 2, 2)
+    before_w = params["policy.w"].data.copy()
+    # finite states whose logits overflow, so the gradient is not finite
+    trajs = [rl.Trajectory(states=np.full((2, 2), 1e308), actions=[0, 1],
+                           rewards=[1.0, -1.0])]
+    with pytest.raises(NumericalError, match="policy gradient"), \
+            np.errstate(over="ignore", invalid="ignore"):
+        rl.reinforce_update(trajs, params, cfg, lr=0.5)
     assert np.array_equal(params["policy.w"].data, before_w)
 
 
@@ -349,7 +384,8 @@ def test_dataset_env_honours_modalities(tiny_world):
     for i in range(0, len(env.dates), model_mod.EVAL_BATCH):
         chunk = env.dates[i:i + model_mod.EVAL_BATCH]
         batch = ds.batch_arrays([(0, t) for t in chunk])
-        embs = model_mod.embed_batch(batch, params, mcfg, kinds)
+        embs = model_mod.embed_batch(batch, params, mcfg, kinds,
+                                     enc.graph_keep(batch["graph_adj"]))
         presence = np.zeros((len(chunk), 4), dtype=bool)
         presence[:, :2] = True  # price, text
         zs.append(fus.fuse_batch(embs, presence, params, mcfg)[0].data)
