@@ -14,11 +14,14 @@ Trading calendar: 21 days per month, 63 per quarter.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import container
 from .errors import (
     ContractError,
     DegenerateInputError,
@@ -757,41 +760,71 @@ def build_dataset_from_raw(cfg: SyntheticConfig, series: dict, raw: dict) -> Ali
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines serialization
+# JSON-lines serialization and its binary sidecar
+
+# the per-date arrays the records hold, in the sidecar's order
+RECORD_ARRAYS = ("ohlcv", "indicators", "tokens", "tok_len", "macro",
+                 "macro_present", "node_stress", "node_returns",
+                 "market_return", "regime", "returns")
+_PER_ASSET = ("ohlcv", "indicators", "tokens", "tok_len", "returns")
+_FLOATS = ("market_return", "node_stress", "node_returns", "macro", "ohlcv",
+           "indicators", "returns")
+_DATED = ("regime", "macro_present") + _FLOATS  # one JSON field each
+SIDECAR_MAGIC = b"FFDS"
+
+
+def sidecar_path(path: str) -> str:
+    """The binary sidecar that ``save_dataset`` writes next to ``path``."""
+    return os.path.splitext(path)[0] + ".bin"
+
 
 def save_dataset(ds: AlignedDataset, path: str) -> None:
     """One meta header, then one record per date in date order. The header's
     usable dates and splits are what ``finalize`` derives, for readers of the
-    file; the loader derives them again and requires them to match."""
-    with open(path, "w", encoding="utf-8") as fh:
-        meta = {
-            "type": "meta",
-            "schema_version": SCHEMA_VERSION,
-            "config": ds.config.to_dict(),
-            "vocab": ds.vocab,
-            "seq_len": int(ds.tokens.shape[2]),
-            "macro_slots": list(MACRO_SLOTS),
-            "splits": ds.splits,
-            "usable": np.flatnonzero(ds.usable).tolist(),
-            "adjacency": ds.adjacency.tolist(),
+    file; the loader derives them again and requires them to match.
+
+    The JSONL is the artifact of record. Its sidecar (``sidecar_path``)
+    holds the same record arrays in the binary container, with the sha256
+    of the JSONL bytes, so that ``load_dataset`` can skip the parse."""
+    if sidecar_path(path) == path:
+        raise ContractError(f"{path}: the sidecar would overwrite the dataset")
+    meta = {
+        "type": "meta",
+        "schema_version": SCHEMA_VERSION,
+        "config": ds.config.to_dict(),
+        "vocab": ds.vocab,
+        "seq_len": int(ds.tokens.shape[2]),
+        "macro_slots": list(MACRO_SLOTS),
+        "splits": ds.splits,
+        "usable": np.flatnonzero(ds.usable).tolist(),
+        "adjacency": ds.adjacency.tolist(),
+    }
+    lines = [json.dumps(meta, sort_keys=True)]
+    for t in range(ds.n_steps):
+        rec = {
+            "date": t,
+            "regime": int(ds.regime[t]),
+            "market_return": float(ds.market_return[t]),
+            "node_stress": ds.node_stress[t].tolist(),
+            "node_returns": ds.node_returns[t].tolist(),
+            "macro": _nan_to_none(ds.macro[t]),
+            "macro_present": ds.macro_present[t].astype(int).tolist(),
+            "ohlcv": ds.ohlcv[:, t].tolist(),
+            "indicators": [_nan_to_none(row) for row in ds.indicators[:, t]],
+            "tokens": [ds.tokens[a, t, :ds.tok_len[a, t]].tolist()
+                       for a in range(ds.n_assets)],
+            "returns": ds.returns[:, t].tolist(),
         }
-        fh.write(json.dumps(meta, sort_keys=True) + "\n")
-        for t in range(ds.n_steps):
-            rec = {
-                "date": t,
-                "regime": int(ds.regime[t]),
-                "market_return": float(ds.market_return[t]),
-                "node_stress": ds.node_stress[t].tolist(),
-                "node_returns": ds.node_returns[t].tolist(),
-                "macro": _nan_to_none(ds.macro[t]),
-                "macro_present": ds.macro_present[t].astype(int).tolist(),
-                "ohlcv": ds.ohlcv[:, t].tolist(),
-                "indicators": [_nan_to_none(row) for row in ds.indicators[:, t]],
-                "tokens": [ds.tokens[a, t, :ds.tok_len[a, t]].tolist()
-                           for a in range(ds.n_assets)],
-                "returns": ds.returns[:, t].tolist(),
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        lines.append(json.dumps(rec, sort_keys=True))
+    text = ("\n".join(lines) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    arrays = {name: getattr(ds, name) for name in RECORD_ARRAYS}
+    # the records hold each asset's first tok_len ids, so parsing pads with 0
+    arrays["tokens"] = np.where(
+        np.arange(ds.tokens.shape[2]) < ds.tok_len[..., None], ds.tokens, 0)
+    container.write(sidecar_path(path), SIDECAR_MAGIC, arrays.items(),
+                    {"source_sha256": hashlib.sha256(text).hexdigest()})
 
 
 def _nan_to_none(row: np.ndarray) -> list:
@@ -803,84 +836,57 @@ def _field(rec: dict, key: str, shape: tuple) -> np.ndarray:
     ``shape``: numpy would broadcast a short list silently."""
     try:
         x = np.asarray(rec[key], dtype=np.float64)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise SchemaError(f"{key} is not a {shape} array of numbers") from e
     if x.shape != shape:
         raise SchemaError(f"{key} has shape {x.shape}, expected {shape}")
     return x
 
 
+# what a malformed line raises while it is parsed or used
+_MALFORMED = (ValueError, KeyError, IndexError, TypeError, AttributeError,
+              OverflowError)
+
+
+def _at_line(path: str, lineno: int, e: Exception) -> SchemaError:
+    if isinstance(e, SchemaError):
+        return SchemaError(f"{path}, line {lineno}: {e}")
+    return SchemaError(f"{path}, line {lineno}: malformed record "
+                       f"({type(e).__name__}: {e})")
+
+
 def load_dataset(path: str) -> AlignedDataset:
     """Read a dataset written by ``save_dataset`` and ``finalize`` it.
 
-    SchemaError names the line and the field unless record k holds date k,
-    each field has its shape and finite values (``null`` only in indicators
-    and macro), flags are 0/1, each asset has 1..seq_len token ids from the
-    vocabulary, price bars are well formed, ``finalize`` accepts the data,
-    and the header's usable dates and splits are the ones it derives."""
-    lineno = 1
+    The meta header comes from line 1. The record arrays come from the
+    sidecar when it was written from exactly these bytes and holds exactly
+    the arrays the header implies; otherwise the records are parsed.
+    Either way, SchemaError names the line and the field unless record k
+    holds date k, each field has its shape and finite values (``null`` only
+    in indicators and macro), flags are 0/1, each asset has 1..seq_len
+    token ids from the vocabulary, price bars are well formed, ``finalize``
+    accepts the data, and the header's usable dates and splits are the ones
+    it derives."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    head, _, body = raw.partition(b"\n")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            meta = json.loads(fh.readline())
-            ds = _read_meta(meta)
-            header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
-            for name in ("train", "val", "test"):
-                header_dates[f"split {name!r} dates"] = np.asarray(
-                    meta["splits"][name], dtype=np.int64)
-            fields = {  # field: (its values with the date axis first, null allowed)
-                "regime": (ds.regime, False),
-                "market_return": (ds.market_return, False),
-                "node_stress": (ds.node_stress, False),
-                "node_returns": (ds.node_returns, False),
-                "macro": (ds.macro, True),
-                "macro_present": (ds.macro_present, False),
-                "ohlcv": (ds.ohlcv.swapaxes(0, 1), False),
-                "indicators": (ds.indicators.swapaxes(0, 1), True),
-                "returns": (ds.returns.swapaxes(0, 1), False),
-            }
-            seq_len, n_vocab = ds.tokens.shape[2], len(ds.vocab)
-            for lineno, line in enumerate(fh, start=2):
-                t = lineno - 2
-                rec = json.loads(line)
-                if rec["date"] != t:
-                    raise SchemaError(f"date {rec['date']} where date {t} belongs")
-                if rec["regime"] not in (0, 1):
-                    raise SchemaError(f"regime {rec['regime']!r} is not 0 or 1")
-                if not set(rec["macro_present"]) <= {0, 1}:
-                    raise SchemaError("macro_present holds a flag other than 0 or 1")
-                for key, (by_date, _) in fields.items():
-                    by_date[t] = _field(rec, key, by_date.shape[1:])
-                if len(rec["tokens"]) != ds.n_assets:
-                    raise SchemaError(f"tokens has {len(rec['tokens'])} lists, not {ds.n_assets}")
-                for a, ids in enumerate(rec["tokens"]):
-                    if not (1 <= len(ids) <= seq_len
-                            and all(type(i) is int and 0 <= i < n_vocab for i in ids)):
-                        raise SchemaError(
-                            f"tokens[{a}] is not 1..{seq_len} ids from 0..{n_vocab - 1}")
-                    ds.tokens[a, t, :len(ids)] = ids
-                    ds.tok_len[a, t] = len(ids)
-            if lineno - 1 != ds.n_steps:
-                raise SchemaError(f"only {lineno - 1} of {ds.n_steps} date records")
-        for key, (by_date, nullable) in fields.items():
-            bad = np.isinf(by_date) | (np.isnan(by_date) & (not nullable))
-            bad = bad.reshape(ds.n_steps, -1).any(axis=1)
-            if bad.any():
-                lineno = int(np.argmax(bad)) + 2
-                raise SchemaError(f"{key} holds a non-finite value")
-        o, h, l, c, v = np.moveaxis(ds.ohlcv, -1, 0)
-        for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
-                          (l > np.minimum(o, c), "low is above min(open, close)"),
-                          (v < 0, "volume is negative")):
-            if bad.any():
-                a, t = np.argwhere(bad)[0]
-                lineno = t + 2
-                raise SchemaError(f"date {t}, asset {a}: {what}")
-    except SchemaError as e:
-        raise SchemaError(f"{path}, line {lineno}: {e}") from e
-    except (ValueError, KeyError, IndexError, TypeError, AttributeError) as e:
-        raise SchemaError(
-            f"{path}, line {lineno}: malformed record "
-            f"({type(e).__name__}: {e})") from e
+        meta = json.loads(head)
+        ds = _read_meta(meta)
+        header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
+        for name in ("train", "val", "test"):
+            header_dates[f"split {name!r} dates"] = np.asarray(
+                meta["splits"][name], dtype=np.int64)
+    except _MALFORMED as e:
+        raise _at_line(path, 1, e) from e
+    arrays = _read_sidecar(path, raw, ds)
+    if arrays is None:
+        arrays = _parse_records(path, body, ds)
+    problem = _check_records(arrays, ds.tokens.shape[2], len(ds.vocab))
+    if problem is not None:
+        raise SchemaError(f"{path}, line {problem[0] + 2}: {problem[1]}")
+    for name in RECORD_ARRAYS:
+        setattr(ds, name, arrays[name].astype(getattr(ds, name).dtype, copy=False))
     try:
         ds.finalize()
     except ContractError as e:  # too few usable dates, constant training returns
@@ -893,6 +899,103 @@ def load_dataset(path: str) -> AlignedDataset:
             at = f" at date {stray[0]}" if stray.size else ""
             raise SchemaError(f"{path}, line 1: {what} disagree with the data{at}")
     return ds
+
+
+def _parse_records(path: str, body: bytes, ds: AlignedDataset) -> dict:
+    """The record arrays from the JSONL lines after the header, checked only
+    as far as parsing needs: date order, list lengths and integer token ids.
+    The flags stay float, as written, for ``_check_records`` to judge."""
+    arrays = {name: getattr(ds, name) for name in RECORD_ARRAYS}
+    arrays["regime"] = np.empty(ds.regime.shape)
+    arrays["macro_present"] = np.empty(ds.macro_present.shape)
+    by_date = {key: arrays[key].swapaxes(0, 1) if key in _PER_ASSET else arrays[key]
+               for key in _DATED}
+    seq_len = ds.tokens.shape[2]
+    lineno = 1
+    try:
+        for lineno, line in enumerate(body.splitlines(), start=2):
+            t = lineno - 2
+            rec = json.loads(line)
+            if rec["date"] != t:
+                raise SchemaError(f"date {rec['date']} where date {t} belongs")
+            for key, values in by_date.items():
+                values[t] = _field(rec, key, values.shape[1:])
+            if len(rec["tokens"]) != ds.n_assets:
+                raise SchemaError(f"tokens has {len(rec['tokens'])} lists, not {ds.n_assets}")
+            for a, ids in enumerate(rec["tokens"]):
+                if not all(type(i) is int for i in ids):
+                    raise SchemaError(f"tokens[{a}] holds an id that is not an integer")
+                # a list longer than seq_len keeps its length for the check
+                ds.tokens[a, t, :len(ids)] = ids[:seq_len]
+                ds.tok_len[a, t] = len(ids)
+        if lineno - 1 != ds.n_steps:
+            raise SchemaError(f"only {lineno - 1} of {ds.n_steps} date records")
+    except _MALFORMED as e:
+        raise _at_line(path, lineno, e) from e
+    return arrays
+
+
+def _read_sidecar(path: str, raw: bytes, ds: AlignedDataset):
+    """The record arrays from ``path``'s sidecar, or None unless it is an
+    intact container written from exactly the bytes ``raw`` whose arrays
+    are ``RECORD_ARRAYS`` with the dtypes and shapes ``ds`` was given."""
+    try:
+        arrays, meta = container.read(sidecar_path(path), SIDECAR_MAGIC)
+    except (OSError, SchemaError):
+        return None
+    layout = [(name, a.dtype, a.shape) for name, a in arrays.items()]
+    if (meta.get("source_sha256") != hashlib.sha256(raw).hexdigest()
+            or layout != [(name, getattr(ds, name).dtype, getattr(ds, name).shape)
+                          for name in RECORD_ARRAYS]):
+        return None
+    return arrays
+
+
+def _first(bad: np.ndarray):
+    """Index of the first True entry in date order (date axis first)."""
+    hits = np.argwhere(bad)
+    return hits[0] if len(hits) else None
+
+
+def _check_records(arrays: dict, seq_len: int, n_vocab: int):
+    """(date, problem) for the first value rule the record arrays break, or
+    None. Flags are 0/1; values are finite, except NaN (``null``) in
+    indicators and macro; each asset has 1..seq_len ids from the vocabulary
+    and zero padding after them; price bars are well formed. The same check
+    serves parsed records and the sidecar."""
+    by_date = {key: a.swapaxes(0, 1) if key in _PER_ASSET else a
+               for key, a in arrays.items()}
+    regime = by_date["regime"]
+    hit = _first((regime != 0) & (regime != 1))
+    if hit is not None:
+        return hit[0], f"regime {regime[hit[0]]:g} is not 0 or 1"
+    present = by_date["macro_present"]
+    if present.dtype == bool:  # a byte other than 0 or 1 reads as True
+        present = present.view(np.uint8)
+    hit = _first((present != 0) & (present != 1))
+    if hit is not None:
+        return hit[0], "macro_present holds a flag other than 0 or 1"
+    for key in _FLOATS:
+        values = by_date[key]
+        hit = _first(np.isinf(values) if key in ("indicators", "macro")
+                     else ~np.isfinite(values))
+        if hit is not None:
+            return hit[0], f"{key} holds a non-finite value"
+    tokens, tok_len = by_date["tokens"], by_date["tok_len"]
+    listed = np.arange(tokens.shape[-1]) < tok_len[..., None]
+    bad = (tok_len < 1) | (tok_len > seq_len) | np.where(
+        listed, (tokens < 0) | (tokens >= n_vocab), tokens != 0).any(axis=-1)
+    hit = _first(bad)
+    if hit is not None:
+        return hit[0], f"tokens[{hit[1]}] is not 1..{seq_len} ids from 0..{n_vocab - 1}"
+    o, h, l, c, v = np.moveaxis(by_date["ohlcv"], -1, 0)
+    for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
+                      (l > np.minimum(o, c), "low is above min(open, close)"),
+                      (v < 0, "volume is negative")):
+        hit = _first(bad)
+        if hit is not None:
+            return hit[0], f"date {hit[0]}, asset {hit[1]}: {what}"
+    return None
 
 
 def _read_meta(meta: dict) -> AlignedDataset:

@@ -145,54 +145,6 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # environments
 
-class MarketEnv:
-    """Single-asset synthetic market for policy rollouts.
-
-    The state exposed to the policy is a small feature vector
-    [current return, current mean stress]; profit for an action is
-    position times the realized next-step return; r_sys is the next
-    step's mean interbank stress scaled by position exposure, so a flat
-    book carries no systemic charge.
-    """
-
-    STATE_DIM = 2
-
-    def __init__(self, cfg: RLConfig, seed: int, n_steps: int = 512,
-                 synthetic_cfg=None):
-        from . import datapipe as dp
-
-        self.cfg = cfg
-        scfg = synthetic_cfg or dp.SyntheticConfig(
-            n_assets=1, n_steps=n_steps, n_institutions=4, seed=seed)
-        _, raw = dp.generate_synthetic(scfg)
-        self.returns = raw["returns"][0]
-        self.stress = raw["stress"].mean(axis=1)
-        self.t = 0
-
-    def _state(self) -> np.ndarray:
-        return np.array([self.returns[self.t], self.stress[self.t]])
-
-    @property
-    def remaining(self) -> int:
-        return self.returns.size - 1 - self.t
-
-    def reset(self, start: int = 0) -> np.ndarray:
-        if not 0 <= start < self.returns.size - 1:
-            raise ContractError("episode start out of range")
-        self.t = start
-        return self._state()
-
-    def env_step(self, action: Action):
-        action.require_in(self.cfg)
-        if self.remaining < 1:
-            raise ContractError("episode ran past the simulated horizon")
-        nxt = self.t + 1
-        profit = action.position * self.returns[nxt]
-        r_sys = abs(action.position) * self.stress[nxt]
-        self.t = nxt
-        return self._state(), profit, r_sys
-
-
 class DatasetEnv:
     """Rollout environment over an aligned dataset through a trained model.
 

@@ -8,14 +8,13 @@ own RNG stream so a seeded run is reproducible bit for bit.
 """
 
 import contextlib
-import json
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from . import container
 from . import encoders as enc
 from . import fusion as fus
 from . import heads
@@ -332,74 +331,29 @@ def adamw_step(buf: ParamBuffer, names, state: AdamWState, lr: float,
 # checkpoints
 
 CHECKPOINT_MAGIC = b"FFCP"
-CHECKPOINT_VERSION = 1
 
 
-def save_checkpoint(path: str, params: dict, meta: dict | None = None,
-                    extras: dict | None = None) -> None:
-    """Versioned header plus a flat float64 little-endian blob; byte-exact."""
-    extras = extras or {}
-    entries = [("param", n, params[n].data) for n in sorted(params)]
-    entries += [("extra", n, np.asarray(extras[n], dtype=np.float64))
-                for n in sorted(extras)]
-    header = {
-        "arrays": [{"kind": k, "name": n, "shape": list(a.shape)}
-                   for k, n, a in entries],
-        "meta": meta or {},
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for _, _, arr in entries:
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+def save_checkpoint(path: str, params: dict, meta: dict | None = None) -> None:
+    """The parameters as float64 arrays in sorted-name order, plus ``meta``,
+    in the shared binary container; byte-exact."""
+    container.write(path, CHECKPOINT_MAGIC,
+                    [(n, params[n].data) for n in sorted(params)], meta or {})
 
 
 def load_checkpoint(path: str):
-    """Returns (params dict of gradient-carrying tensors, meta, extras).
+    """Returns (params dict of gradient-carrying tensors, meta).
 
-    A file that is not exactly the header plus the arrays it describes
-    (truncated, padded, or with a corrupt header) raises SchemaError.
+    SchemaError, naming the file, unless it is exactly the container its
+    header describes, its header and arrays match their hash (version 2)
+    and every array is float64.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise SchemaError("not a checkpoint file (bad magic)")
-    if len(blob) < 16:
-        raise SchemaError(f"checkpoint truncated in its {len(blob)}-byte preamble")
-    version = struct.unpack("<I", blob[4:8])[0]
-    if version != CHECKPOINT_VERSION:
-        raise SchemaError(f"unsupported checkpoint version {version}")
-    hlen = struct.unpack("<Q", blob[8:16])[0]
-    if len(blob) < 16 + hlen:
-        raise SchemaError(
-            f"checkpoint truncated: {len(blob)} bytes, header alone needs {16 + hlen}")
-    try:
-        header = json.loads(blob[16:16 + hlen].decode("utf-8"))
-        entries = [(e["kind"], e["name"], tuple(int(d) for d in e["shape"]))
-                   for e in header["arrays"]]
-        meta = header["meta"]
-    except (ValueError, KeyError, TypeError) as e:
-        raise SchemaError(
-            f"checkpoint header is corrupt ({type(e).__name__}: {e})") from e
-    counts = [int(np.prod(shape)) if shape else 1 for _, _, shape in entries]
-    expected = 16 + hlen + 8 * sum(counts)
-    if len(blob) != expected:
-        raise SchemaError(
-            f"checkpoint is {len(blob)} bytes, its header describes {expected}")
-    offset = 16 + hlen
-    params, extras = {}, {}
-    for (kind, name, shape), count in zip(entries, counts):
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arr = arr.reshape(shape).astype(np.float64)
-        offset += count * 8
-        if kind == "param":
-            params[name] = Tensor(arr, requires_grad=True)
-        else:
-            extras[name] = arr
-    return params, meta, extras
+    arrays, meta = container.read(path, CHECKPOINT_MAGIC)
+    params = {}
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64:
+            raise SchemaError(f"{path}: parameter {name} is {arr.dtype}, not float64")
+        params[name] = Tensor(arr, requires_grad=True)
+    return params, meta
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +652,7 @@ class TrainingRun:
         Stage optimizers and RNG streams are fresh per stage, so resuming at
         a stage boundary reproduces the uninterrupted run bit for bit.
         """
-        params, meta, _ = load_checkpoint(path)
+        params, meta = load_checkpoint(path)
         if meta.get("seed") != self.seed:
             raise ContractError(
                 f"checkpoint seed {meta.get('seed')} != run seed {self.seed}")
@@ -722,7 +676,7 @@ class TrainingRun:
 
 def load_params(path: str):
     """Checkpoint -> (params, ModelConfig, meta)."""
-    params, meta, _ = load_checkpoint(path)
+    params, meta = load_checkpoint(path)
     try:
         mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
     except (KeyError, TypeError) as e:

@@ -92,9 +92,10 @@ def test_generate_is_byte_reproducible(work, tmp_path):
     out2 = tmp_path / "data2"
     assert cli.main(["generate", "--config", work["cfg"],
                      "--out", str(out2)]) == 0
-    a = (work["data_dir"] / "dataset.jsonl").read_bytes()
-    b = (out2 / "dataset.jsonl").read_bytes()
-    assert a == b
+    for name in ("dataset.jsonl", "dataset.bin"):
+        a = (work["data_dir"] / name).read_bytes()
+        b = (out2 / name).read_bytes()
+        assert a == b, name
     m1 = json.loads((work["data_dir"] / "manifest.json").read_text())
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m1["config_hash"] == m2["config_hash"]
@@ -262,7 +263,7 @@ def test_truncated_checkpoint_is_schema_error(work, tmp_path, capsys, cut):
 @pytest.mark.parametrize("model_config", [None, {"bogus": 1}])
 def test_checkpoint_without_usable_model_config_is_schema_error(
         work, tmp_path, capsys, model_config):
-    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    params, meta = tr.load_checkpoint(work["ckpt"])
     meta = dict(meta)
     if model_config is None:
         del meta["model_config"]
@@ -294,6 +295,7 @@ _RECORD_DEFECTS = {
     "token-999": (("tokens", 0, 0), 999),
     "token-minus-1": (("tokens", 0, 0), -1),
     "fractional-token": (("tokens", 0, 0), 11.5),
+    "return-beyond-float64": (("returns", 0), 10 ** 400),
     "regime-7": (("regime",), 7),
     "macro_present-2": (("macro_present", 0), 2),
 }
@@ -371,6 +373,8 @@ def test_dataset_breaking_an_invariant_is_schema_error(work, tmp_path, capsys,
                                                        defect, command):
     bad = tmp_path / "dataset.jsonl"
     _break_dataset(work["data_dir"] / "dataset.jsonl", bad, defect)
+    # the sidecar of the unedited file sits next to the edited one
+    (tmp_path / "dataset.bin").write_bytes((work["data_dir"] / "dataset.bin").read_bytes())
     argv = [command, "--checkpoint", work["ckpt"], "--data", str(bad),
             "--date", "100"]
     if command == "forecast":
@@ -395,6 +399,83 @@ def test_dataset_with_a_replaced_byte_fails_cleanly(work, tmp_path, capsys, data
         err = capsys.readouterr().err
         # 4 stays possible: a replaced digit can make a finite but absurd price
         assert rc in (0, 4, 5), err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == (0 if rc == 0 else 1)
+
+
+_QUERIES = (["forecast", "--asset", "0", "--date", "100"],
+            ["report", "--date", "100"])
+
+
+@pytest.fixture(scope="module")
+def parsed_answers(work, tmp_path_factory):
+    """stdout of each query in _QUERIES against the dataset without its
+    sidecar, so from the parsed records."""
+    plain = tmp_path_factory.mktemp("no_sidecar") / "dataset.jsonl"
+    plain.write_bytes((work["data_dir"] / "dataset.jsonl").read_bytes())
+    answers = []
+    for argv in _QUERIES:
+        out = os.path.join(str(plain.parent), "answer.txt")
+        assert cli.main(argv + ["--checkpoint", work["ckpt"], "--data", str(plain),
+                                "--out", out]) == 0
+        answers.append(open(out, encoding="utf-8").read())
+    return answers
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_sidecar_with_a_replaced_byte_changes_no_answer(work, parsed_answers,
+                                                        tmp_path, capsys, data):
+    raw = (work["data_dir"] / "dataset.bin").read_bytes()
+    offset = data.draw(st.integers(0, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[offset]))
+    (tmp_path / "dataset.bin").write_bytes(raw[:offset] + bytes([byte]) + raw[offset + 1:])
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_bytes((work["data_dir"] / "dataset.jsonl").read_bytes())
+    capsys.readouterr()
+    for argv, want in zip(_QUERIES, parsed_answers):
+        rc = cli.main(argv + ["--checkpoint", work["ckpt"], "--data", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        assert captured.err == ""
+        assert captured.out == want
+
+
+def _replace_checkpoint_byte(work, tmp_path, data, arrays_only):
+    raw = (work["run"] / "seed_0" / "checkpoint.bin").read_bytes()
+    first = 16 + int.from_bytes(raw[8:16], "little") if arrays_only else 0
+    offset = data.draw(st.integers(first, len(raw) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != raw[offset]))
+    bad = tmp_path / "checkpoint.bin"
+    bad.write_bytes(raw[:offset] + bytes([byte]) + raw[offset + 1:])
+    return str(bad)
+
+
+@seed(20261020)
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_with_a_replaced_array_byte_is_schema_error(work, tmp_path,
+                                                               capsys, data):
+    bad = _replace_checkpoint_byte(work, tmp_path, data, arrays_only=True)
+    for argv in _QUERIES:
+        rc = cli.main(argv + ["--checkpoint", bad, "--data", work["data"]])
+        line = _assert_one_line_schema_error(rc, capsys)
+        assert bad in line and "sha256" in line
+
+
+@seed(20261021)
+@settings(max_examples=30, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_checkpoint_with_a_replaced_byte_fails_cleanly(work, tmp_path, capsys, data):
+    bad = _replace_checkpoint_byte(work, tmp_path, data, arrays_only=False)
+    for argv in _QUERIES:
+        rc = cli.main(argv + ["--checkpoint", bad, "--data", work["data"]])
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 4, 5), err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == (0 if rc == 0 else 1)
 
@@ -471,7 +552,7 @@ def test_rl_run_artifacts_and_determinism(work, tmp_path, capsys):
 
 def test_rl_run_builds_one_chunked_state_table_over_its_modalities(
         work, tmp_path, capsys, monkeypatch):
-    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    params, meta = tr.load_checkpoint(work["ckpt"])
     ablated = tmp_path / "ablated.bin"
     tr.save_checkpoint(str(ablated), params,
                        meta=dict(meta, modalities=["price", "text"]))
@@ -506,7 +587,7 @@ def test_rl_run_seed_flag_changes_outcome(work, tmp_path, capsys):
 
 
 def test_rl_run_on_a_diverged_policy_is_numerical_error(work, tmp_path, capsys):
-    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    params, meta = tr.load_checkpoint(work["ckpt"])
     # finite, but the logits overflow, so the action distribution is NaN
     params["policy.w"].data[...] = 1e308
     bad = tmp_path / "checkpoint.bin"
@@ -529,7 +610,7 @@ def test_rl_run_on_a_diverged_policy_is_numerical_error(work, tmp_path, capsys):
 ], ids=["forecast", "report", "eval"])
 def test_non_finite_output_is_one_line_numerical_error(work, tmp_path, capsys,
                                                         argv):
-    params, meta, _ = tr.load_checkpoint(work["ckpt"])
+    params, meta = tr.load_checkpoint(work["ckpt"])
     params["micro.out_mu.w"].data[...] = 1e308
     bad = tmp_path / "checkpoint.bin"
     tr.save_checkpoint(str(bad), params, meta=meta)

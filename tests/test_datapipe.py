@@ -9,11 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from finfusion import container
 from finfusion import datapipe as dp
 from finfusion.errors import (
     ContractError,
     DegenerateInputError,
     InsufficientTailDataError,
+    SchemaError,
 )
 
 
@@ -498,13 +500,19 @@ def test_save_load_roundtrip(tmp_path, small_ds):
     ds = small_ds
     path = tmp_path / "ds.jsonl"
     dp.save_dataset(ds, str(path))
+    sidecar = (tmp_path / "ds.bin").read_bytes()
     back = dp.load_dataset(str(path))
-    # every array comes back with its dtype and bits, NaN pattern included
+    (tmp_path / "ds.bin").unlink()
+    parsed = dp.load_dataset(str(path))
+    # every array comes back with its dtype and bits, NaN pattern included,
+    # from the sidecar and from the parsed records alike
     for f in dataclasses.fields(dp.AlignedDataset):
-        want, got = getattr(ds, f.name), getattr(back, f.name)
+        want = getattr(ds, f.name)
         if isinstance(want, np.ndarray):
-            assert got.dtype == want.dtype, f.name
-            assert np.array_equal(got, want, equal_nan=True), f.name
+            for got in (getattr(back, f.name), getattr(parsed, f.name)):
+                assert got.dtype == want.dtype, f.name
+                assert got.shape == want.shape, f.name
+                assert got.tobytes() == want.tobytes(), f.name
     assert back.config == ds.config
     assert back.vocab == ds.vocab
     assert back.splits == ds.splits
@@ -528,10 +536,105 @@ def test_save_load_roundtrip(tmp_path, small_ds):
     b1, b2 = ds.batch_arrays(pairs), back.batch_arrays(pairs)
     assert np.array_equal(b1["price"], b2["price"])
     assert np.array_equal(b1["direction"], b2["direction"])
-    # and saving it again writes the same bytes
-    again = tmp_path / "again.jsonl"
-    dp.save_dataset(back, str(again))
-    assert again.read_bytes() == path.read_bytes()
+    # and saving either again writes the same bytes
+    for i, loaded in enumerate((back, parsed)):
+        again = tmp_path / f"again{i}.jsonl"
+        dp.save_dataset(loaded, str(again))
+        assert again.read_bytes() == path.read_bytes()
+        assert (tmp_path / f"again{i}.bin").read_bytes() == sidecar
+
+
+def test_a_fresh_sidecar_spares_the_parse(tmp_path, small_ds, monkeypatch):
+    path = tmp_path / "ds.jsonl"
+    dp.save_dataset(small_ds, str(path))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the JSONL records were parsed")
+
+    monkeypatch.setattr(dp, "_parse_records", forbidden)
+    back = dp.load_dataset(str(path))
+    assert back.returns.tobytes() == small_ds.returns.tobytes()
+    (tmp_path / "ds.bin").unlink()
+    with pytest.raises(AssertionError, match="parsed"):
+        dp.load_dataset(str(path))
+
+
+def test_save_refuses_a_path_its_sidecar_would_overwrite(tmp_path, small_ds):
+    with pytest.raises(ContractError, match="overwrite"):
+        dp.save_dataset(small_ds, str(tmp_path / "ds.bin"))
+    assert not (tmp_path / "ds.bin").exists()
+
+
+@pytest.mark.parametrize("stale", ["edited-jsonl", "truncated", "other-dataset"])
+def test_a_stale_sidecar_is_not_used(tmp_path, small_ds, stale):
+    path = tmp_path / "ds.jsonl"
+    dp.save_dataset(small_ds, str(path))
+    want = small_ds.returns.copy()
+    if stale == "edited-jsonl":
+        lines = path.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[101])
+        rec["returns"][0] = want[0, 100] = 0.0123
+        lines[101] = json.dumps(rec, sort_keys=True) + "\n"
+        path.write_text("".join(lines))
+    elif stale == "truncated":
+        raw = (tmp_path / "ds.bin").read_bytes()
+        (tmp_path / "ds.bin").write_bytes(raw[:-8])
+    else:
+        other = dp.build_dataset(dp.SyntheticConfig(n_steps=400, seed=8))
+        dp.save_dataset(other, str(tmp_path / "other.jsonl"))
+        (tmp_path / "other.bin").replace(tmp_path / "ds.bin")
+    assert dp.load_dataset(str(path)).returns.tobytes() == want.tobytes()
+
+
+def _edit_sidecar(arrays, defect):
+    """Break asset 0 of date 100 in the sidecar's arrays."""
+    if defect == "regime-7":
+        arrays["regime"][100] = 7
+    elif defect == "macro_present-byte-2":
+        arrays["macro_present"].view(np.uint8)[100, 0] = 2
+    elif defect == "nan-close":
+        arrays["ohlcv"][0, 100, 3] = np.nan
+    elif defect == "inf-indicator":
+        arrays["indicators"][0, 100, 2] = np.inf
+    elif defect == "nan-market_return":
+        arrays["market_return"][100] = np.nan
+    elif defect == "token-999":
+        arrays["tokens"][0, 100, 0] = 999
+    elif defect == "empty-token-list":
+        arrays["tok_len"][0, 100] = 0
+    elif defect == "nonzero-padding":
+        arrays["tok_len"][0, 100] = 3
+    elif defect == "high-below-open-close":
+        o, _, _, c, _ = arrays["ohlcv"][0, 100]
+        arrays["ohlcv"][0, 100, 1] = 0.99 * max(o, c)
+
+
+# defect: what the error must name
+_SIDECAR_DEFECTS = {
+    "regime-7": "line 102: regime 7 is not 0 or 1",
+    "macro_present-byte-2": "line 102: macro_present",
+    "nan-close": "line 102: ohlcv holds a non-finite value",
+    "inf-indicator": "line 102: indicators holds a non-finite value",
+    "nan-market_return": "line 102: market_return holds a non-finite value",
+    "token-999": "line 102: tokens[0]",
+    "empty-token-list": "line 102: tokens[0]",
+    "nonzero-padding": "line 102: tokens[0]",
+    "high-below-open-close": "line 102: date 100, asset 0: high",
+}
+
+
+@pytest.mark.parametrize("defect", list(_SIDECAR_DEFECTS))
+def test_sidecar_arrays_pass_the_same_value_checks(tmp_path, small_ds, defect):
+    # an intact sidecar whose values break a rule: its hashes match, so only
+    # the value check stands between it and the model
+    path = tmp_path / "ds.jsonl"
+    dp.save_dataset(small_ds, str(path))
+    arrays, meta = container.read(str(tmp_path / "ds.bin"), dp.SIDECAR_MAGIC)
+    _edit_sidecar(arrays, defect)
+    container.write(str(tmp_path / "ds.bin"), dp.SIDECAR_MAGIC, arrays.items(), meta)
+    with pytest.raises(SchemaError) as e:
+        dp.load_dataset(str(path))
+    assert _SIDECAR_DEFECTS[defect] in str(e.value)
 
 
 def test_usable_dates_matches_the_per_date_rule(small_ds):

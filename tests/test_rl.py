@@ -128,46 +128,49 @@ def test_rl_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# market environment
+# environment semantics, on the dataset environment over tiny_world
 
-def test_flat_position_earns_nothing():
+def test_flat_position_earns_nothing(tiny_world):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig()
-    env = rl.MarketEnv(cfg, seed=4, n_steps=64)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
     env.reset(0)
     _, profit, r_sys = env.env_step(rl.Action(0.0))
     assert profit == 0.0
     assert r_sys == 0.0
 
 
-def test_long_position_tracks_next_return():
+def test_long_position_tracks_next_return(tiny_world):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig()
-    env = rl.MarketEnv(cfg, seed=4, n_steps=64)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
     env.reset(10)
     _, profit, _ = env.env_step(rl.Action(1.0))
-    assert profit == env.returns[11]
+    assert profit == ds.returns[0, env.dates[10] + 1]
     env.reset(10)
     _, profit_short, _ = env.env_step(rl.Action(-1.0))
-    assert profit_short == -env.returns[11]
+    assert profit_short == -ds.returns[0, env.dates[10] + 1]
 
 
-def test_env_identical_seed_identical_trace():
+def test_env_identical_seed_identical_trace(tiny_world):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig(episode_length=16)
-    params = _policy_params((np.zeros((2, 3)), np.zeros(3)), 2, 3)
-    t1 = rl.rollout(rl.MarketEnv(cfg, seed=9, n_steps=64), params, cfg,
+    t1 = rl.rollout(rl.DatasetEnv(ds, params, mcfg, cfg), params, cfg,
                     np.random.default_rng(5))
-    t2 = rl.rollout(rl.MarketEnv(cfg, seed=9, n_steps=64), params, cfg,
+    t2 = rl.rollout(rl.DatasetEnv(ds, params, mcfg, cfg), params, cfg,
                     np.random.default_rng(5))
     assert np.array_equal(t1.rewards, t2.rewards)
     assert np.array_equal(t1.actions, t2.actions)
     assert np.array_equal(t1.states, t2.states)
 
 
-def test_rollout_respects_horizon_and_episode_cap():
+def test_rollout_respects_horizon_and_episode_cap(tiny_world):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig(episode_length=10)
-    env = rl.MarketEnv(cfg, seed=6, n_steps=64)
-    params = _policy_params((np.zeros((2, 3)), np.zeros(3)), 2, 3)
-    tr = rl.rollout(env, params, cfg, np.random.default_rng(0), start=58)
-    assert len(tr) == 63 - 58  # horizon-bound
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
+    last = len(env.dates) - 1
+    tr = rl.rollout(env, params, cfg, np.random.default_rng(0), start=last - 5)
+    assert len(tr) == 5  # horizon-bound
     tr2 = rl.rollout(env, params, cfg, np.random.default_rng(0), start=0)
     assert len(tr2) == 10  # episode-length bound
 
@@ -193,9 +196,10 @@ def test_non_finite_action_distribution_rejected():
         rl.sample_action(np.array([0.5, np.nan, 0.5]), np.random.default_rng(0))
 
 
-def test_action_outside_set_rejected():
+def test_action_outside_set_rejected(tiny_world):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig()
-    env = rl.MarketEnv(cfg, seed=7, n_steps=64)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
     env.reset(0)
     with pytest.raises(ContractError):
         env.env_step(rl.Action(2.0))
@@ -413,10 +417,10 @@ def test_dataset_env_runs_only_the_risk_head(tiny_world, monkeypatch):
     assert env.risk.tobytes() == np.concatenate(risks).tobytes()
 
 
-def test_trace_export_roundtrip(tmp_path):
+def test_trace_export_roundtrip(tiny_world, tmp_path):
+    ds, mcfg, params = tiny_world
     cfg = rl.RLConfig(episode_length=8)
-    env = rl.MarketEnv(cfg, seed=12, n_steps=64)
-    params = _policy_params((np.zeros((2, 3)), np.zeros(3)), 2, 3)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
     trajs = [rl.rollout(env, params, cfg, np.random.default_rng(i), start=0)
              for i in range(3)]
     path = tmp_path / "traces.jsonl"

@@ -1,5 +1,6 @@
 """Losses, schedule, optimizer, checkpoints, and the staged training loop."""
 
+import json
 import math
 import os
 
@@ -396,18 +397,44 @@ def _random_params(rng, spec):
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(11)
     params = _random_params(rng, {"a.w": (3, 4), "a.b": (4,), "z.scalar": ()})
-    extras = {"opt.m": rng.normal(size=(3, 4))}
     meta = {"seed": 5, "note": "round trip"}
     path = str(tmp_path / "ck.bin")
-    tr.save_checkpoint(path, params, meta=meta, extras=extras)
-    loaded, got_meta, got_extras = tr.load_checkpoint(path)
+    tr.save_checkpoint(path, params, meta=meta)
+    loaded, got_meta = tr.load_checkpoint(path)
     assert got_meta == meta
     assert set(loaded) == set(params)
     for name in params:
         assert loaded[name].data.tobytes() == params[name].data.tobytes()
         assert loaded[name].shape == params[name].shape
         assert loaded[name].requires_grad
-    assert got_extras["opt.m"].tobytes() == extras["opt.m"].tobytes()
+
+
+def test_version_1_checkpoint_still_loads(tmp_path):
+    # the version-1 layout, written by hand: a header without dtypes or a
+    # hash, each array tagged with its kind
+    rng = np.random.default_rng(3)
+    params = _random_params(rng, {"a.w": (2, 3), "b": (3,), "s": ()})
+    names = sorted(params)
+    header = json.dumps({
+        "arrays": [{"kind": "param", "name": n, "shape": list(params[n].shape)}
+                   for n in names],
+        "meta": {"seed": 1},
+    }, sort_keys=True).encode("utf-8")
+    path = tmp_path / "v1.bin"
+    path.write_bytes(b"FFCP" + (1).to_bytes(4, "little")
+                     + len(header).to_bytes(8, "little") + header
+                     + b"".join(params[n].data.astype("<f8").tobytes() for n in names))
+    loaded, meta = tr.load_checkpoint(str(path))
+    assert meta == {"seed": 1}
+    assert list(loaded) == names
+    for n in names:
+        assert loaded[n].data.tobytes() == params[n].data.tobytes()
+    # saving it again writes version 2 with the same array bytes
+    again = tmp_path / "v2.bin"
+    tr.save_checkpoint(str(again), loaded, meta=meta)
+    raw = again.read_bytes()
+    assert int.from_bytes(raw[4:8], "little") == 2
+    assert raw.endswith(path.read_bytes()[16 + len(header):])
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
