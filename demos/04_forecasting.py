@@ -34,8 +34,8 @@ print("\n== one-step forecast for asset 0 at the first test date ==")
 date = int(ds.splits["test"][0])
 batch = ds.batch_arrays([(0, date)])
 z = fm.forward_batch(batch, run.params, mcfg, heads=())["z"]
-fc = heads.micro_forecast(ad.Tensor(z.data.copy()), 1, run.params, mcfg)
-fc = ev.denormalize_forecast(fc, ds, mcfg)
+hist = ad.Tensor(z.data[:, None, :])  # (1 row, length-1 history, d_model)
+[fc] = heads.micro_forecast(hist, 1, run.params, mcfg, ds.norm)
 print(f"mixture ({mcfg.mdn_components} components, raw return units):")
 for k in range(mcfg.mdn_components):
     print(f"  w={fc.weights[k]:.3f}  mu={fc.means[k]:+.5f}  "
@@ -47,8 +47,7 @@ print(f"realized next return    {ds.y_next(0, date):+.5f}")
 
 print("\n== multi-horizon rollout (point forecast fed back in) ==")
 for k in (1, 3, 5):
-    f_k = heads.micro_forecast(ad.Tensor(z.data.copy()), k, run.params, mcfg)
-    f_k = ev.denormalize_forecast(f_k, ds, mcfg)
+    [f_k] = heads.micro_forecast(hist, k, run.params, mcfg, ds.norm)
     print(f"k={k}: point {f_k.point:+.5f}  P(up)={f_k.direction_probs[2]:.3f}")
 
 print("\n== quantile calibration on the test split ==")

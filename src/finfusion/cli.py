@@ -161,8 +161,8 @@ def cmd_forecast(args) -> int:
     kinds = tuple(meta.get("modalities", fus.MODALITIES))
     batch = ds.batch_arrays([(args.asset, args.date)])
     z = fm.forward_batch(batch, params, mcfg, kinds, heads=())["z"]
-    fc = heads.micro_forecast(Tensor(z.data.copy()), args.horizon, params, mcfg)
-    fc = ev.denormalize_forecast(fc, ds, mcfg)
+    [fc] = heads.micro_forecast(Tensor(z.data[:, None, :]), args.horizon,
+                                params, mcfg, ds.norm)
 
     quantiles = {}
     for tau in (0.1, 0.5, 0.9):
@@ -430,8 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# built once: every call of main parses with it into a fresh namespace
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     try:
         # overflow and invalid-value warnings would only repeat, on stderr,
         # what the package's finiteness checks report as one error line

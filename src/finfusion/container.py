@@ -4,11 +4,10 @@ Layout: a 4-byte magic naming what the file holds, a little-endian u32
 version, a u64 header length, a UTF-8 JSON header, then every array's
 little-endian bytes back to back in header order. The header lists each
 array's name, dtype and shape and carries the writer's ``meta`` object.
-From version 2 it also holds a sha256 over the rest of the header (as
-sorted-key JSON) followed by the array bytes, so that a changed array name,
-shape or meta value fails the check as a changed array byte does. Version
-1, which only checkpoints were written as, holds float64 arrays without a
-hash and is still read.
+It also holds a sha256 over the rest of the header (as sorted-key JSON)
+followed by the array bytes, so that a changed array name, shape or meta
+value fails the check as a changed array byte does. Only version 2 is
+read.
 """
 
 import hashlib
@@ -56,10 +55,9 @@ def _digest(header: dict, blobs) -> str:
 def read(path: str, magic: bytes) -> tuple:
     """-> (name -> array, in file order; meta).
 
-    SchemaError names ``path`` unless the file has ``magic``, a known
-    version, a well-formed header, exactly the array bytes the header
-    describes and, from version 2, a header and arrays that match their
-    sha256.
+    SchemaError names ``path`` unless the file has ``magic``, version 2, a
+    well-formed header, exactly the array bytes the header describes, and a
+    header and arrays that match their sha256.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -75,17 +73,17 @@ def _parse(blob: bytes, magic: bytes) -> tuple:
     if len(blob) < 16:
         raise SchemaError(f"truncated in its {len(blob)}-byte preamble")
     version, hlen = struct.unpack("<IQ", blob[4:16])
-    if version not in (1, VERSION):
+    if version != VERSION:
         raise SchemaError(f"unsupported container version {version}")
     start = 16 + hlen
     if len(blob) < start:
         raise SchemaError(f"truncated: {len(blob)} bytes, header alone needs {start}")
     try:
         header = json.loads(blob[16:start])
-        entries = [(e["name"], "<f8" if version == 1 else e["dtype"],
-                    tuple(int(d) for d in e["shape"])) for e in header["arrays"]]
+        entries = [(e["name"], e["dtype"], tuple(int(d) for d in e["shape"]))
+                   for e in header["arrays"]]
         meta = header["meta"]
-        digest = header["sha256"] if version > 1 else None
+        digest = header["sha256"]
     except (ValueError, KeyError, TypeError) as e:
         raise SchemaError(f"header is corrupt ({type(e).__name__}: {e})") from e
     if not isinstance(meta, dict):
@@ -100,7 +98,7 @@ def _parse(blob: bytes, magic: bytes) -> tuple:
                            for (_, dtype, _), n in zip(entries, counts))
     if len(blob) != expected:
         raise SchemaError(f"{len(blob)} bytes, its header describes {expected}")
-    if digest is not None and _digest(header, [memoryview(blob)[start:]]) != digest:
+    if _digest(header, [memoryview(blob)[start:]]) != digest:
         raise SchemaError("header or arrays fail their sha256 check")
     arrays, offset = {}, start
     for (name, dtype, shape), n in zip(entries, counts):

@@ -3,8 +3,8 @@ financial graphs, each mapped to a fixed-width embedding.
 
 All encoders are pure functions of (input, params). Params live in a flat
 dict of named leaf tensors so training stages can select subsets by prefix.
-The transformer layer here is shared by the fusion layer, and the
-graph-attention layer by the systemic-risk head.
+The transformer layer here is shared by the fusion layer and the micro
+decoder, and the graph-attention layer by the systemic-risk head.
 """
 
 from __future__ import annotations
@@ -118,12 +118,14 @@ def sinusoidal_positions(t: int, d: int) -> np.ndarray:
 
 
 def multi_head_attention(x: Tensor, params: dict, prefix: str, n_heads: int,
-                         key_mask: np.ndarray | None = None,
+                         keep: np.ndarray | None = None,
                          record: dict | None = None) -> Tensor:
     """Self-attention over axis -2 of x: (B, T, d) -> (B, T, d).
 
-    ``key_mask`` (B, T) marks positions allowed to be attended to; masked
-    logits are pushed low enough that their softmax weight underflows to 0.
+    ``keep`` is a boolean (query, key) mask that broadcasts to (B, H, T, T)
+    and marks the keys each query may attend to; ``None`` means full
+    attention. Masked logits are pushed low enough that their softmax weight
+    underflows to 0.
     """
     b, t, d = x.shape
     if d % n_heads != 0:
@@ -138,8 +140,7 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str, n_heads: int,
 
     q, k, v = proj("q"), proj("k"), proj("v")
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if key_mask is not None:
-        keep = np.asarray(key_mask, dtype=bool).reshape(b, 1, 1, t)
+    if keep is not None:
         scores = ad.masked_fill_logits(scores, np.broadcast_to(keep, scores.shape))
     attn = ad.softmax(scores, axis=-1)
     if record is not None:
@@ -150,11 +151,13 @@ def multi_head_attention(x: Tensor, params: dict, prefix: str, n_heads: int,
 
 
 def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
-                      key_mask: np.ndarray | None = None,
+                      keep: np.ndarray | None = None,
                       record: dict | None = None) -> Tensor:
-    """Pre-norm block: attention then position-wise feed-forward, residual both."""
+    """Pre-norm block: attention then position-wise feed-forward, residual
+    both. ``keep`` is the attention mask of ``multi_head_attention``: a key
+    padding mask, the presence of fused modalities, or a causal mask."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    x = x + multi_head_attention(normed, params, prefix, n_heads, key_mask, record)
+    x = x + multi_head_attention(normed, params, prefix, n_heads, keep, record)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = ad.relu(ad.matmul(normed, params[f"{prefix}.ff.w1"]) + params[f"{prefix}.ff.b1"])
     return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
@@ -256,7 +259,7 @@ def encode_text_batch(token_ids: np.ndarray, lengths: np.ndarray, params: dict, 
     for i in range(cfg.n_layers):
         rec = {} if record is not None else None
         x = transformer_layer(x, params, f"text.layer{i}", cfg.n_heads,
-                              key_mask=mask, record=rec)
+                              keep=mask[:, None, None, :], record=rec)
         if record is not None:
             record[f"layer{i}.attn"] = rec["attn"]
     if record is not None:

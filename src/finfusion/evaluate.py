@@ -145,27 +145,6 @@ def node_names(n: int) -> list:
     return [f"inst_{i:02d}" for i in range(n)]
 
 
-def denormalize_forecast(fc: heads.MicroForecast, dataset,
-                         cfg) -> heads.MicroForecast:
-    """Map a z-scored mixture forecast back to raw return units.
-
-    The affine map preserves quantiles and mixture structure; direction
-    probabilities are recomputed against the raw-unit flat band.
-    """
-    y_std, y_mean = dataset.norm["y_std"], dataset.norm["y_mean"]
-    means = fc.means * y_std + y_mean
-    sigmas = fc.sigmas * y_std
-    return heads.MicroForecast(
-        horizon=fc.horizon,
-        point=fc.point * y_std + y_mean,
-        direction_probs=heads.mixture_direction_probs(
-            fc.weights, means, sigmas, cfg.flat_band),
-        weights=fc.weights.copy(),
-        means=means,
-        sigmas=sigmas,
-    )
-
-
 def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
                       kinds=fus.MODALITIES) -> heads.PolicyBulletin:
     """Run fusion and both heads for one date and render the bulletin."""
@@ -180,12 +159,8 @@ def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
     risk = heads.SystemicRiskOutput(
         score=score, warning=bool(score >= cfg.warning_threshold),
         contributions=out["contributions"].data[0].copy())
-    z = out["z"].data
-    forecasts = []
-    for a in range(dataset.n_assets):
-        # bulletins are read-only: rows of z become constants for the head
-        hist = ad.Tensor(z[a:a + 1].copy())
-        fc = heads.micro_forecast(hist, horizon, params, cfg)
-        forecasts.append(denormalize_forecast(fc, dataset, cfg))
+    # bulletins are read-only: z becomes a constant length-1 history per asset
+    forecasts = heads.micro_forecast(ad.Tensor(out["z"].data[:, None, :]), horizon,
+                                     params, cfg, dataset.norm)
     return heads.generate_bulletin(risk, forecasts,
                                    node_names(dataset.n_institutions))

@@ -72,7 +72,7 @@ def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict, cfg,
     x = ad.stack(tokens, axis=1)  # (B, 4, d)
     x = x + ad.reshape(params["fusion.type"], (1, 4, cfg.d_model))
     x = enc.transformer_layer(x, params, "fusion.layer0", cfg.n_heads,
-                              key_mask=presence, record=record)
+                              keep=presence[:, None, None, :], record=record)
     # learned-query attention pooling over present tokens
     scores = ad.matmul(x, params["fusion.pool.q"]) * (1.0 / np.sqrt(cfg.d_model))
     scores = ad.masked_fill_logits(scores, presence)

@@ -109,25 +109,39 @@ def init_risk_params(cfg, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 # micro forecasting head
 
-def _causal_keep(t: int) -> np.ndarray:
-    return np.tril(np.ones((t, t), dtype=bool))
+def micro_head_batch(z_seq: Tensor, params: dict, cfg,
+                     k: int) -> tuple[Tensor, Tensor, Tensor]:
+    """(B, T, d) fused histories -> the mixture (weights, means, sigmas), each
+    (B, K), for the return k steps past each history.
 
-
-def micro_head_batch(z_seq: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, Tensor]:
-    """(B, T, d) fused history -> mixture (weights, means, sigmas), each (B, K).
-
-    A causally masked decoder layer runs over the history; the last position
-    parameterizes the mixture for the next step.
+    A causally masked decoder runs over the history; its last position
+    parameterizes the next step's mixture. Before each of steps 2..k, a
+    learned embedding of every row's point forecast is appended to its
+    history.
     """
+    if k < 1:
+        raise ContractError("horizon k must be >= 1")
     if z_seq.ndim != 3:
         raise DimensionError(f"expected (B, T, d) history, got {z_seq.shape}")
     b, t, d = z_seq.shape
     if t < 1:
         raise DegenerateInputError("empty fused history")
     x = z_seq
-    keep = _causal_keep(t)[None, None]  # (1, 1, T, T)
+    weights, means, sigmas = _micro_step(x, params, cfg)
+    for _ in range(k - 1):
+        point = ad.reduce_sum(weights * means, axis=-1)  # (B,)
+        nxt = ad.matmul(ad.reshape(point, (b, 1)), params["micro.feedback.w"])
+        x = ad.concat([x, ad.reshape(nxt + params["micro.feedback.b"], (b, 1, d))], axis=1)
+        weights, means, sigmas = _micro_step(x, params, cfg)
+    return weights, means, sigmas
+
+
+def _micro_step(x: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, Tensor]:
+    """One decoder pass: the mixture for the step after each history."""
+    b, t, d = x.shape
+    causal = np.tril(np.ones((t, t), dtype=bool))
     for i in range(cfg.micro_layers):
-        x = _causal_transformer_layer(x, params, f"micro.layer{i}", cfg.n_heads, keep)
+        x = enc.transformer_layer(x, params, f"micro.layer{i}", cfg.n_heads, causal)
     last = ad.reshape(ad.slice_axis(x, 1, t - 1, t), (b, d))
     logit_w = ad.matmul(last, params["micro.out_w.w"]) + params["micro.out_w.b"]
     weights = ad.softmax(logit_w, axis=-1)
@@ -135,29 +149,6 @@ def micro_head_batch(z_seq: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, 
     raw = ad.matmul(last, params["micro.out_sig.w"]) + params["micro.out_sig.b"]
     sigmas = ad.exp(raw)  # positivity by construction
     return weights, means, sigmas
-
-
-def _causal_transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
-                              keep: np.ndarray) -> Tensor:
-    """Pre-norm transformer layer with an explicit (query, key) keep mask."""
-    b, t, d = x.shape
-    dh = d // n_heads
-    normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-
-    def proj(name):
-        w, bias = params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"]
-        out = ad.matmul(normed, w) + bias
-        return ad.transpose(ad.reshape(out, (b, t, n_heads, dh)), (0, 2, 1, 3))
-
-    q, k, v = proj("q"), proj("k"), proj("v")
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    scores = ad.masked_fill_logits(scores, np.broadcast_to(keep, scores.shape))
-    attn = ad.softmax(scores, axis=-1)
-    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
-    x = x + ad.matmul(out, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
-    normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = ad.relu(ad.matmul(normed, params[f"{prefix}.ff.w1"]) + params[f"{prefix}.ff.b1"])
-    return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
 
 
 def mixture_direction_probs(weights: np.ndarray, means: np.ndarray,
@@ -172,33 +163,31 @@ def mixture_cdf_value(x, weights, means, sigmas) -> float:
     return float(np.sum(np.asarray(weights) * ndtr((x - np.asarray(means)) / np.asarray(sigmas))))
 
 
-def micro_forecast(z_history, k: int, params: dict, cfg) -> MicroForecast:
-    """Roll the decoder forward k steps, feeding each point forecast back in.
+def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list:
+    """One raw-unit ``MicroForecast`` per row of the (B, T, d) fused
+    histories ``z_seq``, k steps ahead.
 
-    ``z_history`` is a (T, d) tensor of fused states. Steps 1..k-1 append a
-    learned embedding of the predicted return to the history; the final
-    step's mixture is returned.
+    The decoder rolls every row at once (``micro_head_batch``). ``norm``
+    holds the label statistics ``y_mean`` and ``y_std``; the affine map back
+    to raw returns keeps the mixture's structure, and direction
+    probabilities are taken against the raw-unit flat band.
     """
-    if k < 1:
-        raise ContractError("horizon k must be >= 1")
-    if z_history.ndim != 2:
-        raise DimensionError(f"history must be (T, d), got {z_history.shape}")
-    seq = ad.reshape(z_history, (1,) + z_history.shape)
-    for _ in range(k):
-        weights, means, sigmas = micro_head_batch(seq, params, cfg)
-        point = ad.reduce_sum(weights * means, axis=-1)  # (1,)
-        nxt = ad.matmul(ad.reshape(point, (1, 1)), params["micro.feedback.w"])
-        nxt = ad.reshape(nxt + params["micro.feedback.b"], (1, 1, cfg.d_model))
-        seq = ad.concat([seq, nxt], axis=1)
-    w, m, s = weights.data[0], means.data[0], sigmas.data[0]
+    weights, means, sigmas = micro_head_batch(z_seq, params, cfg, k)
     # a forward-only path: its ops do not check, so check what it returns
-    ad.require_finite(np.stack((w, m, s)), "forecast mixture")
-    return MicroForecast(
-        horizon=k,
-        point=float(np.sum(w * m)),
-        direction_probs=mixture_direction_probs(w, m, s, cfg.flat_band),
-        weights=w.copy(), means=m.copy(), sigmas=s.copy(),
-    )
+    ad.require_finite(np.stack((weights.data, means.data, sigmas.data)),
+                      "forecast mixture")
+    y_std, y_mean = norm["y_std"], norm["y_mean"]
+    forecasts = []
+    for w, m, s in zip(weights.data, means.data, sigmas.data):
+        raw_means, raw_sigmas = m * y_std + y_mean, s * y_std
+        forecasts.append(MicroForecast(
+            horizon=k,
+            point=float(np.sum(w * m)) * y_std + y_mean,
+            direction_probs=mixture_direction_probs(w, raw_means, raw_sigmas,
+                                                    cfg.flat_band),
+            weights=w.copy(), means=raw_means, sigmas=raw_sigmas,
+        ))
+    return forecasts
 
 
 # ---------------------------------------------------------------------------

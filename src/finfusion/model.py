@@ -3,6 +3,7 @@ pass that training, evaluation, queries and the RL environment share."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -25,6 +26,14 @@ DEFAULT_MACRO_GROUPS = {
 # rows per chunk of a read-only backbone pass (evaluation, the RL env's state
 # table); fixed chunks bound the pass's peak memory and fix its rounding
 EVAL_BATCH = 64
+
+# integer fields of ModelConfig: those that must be positive (the graph
+# encoder's first layer maps node features to d_model, so it needs one), and
+# counts that may be 0 (d_ff 0 means 4 * d_model)
+_POSITIVE_DIMS = ("d_model", "n_heads", "vocab_size", "price_features",
+                  "macro_group_dim", "macro_hidden", "graph_features",
+                  "graph_layers", "mdn_components", "n_actions")
+_COUNTS = ("n_layers", "d_ff", "micro_layers", "risk_gat_layers")
 
 
 @dataclass
@@ -51,6 +60,11 @@ class ModelConfig:
     n_actions: int = 3
 
     def __post_init__(self):
+        for name in _POSITIVE_DIMS + _COUNTS:
+            value, least = getattr(self, name), int(name in _POSITIVE_DIMS)
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not integral or value < least:
+                raise ConfigError(f"{name}: must be an integer >= {least}, got {value!r}")
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         self.macro_slots = tuple(self.macro_slots)
@@ -66,8 +80,6 @@ class ModelConfig:
         covered = sorted(i for idx in self.macro_groups.values() for i in idx)
         if covered != list(range(len(self.macro_slots))):
             raise ConfigError("macro groups must partition the macro slots")
-        if self.mdn_components < 1:
-            raise ConfigError("mdn_components must be >= 1")
         if not 0 < self.warning_threshold < 1:
             raise ConfigError("warning_threshold must be in (0, 1)")
 
@@ -153,7 +165,7 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
     out = {"z": z, "embs": embs, "fuse_weights": fuse_weights}
     if "micro" in heads:
         mixture = task_heads.micro_head_batch(
-            ad.reshape(z, (b, 1, cfg.d_model)), params, cfg)
+            ad.reshape(z, (b, 1, cfg.d_model)), params, cfg, k=1)
         out.update(zip(("mdn_weights", "mdn_means", "mdn_sigmas"), mixture))
     if "risk" in heads:
         out["risk_score"], out["contributions"] = task_heads.macro_risk_batch(

@@ -21,7 +21,7 @@ from . import heads
 from . import model as model_mod
 from . import rl as rl_mod
 from .autodiff import Tensor
-from .errors import (ContractError, DimensionError, NumericalError,
+from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
                      ScheduleError, SchemaError)
 
 STAGES = ("unimodal-pretrain", "multimodal-align", "joint-multitask", "rl-finetune")
@@ -343,8 +343,8 @@ def save_checkpoint(path: str, params: dict, meta: dict | None = None) -> None:
 def load_checkpoint(path: str):
     """Returns (params dict of gradient-carrying tensors, meta).
 
-    SchemaError, naming the file, unless it is exactly the container its
-    header describes, its header and arrays match their hash (version 2)
+    SchemaError, naming the file, unless it is exactly the version-2
+    container its header describes, its header and arrays match their hash,
     and every array is float64.
     """
     arrays, meta = container.read(path, CHECKPOINT_MAGIC)
@@ -679,7 +679,7 @@ def load_params(path: str):
     params, meta = load_checkpoint(path)
     try:
         mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ConfigError) as e:
         raise SchemaError(
             f"checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
         ) from e

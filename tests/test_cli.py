@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import finfusion.cli as cli
 import finfusion.datapipe as dp
+import finfusion.heads as heads
 import finfusion.metrics as mx
 import finfusion.model as fm
 import finfusion.training as tr
@@ -260,7 +261,7 @@ def test_truncated_checkpoint_is_schema_error(work, tmp_path, capsys, cut):
     _assert_one_line_schema_error(rc, capsys)
 
 
-@pytest.mark.parametrize("model_config", [None, {"bogus": 1}])
+@pytest.mark.parametrize("model_config", [None, {"bogus": 1}, {"d_ff": -2}])
 def test_checkpoint_without_usable_model_config_is_schema_error(
         work, tmp_path, capsys, model_config):
     params, meta = tr.load_checkpoint(work["ckpt"])
@@ -521,6 +522,27 @@ def test_report_deterministic_text(work, capsys):
     assert "risk score:" in first
 
 
+@pytest.mark.parametrize("command", ["forecast", "report"])
+def test_a_query_rolls_the_decoder_once(work, capsys, monkeypatch, command):
+    calls = []
+    original = heads.micro_forecast
+
+    def counted(z_seq, *args, **kwargs):
+        calls.append(z_seq.shape)
+        return original(z_seq, *args, **kwargs)
+
+    monkeypatch.setattr(heads, "micro_forecast", counted)
+    argv = [command, "--checkpoint", work["ckpt"], "--data", work["data"],
+            "--date", "100", "--horizon", "3"]
+    if command == "forecast":
+        argv += ["--asset", "1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    # report forecasts every asset in one call; TINY has 2 assets
+    rows = 2 if command == "report" else 1
+    assert calls == [(rows, 1, TINY["model.d_model"])]
+
+
 def test_report_bad_date(work, capsys):
     rc = cli.main(["report", "--checkpoint", work["ckpt"],
                    "--data", work["data"], "--date", "9999"])
@@ -649,3 +671,56 @@ def test_missing_required_flag_exits_2(capsys):
         cli.main(["eval", "--data", "x.jsonl"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_the_parser_is_built_once_and_keeps_no_state(work, tmp_path, monkeypatch):
+    def forbidden():
+        raise AssertionError("main rebuilt the parser")
+
+    monkeypatch.setattr(cli, "build_parser", forbidden)
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert cli.main(["generate", "--config", work["cfg"], "--out", str(first),
+                     "--set", "synthetic.seed=7", "--set", "synthetic.n_steps=150"]) == 0
+    assert cli.main(["generate", "--config", work["cfg"], "--out", str(second)]) == 0
+    echo = json.loads((first / "config.json").read_text())
+    assert echo["synthetic.seed"] == 7 and echo["synthetic.n_steps"] == 150
+    # no --set left over from the first call: the defaults, as the fixture had
+    assert ((second / "config.json").read_bytes()
+            == (work["data_dir"] / "config.json").read_bytes())
+    assert ((second / "dataset.jsonl").read_bytes()
+            == (work["data_dir"] / "dataset.jsonl").read_bytes())
+
+
+# every integer dimension and count of the model: negative is never valid,
+# zero is not a valid width, and the graph encoder needs one layer
+_BAD_DIMS = ([(f, -2) for f in ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size",
+                                "price_features", "macro_group_dim", "macro_hidden",
+                                "graph_features", "graph_layers", "mdn_components",
+                                "micro_layers", "risk_gat_layers", "n_actions")]
+             + [(f, 0) for f in ("d_model", "price_features", "graph_features",
+                                 "macro_group_dim", "macro_hidden", "n_actions",
+                                 "graph_layers")]
+             + [("d_model", 2.5), ("n_layers", True)])
+
+
+@pytest.mark.parametrize("field,value", _BAD_DIMS)
+def test_bad_model_dimension_is_config_error(work, tmp_path, capsys, field, value):
+    rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                   "--out", str(tmp_path / "run"),
+                   "--set", f"model.{field}={json.dumps(value)}"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: model: {field}: must be an integer >= ")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("field", ["n_layers", "micro_layers", "risk_gat_layers", "d_ff"])
+def test_zero_counts_still_train(work, tmp_path, field):
+    assert cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                     "--out", str(tmp_path / "run"), "--set", f"model.{field}=0"]) == 0
+    echo = json.loads((tmp_path / "run" / "config.json").read_text())
+    # d_ff 0 means 4 * d_model
+    want = 4 * TINY["model.d_model"] if field == "d_ff" else 0
+    assert echo[f"model.{field}"] == want

@@ -29,19 +29,23 @@ def setup():
 # ---------------------------------------------------------------------------
 # micro forecast head
 
+# z-scored labels read as raw returns: the forecast keeps the head's units
+UNIT_NORM = {"y_mean": 0.0, "y_std": 1.0}
+
+
 def test_single_component_point_equals_mean():
     cfg = tiny_cfg(mdn_components=1)
     params = init_model_params(cfg, np.random.default_rng(0))
-    hist = Tensor(np.random.default_rng(1).normal(size=(2, cfg.d_model)))
-    f = heads.micro_forecast(hist, 1, params, cfg)
+    hist = Tensor(np.random.default_rng(1).normal(size=(1, 2, cfg.d_model)))
+    [f] = heads.micro_forecast(hist, 1, params, cfg, UNIT_NORM)
     assert f.weights.shape == (1,)
     assert f.point == pytest.approx(f.means[0], abs=1e-12)
 
 
 def test_direction_probs_sum_to_one(setup):
     cfg, params = setup
-    hist = Tensor(np.random.default_rng(2).normal(size=(3, cfg.d_model)))
-    f = heads.micro_forecast(hist, 1, params, cfg)
+    hist = Tensor(np.random.default_rng(2).normal(size=(1, 3, cfg.d_model)))
+    [f] = heads.micro_forecast(hist, 1, params, cfg, UNIT_NORM)
     assert f.direction_probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(f.direction_probs >= 0)
 
@@ -49,26 +53,64 @@ def test_direction_probs_sum_to_one(setup):
 def test_two_step_roll_equals_manual_feedback(setup):
     cfg, params = setup
     rng = np.random.default_rng(3)
-    hist = rng.normal(size=(2, cfg.d_model))
-    f2 = heads.micro_forecast(Tensor(hist), 2, params, cfg)
+    hist = rng.normal(size=(1, 2, cfg.d_model))
+    [f2] = heads.micro_forecast(Tensor(hist), 2, params, cfg, UNIT_NORM)
     # manual roll: forecast once, embed the point value, append, forecast again
-    f1 = heads.micro_forecast(Tensor(hist), 1, params, cfg)
+    [f1] = heads.micro_forecast(Tensor(hist), 1, params, cfg, UNIT_NORM)
     fb_w = params["micro.feedback.w"].data
     fb_b = params["micro.feedback.b"].data
     pseudo = np.array([f1.point]) @ fb_w + fb_b
-    extended = np.concatenate([hist, pseudo[None, :][0:1]], axis=0)
-    f2_manual = heads.micro_forecast(Tensor(extended), 1, params, cfg)
+    extended = np.concatenate([hist, pseudo[None, None, :]], axis=1)
+    [f2_manual] = heads.micro_forecast(Tensor(extended), 1, params, cfg, UNIT_NORM)
     assert f2.point == pytest.approx(f2_manual.point, abs=1e-12)
     assert np.allclose(f2.means, f2_manual.means, atol=1e-12)
 
 
 def test_horizon_validation(setup):
     cfg, params = setup
-    hist = Tensor(np.zeros((1, cfg.d_model)))
+    hist = Tensor(np.zeros((1, 1, cfg.d_model)))
     with pytest.raises(ContractError):
-        heads.micro_forecast(hist, 0, params, cfg)
+        heads.micro_forecast(hist, 0, params, cfg, UNIT_NORM)
     with pytest.raises(DegenerateInputError):
-        heads.micro_forecast(Tensor(np.zeros((0, cfg.d_model))), 1, params, cfg)
+        heads.micro_forecast(Tensor(np.zeros((1, 0, cfg.d_model))), 1, params, cfg,
+                             UNIT_NORM)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_batched_forecast_equals_one_row_calls(setup, k):
+    cfg, params = setup
+    hist = np.random.default_rng(10 + k).normal(size=(4, 3, cfg.d_model))
+    norm = {"y_mean": 0.002, "y_std": 0.013}
+    batched = heads.micro_forecast(Tensor(hist), k, params, cfg, norm)
+    assert len(batched) == len(hist)
+    for row, fb in zip(hist, batched):
+        [fr] = heads.micro_forecast(Tensor(row[None]), k, params, cfg, norm)
+        assert fb.horizon == fr.horizon == k
+        assert fb.point == pytest.approx(fr.point, rel=1e-12, abs=1e-15)
+        for name in ("direction_probs", "weights", "means", "sigmas"):
+            np.testing.assert_allclose(getattr(fb, name), getattr(fr, name),
+                                       rtol=1e-12, atol=1e-15)
+
+
+def test_forecast_is_in_raw_return_units(setup):
+    # the affine map from z-scored to raw returns, applied to the head's
+    # mixture: it keeps the weights and recomputes direction probabilities
+    # against the raw-unit flat band
+    cfg, params = setup
+    hist = Tensor(np.random.default_rng(6).normal(size=(2, 2, cfg.d_model)))
+    norm = {"y_mean": 0.002, "y_std": 0.013}
+    unit = heads.micro_forecast(hist, 3, params, cfg, UNIT_NORM)
+    raw = heads.micro_forecast(hist, 3, params, cfg, norm)
+    for fu, fr in zip(unit, raw):
+        means = fu.means * norm["y_std"] + norm["y_mean"]
+        sigmas = fu.sigmas * norm["y_std"]
+        assert fr.point == fu.point * norm["y_std"] + norm["y_mean"]
+        assert fr.weights.tobytes() == fu.weights.tobytes()
+        assert fr.means.tobytes() == means.tobytes()
+        assert fr.sigmas.tobytes() == sigmas.tobytes()
+        expected = heads.mixture_direction_probs(fu.weights, means, sigmas,
+                                                 cfg.flat_band)
+        assert fr.direction_probs.tobytes() == expected.tobytes()
 
 
 def test_micro_head_batch_gradients(setup):
@@ -78,13 +120,63 @@ def test_micro_head_batch_gradients(setup):
     z = rng.normal(size=(2, 3, cfg.d_model))
     y = rng.normal(size=2)
 
-    def f(_):
-        w, m, s = heads.micro_head_batch(Tensor(z), params, cfg)
-        return heads.mdn_nll_batch(w, m, s, y)
+    def loss(k):
+        def f(_):
+            w, m, s = heads.micro_head_batch(Tensor(z), params, cfg, k)
+            return heads.mdn_nll_batch(w, m, s, y)
+        return f
 
     for target in ("micro.out_mu.w", "micro.out_sig.w", "micro.out_w.w",
                    "micro.layer0.wv"):
-        assert grad_check(f, params[target], eps=1e-5) < 1e-4, target
+        assert grad_check(loss(1), params[target], eps=1e-5) < 1e-4, target
+    # a rollout reaches the feedback embedding and the causal attention
+    for target in ("micro.feedback.w", "micro.layer0.wq", "micro.out_mu.w"):
+        assert grad_check(loss(3), params[target], eps=1e-5) < 1e-4, target
+
+
+def _causal_transformer_layer(x, params, prefix, n_heads, keep):
+    """The micro decoder's former private layer, kept as a reference: it adds
+    the attention output as (x + m) + b, the shared layer as x + (m + b)."""
+    b, t, d = x.shape
+    dh = d // n_heads
+    normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
+
+    def proj(name):
+        w, bias = params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"]
+        out = ad.matmul(normed, w) + bias
+        return ad.transpose(ad.reshape(out, (b, t, n_heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = proj("q"), proj("k"), proj("v")
+    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    scores = ad.masked_fill_logits(scores, np.broadcast_to(keep, scores.shape))
+    attn = ad.softmax(scores, axis=-1)
+    out = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (b, t, d))
+    x = x + ad.matmul(out, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+    normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
+    h = ad.relu(ad.matmul(normed, params[f"{prefix}.ff.w1"]) + params[f"{prefix}.ff.b1"])
+    return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
+
+
+@pytest.mark.parametrize("t", [1, 2, 5])
+def test_shared_layer_under_a_causal_mask_matches_the_reference(t):
+    cfg = tiny_cfg()
+    params = init_model_params(cfg, np.random.default_rng(7))
+    # nonzero biases, so the order of the residual additions is exercised
+    rng = np.random.default_rng(8)
+    for name in ("bq", "bk", "bv", "bo", "ff.b1", "ff.b2"):
+        leaf = params[f"micro.layer0.{name}"]
+        leaf.data[...] = rng.normal(scale=0.5, size=leaf.shape)
+    x = Tensor(rng.normal(size=(3, t, cfg.d_model)))
+    causal = np.tril(np.ones((t, t), dtype=bool))
+    got = enc.transformer_layer(x, params, "micro.layer0", cfg.n_heads, causal)
+    want = _causal_transformer_layer(x, params, "micro.layer0", cfg.n_heads, causal)
+    np.testing.assert_allclose(got.data, want.data, rtol=1e-12, atol=1e-12)
+    # the causal mask hides the future: changing the last step moves only it
+    later = x.data.copy()
+    later[:, -1] += 1.0
+    moved = enc.transformer_layer(Tensor(later), params, "micro.layer0", cfg.n_heads,
+                                  causal)
+    assert moved.data[:, :-1].tobytes() == got.data[:, :-1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from scipy import optimize, stats
 
 import finfusion.autodiff as ad
+import finfusion.cli as cli
 import finfusion.datapipe as dp
 import finfusion.fusion as fus
 import finfusion.model as fm
@@ -409,7 +410,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
         assert loaded[name].requires_grad
 
 
-def test_version_1_checkpoint_still_loads(tmp_path):
+def test_version_1_checkpoint_is_schema_error(tmp_path, world, capsys):
     # the version-1 layout, written by hand: a header without dtypes or a
     # hash, each array tagged with its kind
     rng = np.random.default_rng(3)
@@ -424,17 +425,20 @@ def test_version_1_checkpoint_still_loads(tmp_path):
     path.write_bytes(b"FFCP" + (1).to_bytes(4, "little")
                      + len(header).to_bytes(8, "little") + header
                      + b"".join(params[n].data.astype("<f8").tobytes() for n in names))
-    loaded, meta = tr.load_checkpoint(str(path))
-    assert meta == {"seed": 1}
-    assert list(loaded) == names
-    for n in names:
-        assert loaded[n].data.tobytes() == params[n].data.tobytes()
-    # saving it again writes version 2 with the same array bytes
-    again = tmp_path / "v2.bin"
-    tr.save_checkpoint(str(again), loaded, meta=meta)
-    raw = again.read_bytes()
-    assert int.from_bytes(raw[4:8], "little") == 2
-    assert raw.endswith(path.read_bytes()[16 + len(header):])
+    with pytest.raises(SchemaError, match="unsupported container version 1"):
+        tr.load_checkpoint(str(path))
+    ds, _ = world
+    data = str(tmp_path / "dataset.jsonl")
+    dp.save_dataset(ds, data)
+    date = str(ds.splits["test"][0])
+    common = ["--checkpoint", str(path), "--data", data]
+    for argv in (["forecast", *common, "--asset", "0", "--date", date],
+                 ["report", *common, "--date", date],
+                 ["eval", *common]):
+        assert cli.main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: unsupported container version 1\n"
 
 
 def test_checkpoint_save_is_deterministic(tmp_path):
