@@ -29,11 +29,7 @@ tcfg = tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5, episodes_per_epoch=2)
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 3, "rl-finetune": 2})
 
-print("== loss terms active per stage ==")
-for stage in tr.STAGES:
-    print(f"{stage:20s} {sched.active[stage]}")
-
-print("\n== learning rate: warmup, cosine, floor ==")
+print("== learning rate: warmup, cosine, floor ==")
 lrs = [tr.lr_schedule(s, 1e-3, 5, 40) for s in (0, 3, 5, 20, 39, 60)]
 print("steps 0/3/5/20/39/60:", " ".join(f"{v:.2e}" for v in lrs))
 
@@ -45,6 +41,7 @@ for stage in tr.STAGES:
     tot = rep.losses["total"]
     span = f"{tot[0]:8.4f} -> {tot[-1]:8.4f}" if tot else "   (no epochs)"
     print(f"{stage:20s} {rep.epochs} epochs, {rep.n_steps:3d} steps   {span}")
+    print(f"{'':20s} logged: {', '.join(sorted(rep.losses))}")
     if stage == "multimodal-align":
         run_a.save(ckpt)   # boundary checkpoint: two stages done, two to go
 

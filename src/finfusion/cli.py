@@ -199,17 +199,11 @@ def cmd_rl_run(args) -> int:
     env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split,
                          kinds=kinds)
     rng = np.random.default_rng(seed)
-    horizon = len(env.dates) - 1
-    span = max(1, horizon - cfg.rl.episode_length)
-    curve = []
-    trajs = []
+    curve, trajs = [], []
     for _ in range(args.updates):
-        trajs = [frl.rollout(env, params, cfg.rl, rng,
-                             start=int(rng.integers(0, span)))
-                 for _ in range(args.episodes)]
-        frl.reinforce_update(trajs, params, cfg.rl, cfg.training.rl_lr)
-        curve.append(float(np.mean([frl.discounted_return(t, cfg.rl.gamma)
-                                    for t in trajs])))
+        trajs, mean_return = frl.policy_epoch(env, params, cfg.rl, rng,
+                                              args.episodes, cfg.training.rl_lr)
+        curve.append(mean_return)
     os.makedirs(args.out, exist_ok=True)
     frl.export_traces(trajs, os.path.join(args.out, "traces.jsonl"), cfg.rl)
     summary = {

@@ -10,6 +10,7 @@ echoed back out as deterministic JSON, and its hash identifies a run.
 import dataclasses
 import hashlib
 import json
+import math
 
 from . import datapipe as dp
 from . import fusion as fus
@@ -39,6 +40,13 @@ def _tupled(v):
     if isinstance(v, dict):
         return {k: _tupled(x) for k, x in v.items()}
     return v
+
+
+def _nonfinite(v) -> bool:
+    """True when ``v`` holds a NaN or an infinity (``NaN``, ``1e999``) at any depth."""
+    if isinstance(v, (tuple, dict)):
+        return any(map(_nonfinite, v.values() if isinstance(v, dict) else v))
+    return isinstance(v, float) and not math.isfinite(v)
 
 
 def _jsonable(v):
@@ -77,6 +85,8 @@ class RunConfig:
         }
         for key in sorted(flat):
             value = _tupled(flat[key])
+            if _nonfinite(value):
+                raise ConfigError(f"{key}: must be finite, not NaN or infinity")
             if key == "out_dir":
                 if not isinstance(value, str) or not value:
                     raise ConfigError("out_dir: must be a nonempty string")

@@ -82,7 +82,7 @@ def evaluate_split(dataset, params, cfg, split: str,
         mx.directional_accuracy, pred, true, cfg.flat_band)
     mape = _maybe(mx.mape_with_exclusions, true, pred)
     out["micro.mape"] = mape[0] if mape is not None else None
-    out["micro.hit_ratio"] = mx.hit_ratio(pred, true, cfg.flat_band)
+    out["micro.hit_ratio"] = mx.hit_ratio(true, pred, cfg.flat_band)
 
     risk = predict_risk(dataset, params, cfg, split, kinds)
     node_scores = risk["contributions"].reshape(-1)

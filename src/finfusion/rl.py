@@ -267,16 +267,27 @@ def reinforce_gradient(trajectories, params: dict, cfg: RLConfig,
     return {"policy.w": -w.grad.copy(), "policy.b": -b.grad.copy()}
 
 
-def reinforce_update(trajectories, params: dict, cfg: RLConfig,
-                     lr: float, use_baseline: bool = True) -> dict:
+def reinforce_update(trajectories, params: dict, cfg: RLConfig, lr: float) -> dict:
     """One ascent step on the policy leaves, in place. Returns the gradient
     actually applied (useful for monitoring)."""
-    grad = reinforce_gradient(trajectories, params, cfg, use_baseline)
+    grad = reinforce_gradient(trajectories, params, cfg)
     for name, g in grad.items():
         ad.require_finite(g, f"policy gradient {name}")
     for name, g in grad.items():
         params[name].data += lr * g
     return grad
+
+
+def policy_epoch(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
+                 episodes: int, lr: float):
+    """``episodes`` rollouts from random starts in ``env``, then one
+    ``reinforce_update`` over them. Returns (trajectories, their mean
+    discounted return)."""
+    span = max(1, len(env.dates) - 1 - cfg.episode_length)
+    trajs = [rollout(env, params, cfg, rng, start=int(rng.integers(0, span)))
+             for _ in range(episodes)]
+    reinforce_update(trajs, params, cfg, lr)
+    return trajs, float(np.mean([discounted_return(t, cfg.gamma) for t in trajs]))
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,6 @@ from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
 
 STAGES = ("unimodal-pretrain", "multimodal-align", "joint-multitask", "rl-finetune")
 
-# loss terms each stage optimizes
-DEFAULT_ACTIVE = {
-    "unimodal-pretrain": ("forecast", "risk"),
-    "multimodal-align": ("align",),
-    "joint-multitask": ("forecast", "risk", "align"),
-    "rl-finetune": ("rl",),
-}
-
 # split of the headline 80 epochs across the stages
 DEFAULT_STAGE_EPOCHS = {
     "unimodal-pretrain": 20,
@@ -43,6 +35,8 @@ DEFAULT_STAGE_EPOCHS = {
 }
 
 _KIND_PREFIX = {"price": "price.", "text": "text.", "macro": "macro.", "graph": "graph."}
+# the head each task's step trains, with fusion; align trains the encoders alone
+_TASK_HEAD = {"forecast": "micro", "risk": "risk", "align": None}
 _ADAM_BETA1, _ADAM_BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 _BCE_EPS = 1e-12
 
@@ -79,7 +73,6 @@ class ForecastLossConfig:
 
 @dataclass
 class TrainingConfig:
-    epochs: int = 80
     micro_batch_size: int = 32
     macro_batch_size: int = 16
     peak_lr: float = 1e-3
@@ -88,18 +81,19 @@ class TrainingConfig:
     seeds: tuple = (0, 1, 2, 3, 4)
     rl_lr: float = 0.05
     episodes_per_epoch: int = 8
-    # False runs RL as the final stage only; True also folds policy updates
-    # (scaled by lambda4) into the joint stage
-    rl_in_joint: bool = False
 
     def __post_init__(self):
         self.seeds = tuple(int(s) for s in self.seeds)
         if self.micro_batch_size < 1 or self.macro_batch_size < 1:
             raise ContractError("batch sizes must be >= 1")
-        if self.epochs < 0:
-            raise ContractError("epochs must be >= 0")
         if self.peak_lr <= 0:
             raise ContractError("peak_lr must be positive")
+        if self.rl_lr <= 0:
+            raise ContractError("rl_lr must be positive")
+        if self.weight_decay < 0:
+            raise ContractError("weight_decay must be >= 0")
+        if self.episodes_per_epoch < 1:
+            raise ContractError("episodes_per_epoch must be >= 1")
         if self.warmup_steps < 0:
             raise ContractError("warmup_steps must be >= 0")
         if not self.seeds:
@@ -109,18 +103,14 @@ class TrainingConfig:
 @dataclass
 class StageSchedule:
     epochs: dict = field(default_factory=lambda: dict(DEFAULT_STAGE_EPOCHS))
-    active: dict = field(default_factory=lambda: dict(DEFAULT_ACTIVE))
 
     def __post_init__(self):
-        if set(self.epochs) != set(STAGES) or set(self.active) != set(STAGES):
+        if set(self.epochs) != set(STAGES):
             raise ContractError(f"schedule must cover exactly the stages {STAGES}")
         for s in STAGES:
             if int(self.epochs[s]) < 0:
                 raise ContractError("stage epoch counts must be >= 0")
             self.epochs[s] = int(self.epochs[s])
-            self.active[s] = tuple(self.active[s])
-            if not self.active[s]:
-                raise ContractError(f"stage {s} must activate at least one loss term")
 
 
 @dataclass
@@ -426,100 +416,71 @@ class TrainingRun:
         return self._subsets[key]
 
     def _align_term(self, embs):
-        terms = []
-        for a, b in self.align_cfg.pairs:
-            if a in embs and b in embs:
-                terms.append(fus.align_loss(embs[a], embs[b], self.align_cfg))
-        if not terms:
-            return None
-        acc = terms[0]
-        for t in terms[1:]:
-            acc = acc + t
-        return acc * (1.0 / len(terms))
+        """Mean alignment loss over the configured pairs present in ``embs``;
+        None when no pair is."""
+        terms = [fus.align_loss(embs[a], embs[b], self.align_cfg)
+                 for a, b in self.align_cfg.pairs if a in embs and b in embs]
+        return sum(terms[1:], terms[0]) * (1.0 / len(terms)) if terms else None
 
-    def _backward_and_step(self, loss, subset, opt, lr):
-        """Check the loss, backpropagate, check the stepped gradients, and
-        step them; the only finiteness checks a training step makes beyond
-        those of ``exp``, ``log`` and ``sqrt``."""
-        names, runs = subset
-        ad.require_finite(loss.data, "loss")
-        self.buffer.grad.fill(0.0)
-        ad.backward(loss, self._tape)
-        for lo, hi in runs:
-            ad.require_finite(self.buffer.grad[lo:hi], "gradients")
-        adamw_step(self.buffer, names, opt, lr, self.cfg.weight_decay)
+    def _step(self, task, kinds, with_align, pairs, opt, lr):
+        """One optimizer step of ``task`` ("forecast", "risk" or "align") on
+        the rows ``pairs``, fusing the modalities ``kinds``; ``with_align``
+        adds the alignment term. Returns each loss term and the total.
 
-    def _forecast_step(self, pair_batch, kinds, with_align, opt, lr):
-        batch = self.dataset.batch_arrays(pair_batch)
-        subset = self._subset(kinds, ("fusion.", "micro."))
+        The loss and the stepped gradients are the only finiteness checks a
+        step makes beyond those of ``exp``, ``log`` and ``sqrt``.
+        """
+        batch = self.dataset.batch_arrays(pairs)
+        head = _TASK_HEAD[task]
+        names, runs = self._subset(kinds, ("fusion.", f"{head}.") if head else ())
         with ad.Tape() as tape:
-            self._tape = tape
-            out = model_mod.forward_batch(batch, self.params, self.model_cfg,
-                                          kinds, heads=("micro",))
-            comps = {"forecast": forecast_loss(
-                batch["y"], out["mdn_weights"], out["mdn_means"],
-                out["mdn_sigmas"], self.forecast_cfg)}
+            comps = {}
+            if head is None:
+                embs = model_mod.embed_batch(batch, self.params, self.model_cfg,
+                                             kinds, enc.graph_keep(batch["graph_adj"]))
+            else:
+                out = model_mod.forward_batch(batch, self.params, self.model_cfg,
+                                              kinds, heads=(head,))
+                embs = out["embs"]
+                if task == "forecast":
+                    comps["forecast"] = forecast_loss(
+                        batch["y"], out["mdn_weights"], out["mdn_means"],
+                        out["mdn_sigmas"], self.forecast_cfg)
+                else:
+                    comps["risk"] = risk_loss(out["risk_score"], batch["crisis_next"],
+                                              batch["stress_next"])
             if with_align:
-                at = self._align_term(out["embs"])
+                at = self._align_term(embs)
                 if at is not None:
                     comps["align"] = at
-            loss = total_loss(comps, self.weights)
-            self._backward_and_step(loss, subset, opt, lr)
-        return {k: float(v.data) for k, v in comps.items()} | {"total": float(loss.data)}
-
-    def _risk_step(self, pair_batch, kinds, opt, lr):
-        batch = self.dataset.batch_arrays(pair_batch)
-        subset = self._subset(kinds, ("fusion.", "risk."))
-        with ad.Tape() as tape:
-            self._tape = tape
-            out = model_mod.forward_batch(batch, self.params, self.model_cfg,
-                                          kinds, heads=("risk",))
-            comps = {"risk": risk_loss(out["risk_score"], batch["crisis_next"],
-                                       batch["stress_next"])}
-            loss = total_loss(comps, self.weights)
-            self._backward_and_step(loss, subset, opt, lr)
-        return {"risk": float(comps["risk"].data), "total": float(loss.data)}
-
-    def _align_step(self, pair_batch, kinds, opt, lr):
-        batch = self.dataset.batch_arrays(pair_batch)
-        subset = self._subset(kinds, ())
-        with ad.Tape() as tape:
-            self._tape = tape
-            # alignment trains the encoders alone: no fusion, no heads
-            embs = model_mod.embed_batch(batch, self.params, self.model_cfg,
-                                         kinds, enc.graph_keep(batch["graph_adj"]))
-            at = self._align_term(embs)
-            if at is None:
+            if not comps:
                 raise ContractError("alignment stage has no usable modality pairs")
-            loss = total_loss({"align": at}, self.weights)
-            self._backward_and_step(loss, subset, opt, lr)
-        return {"align": float(at.data), "total": float(loss.data)}
-
-    def _rl_env(self):
-        """An env over the train split that snapshots the current backbone."""
-        return rl_mod.DatasetEnv(self.dataset, self.params, self.model_cfg,
-                                 self.rl_cfg, split="train",
-                                 kinds=self.modalities)
-
-    def _rl_epoch(self, env, rng, lr_scale=1.0):
-        horizon = len(env.dates) - 1
-        trajs = []
-        for _ in range(self.cfg.episodes_per_epoch):
-            span = max(1, horizon - self.rl_cfg.episode_length)
-            start = int(rng.integers(0, span))
-            trajs.append(rl_mod.rollout(env, self.params, self.rl_cfg, rng,
-                                        start=start))
-        rl_mod.reinforce_update(trajs, self.params, self.rl_cfg,
-                                self.cfg.rl_lr * lr_scale)
-        mean_return = float(np.mean(
-            [rl_mod.discounted_return(t, self.rl_cfg.gamma) for t in trajs]))
-        return mean_return
+            loss = total_loss(comps, self.weights)
+            ad.require_finite(loss.data, "loss")
+            self.buffer.grad.fill(0.0)
+            ad.backward(loss, tape)
+            for lo, hi in runs:
+                ad.require_finite(self.buffer.grad[lo:hi], "gradients")
+            adamw_step(self.buffer, names, opt, lr, self.cfg.weight_decay)
+        return {k: float(v.data) for k, v in comps.items()} | {"total": float(loss.data)}
 
     # ------------------------------------------------------------------
     # stages
 
     def _stage_steps(self, stage, rng):
-        """Deterministic per-epoch step list: (task, kinds, with_align, batch)."""
+        """Deterministic per-epoch step list: (task, kinds, with_align, batch).
+
+        The loss terms each stage optimizes:
+        - unimodal-pretrain: forecast on the price or text encoder alone, risk
+          on the macro or graph encoder alone, alternating between the two
+          encoders of each task;
+        - multimodal-align: align, over the configured modality pairs, moving
+          the encoders only;
+        - joint-multitask: forecast + align on micro batches and risk on macro
+          batches, all modalities fused;
+        - rl-finetune: the policy-gradient return (see ``rl.policy_epoch``);
+          it has no gradient steps here.
+        """
         micro_pairs = self.dataset.sample_pairs("train")
         macro_pairs = [(0, t) for t in self.dataset.splits["train"]]
         order_m = rng.permutation(len(micro_pairs))
@@ -545,7 +506,7 @@ class TrainingRun:
             kinds = tuple(sorted({k for p in usable for k in p}))
             if usable:
                 for b in micro:
-                    steps.append(("align", kinds, False, b))
+                    steps.append(("align", kinds, True, b))
         elif stage == "joint-multitask":
             for b in micro:
                 steps.append(("forecast", allowed, True, b))
@@ -566,29 +527,25 @@ class TrainingRun:
                 f"have {tuple(self.completed)}")
         n_epochs = self.schedule.epochs[stage]
         rng = np.random.default_rng(self._stage_seed[stage])
-        losses: dict = {}
-        n_steps = 0
-
         if n_epochs == 0:
             report = StageReport(stage, 0, {"total": []})
         elif stage == "rl-finetune":
-            totals, returns = [], []
             with _divergence(stage, 0, NumericalError):
                 # only policy.* moves in this stage, so one snapshot serves it all
-                env = self._rl_env()
-            for _ in range(n_epochs):
-                with _divergence(stage, n_steps, NumericalError):
-                    mean_return = self._rl_epoch(env, rng)
-                returns.append(mean_return)
-                totals.append(-self.weights.lambda4 * mean_return)
-                n_steps += 1
+                env = rl_mod.DatasetEnv(self.dataset, self.params, self.model_cfg,
+                                        self.rl_cfg, split="train",
+                                        kinds=self.modalities)
+            returns = []
+            for step in range(n_epochs):
+                with _divergence(stage, step, NumericalError):
+                    returns.append(rl_mod.policy_epoch(
+                        env, self.params, self.rl_cfg, rng,
+                        self.cfg.episodes_per_epoch, self.cfg.rl_lr)[1])
+            totals = [-self.weights.lambda4 * r for r in returns]
             report = StageReport(stage, n_epochs,
-                                 {"total": totals, "return": returns}, n_steps)
+                                 {"total": totals, "return": returns}, n_epochs)
         else:
-            probe = self._stage_steps(stage, np.random.default_rng(0))
-            steps_per_epoch = len(probe)
-            if self.cfg.rl_in_joint and stage == "joint-multitask":
-                steps_per_epoch += 1
+            steps_per_epoch = len(self._stage_steps(stage, np.random.default_rng(0)))
             if steps_per_epoch == 0:
                 raise ScheduleError(
                     f"stage {stage} has no steps for modalities {self.modalities}")
@@ -598,6 +555,7 @@ class TrainingRun:
                     f"warmup_steps {self.cfg.warmup_steps} must be below the "
                     f"stage's {total_steps} total steps")
             opt = AdamWState()
+            losses: dict = {}
             step = 0
             for _ in range(n_epochs):
                 epoch_terms: dict = {}
@@ -605,27 +563,13 @@ class TrainingRun:
                     lr = lr_schedule(step, self.cfg.peak_lr,
                                      self.cfg.warmup_steps, total_steps)
                     with _divergence(stage, step):
-                        if task == "forecast":
-                            terms = self._forecast_step(batch, kinds, with_align,
-                                                        opt, lr)
-                        elif task == "risk":
-                            terms = self._risk_step(batch, kinds, opt, lr)
-                        else:
-                            terms = self._align_step(batch, kinds, opt, lr)
+                        terms = self._step(task, kinds, with_align, batch, opt, lr)
                     for k, v in terms.items():
                         epoch_terms.setdefault(k, []).append(v)
                     step += 1
-                if self.cfg.rl_in_joint and stage == "joint-multitask":
-                    with _divergence(stage, step, NumericalError):
-                        # the backbone moved during the epoch: snapshot it again
-                        mean_return = self._rl_epoch(self._rl_env(), rng,
-                                                     lr_scale=self.weights.lambda4)
-                    epoch_terms.setdefault("return", []).append(mean_return)
-                    step += 1
                 for k, vals in epoch_terms.items():
                     losses.setdefault(k, []).append(float(np.mean(vals)))
-            n_steps = step
-            report = StageReport(stage, n_epochs, losses, n_steps)
+            report = StageReport(stage, n_epochs, losses, step)
 
         self.completed.append(stage)
         self.reports.append(report)

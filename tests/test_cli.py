@@ -724,3 +724,18 @@ def test_zero_counts_still_train(work, tmp_path, field):
     # d_ff 0 means 4 * d_model
     want = 4 * TINY["model.d_model"] if field == "d_ff" else 0
     assert echo[f"model.{field}"] == want
+
+
+@pytest.mark.parametrize("setting", [
+    "training.episodes_per_epoch=0", "training.rl_lr=-1",
+    "training.weight_decay=-0.5", "training.peak_lr=NaN"])
+def test_bad_training_setting_exits_2_before_training(work, tmp_path, capsys,
+                                                      setting):
+    rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                   "--out", str(tmp_path / "run"), "--set", setting])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    key = setting.split("=")[0]
+    assert key in lines[0] or f"training: {key.split('.')[1]} " in lines[0]
+    assert not (tmp_path / "run").exists()

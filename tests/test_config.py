@@ -10,7 +10,7 @@ from finfusion.errors import ConfigError
 
 def test_defaults_match_documented_values():
     cfg = cf.RunConfig.load(None)
-    assert cfg.training.epochs == 80
+    assert sum(cfg.schedule.epochs.values()) == 80
     assert cfg.training.micro_batch_size == 32
     assert cfg.training.macro_batch_size == 16
     assert cfg.training.seeds == (0, 1, 2, 3, 4)
@@ -74,7 +74,7 @@ def test_align_pairs_round_trip():
 
 
 def test_echo_is_canonical_and_reloadable():
-    cfg = cf.RunConfig.from_flat({"model.d_model": 16, "training.epochs": 4})
+    cfg = cf.RunConfig.from_flat({"model.d_model": 16, "training.warmup_steps": 4})
     flat = json.loads(cfg.echo())
     again = cf.RunConfig.from_flat(flat)
     assert again.echo() == cfg.echo()
@@ -109,3 +109,23 @@ def test_bad_override_format_rejected():
 def test_bad_out_dir_rejected():
     with pytest.raises(ConfigError, match="out_dir"):
         cf.RunConfig.from_flat({"out_dir": ""})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("training.epochs", 80), ("training.rl_in_joint", True)])
+def test_removed_training_keys_rejected(tmp_path, key, value):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError, match=rf"{key}: no such field"):
+        cf.RunConfig.load(str(path))
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e999",
+                                  "[0, NaN]"])
+def test_non_finite_value_names_the_key(tmp_path, text):
+    with pytest.raises(ConfigError, match="training.peak_lr: must be finite"):
+        cf.RunConfig.load(None, overrides=[f"training.peak_lr={text}"])
+    path = tmp_path / "c.json"
+    path.write_text('{"rl.beta": %s}' % text)
+    with pytest.raises(ConfigError, match="rl.beta: must be finite"):
+        cf.RunConfig.load(str(path))

@@ -1,0 +1,27 @@
+"""The quick demos run to completion as scripts.
+
+Each demo is a standalone program over the public API, so a change that
+breaks one (a renamed attribute, a removed setting) shows up here rather
+than only when someone runs it by hand.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["01_synthetic_world", "02_autodiff",
+                                  "06_staged_training"])
+def test_demo_exits_0(name, tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -79,6 +79,19 @@ def test_evaluate_split_key_set_and_ranges(world):
             assert 0.0 <= val <= 1.0
 
 
+def test_evaluate_split_hit_ratio_keeps_steps_the_model_calls(world, monkeypatch):
+    # actionable means |pred| >= band: step 1's realised move is large, but
+    # the model called it flat, so only step 0 counts
+    ds, mcfg, params = world
+    band = mcfg.flat_band
+    micro = {"pred": np.array([10 * band, 0.1 * band]),
+             "true": np.array([10 * band, -10 * band])}
+    monkeypatch.setattr(ev, "predict_micro", lambda *a, **k: micro)
+    out = ev.evaluate_split(ds, params, mcfg, "test")
+    assert out["micro.hit_ratio"] == 1.0
+    assert out["micro.directional_accuracy"] == 0.5
+
+
 def test_evaluate_split_price_only_runs(world):
     ds, mcfg, params = world
     out = ev.evaluate_split(ds, params, mcfg, "test", kinds=("price",))

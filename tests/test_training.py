@@ -475,20 +475,13 @@ def test_checkpoint_rejects_unknown_version(tmp_path):
 
 def test_stage_schedule_defaults_sum_to_headline_epochs():
     sched = tr.StageSchedule()
-    assert sum(sched.epochs.values()) == tr.TrainingConfig().epochs
+    assert sum(sched.epochs.values()) == 80
     assert sched.epochs["joint-multitask"] == 40
 
 
 def test_stage_schedule_rejects_missing_stage():
     with pytest.raises(ContractError):
         tr.StageSchedule(epochs={"unimodal-pretrain": 5})
-
-
-def test_stage_schedule_rejects_empty_loss_subset():
-    active = dict(tr.DEFAULT_ACTIVE)
-    active["joint-multitask"] = ()
-    with pytest.raises(ContractError):
-        tr.StageSchedule(active=active)
 
 
 def test_training_config_validation():
@@ -498,8 +491,17 @@ def test_training_config_validation():
         tr.TrainingConfig(peak_lr=0.0)
     with pytest.raises(ContractError):
         tr.TrainingConfig(seeds=())
+    for field, value in (("episodes_per_epoch", 0), ("rl_lr", 0.0),
+                         ("rl_lr", -1.0), ("weight_decay", -0.5)):
+        with pytest.raises(ContractError, match=field):
+            tr.TrainingConfig(**{field: value})
     cfg = tr.TrainingConfig()
-    assert cfg.epochs == 80 and cfg.seeds == (0, 1, 2, 3, 4)
+    assert cfg.seeds == (0, 1, 2, 3, 4)
+
+
+def test_stage_schedule_takes_only_epochs():
+    with pytest.raises(TypeError):
+        tr.StageSchedule(active={s: ("forecast",) for s in tr.STAGES})
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +618,6 @@ def test_joint_stage_keeps_policy_frozen_by_default(world):
     assert any(n.startswith("fusion.") for n in changed)
 
 
-def test_joint_rl_flag_moves_policy_inside_joint_stage(world):
-    run = _run(world, _schedule(0, 0, 1, 0), rl_in_joint=True)
-    run.run_stage("unimodal-pretrain")
-    run.run_stage("multimodal-align")
-    before = _snapshot(run.params)
-    rep = run.run_stage("joint-multitask")
-    changed = _changed(before, run.params)
-    assert any(n.startswith("policy.") for n in changed)
-    assert "return" in rep.losses
-
-
 def _count_env_forward_calls(monkeypatch):
     """Rows of each forward_batch call made while a DatasetEnv is built;
     training steps make their own calls, which are not counted."""
@@ -660,16 +651,6 @@ def test_rl_stage_builds_one_chunked_state_table(world, monkeypatch):
     n_dates = len(world[0].splits["train"])
     assert len(calls) == math.ceil(n_dates / fm.EVAL_BATCH)
     assert sum(calls) == n_dates
-
-
-def test_joint_rl_rebuilds_the_state_table_each_epoch(world, monkeypatch):
-    run = _run(world, _schedule(0, 0, 2, 0), rl_in_joint=True)
-    run.run_stage("unimodal-pretrain")
-    run.run_stage("multimodal-align")
-    calls = _count_env_forward_calls(monkeypatch)
-    run.run_stage("joint-multitask")
-    n_dates = len(world[0].splits["train"])
-    assert len(calls) == 2 * math.ceil(n_dates / fm.EVAL_BATCH)
 
 
 def test_same_seed_runs_are_bit_identical(world):
