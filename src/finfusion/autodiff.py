@@ -88,6 +88,15 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
 
+    @classmethod
+    def leaf(cls, arr: np.ndarray) -> "Tensor":
+        """A trainable leaf that takes ownership of the float64 array ``arr``
+        without the constructor's copy and finiteness check: for arrays the
+        caller has just made and checked itself."""
+        t = cls.__new__(cls)
+        t.data, t.requires_grad, t.grad = arr, True, np.zeros_like(arr)
+        return t
+
     @property
     def shape(self) -> tuple:
         return self.data.shape
@@ -458,11 +467,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             ga = np.matmul(g[..., None, :], np.swapaxes(b.data, -1, -2))[..., 0, :]
             gb = a.data[:, None] * g[..., None, :]
             return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-        if b.ndim == 1:
-            # (..., m, k) x (k,) -> (..., m)
-            ga = g[..., :, None] * b.data[None, :]
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g[..., :, None])[..., 0]
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+        if b.ndim <= 2:
+            # (..., m, k) x one shared (k, n) or (k,) weight: every stacked row
+            # is a row of one 2-D product, so each gradient is a single gemm
+            # (gemv) with no per-batch (k, n) stack to sum
+            rows = a.data.reshape(-1, a.shape[-1])
+            if b.ndim == 1:
+                return g[..., None] * b.data, rows.T @ g.reshape(-1)
+            g2 = g.reshape(-1, b.shape[1])
+            return (g2 @ b.data.T).reshape(a.shape), rows.T @ g2
         ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
         gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)

@@ -164,12 +164,10 @@ def cmd_forecast(args) -> int:
     [fc] = heads.micro_forecast(Tensor(z.data[:, None, :]), args.horizon,
                                 params, mcfg, ds.norm)
 
-    quantiles = {}
-    for tau in (0.1, 0.5, 0.9):
-        q = heads.mixture_quantile(Tensor(fc.weights[None]),
-                                   Tensor(fc.means[None]),
-                                   Tensor(fc.sigmas[None]), tau)
-        quantiles[f"{tau:.1f}"] = float(q.data[0])
+    taus = (0.1, 0.5, 0.9)
+    qs = heads.mixture_quantile(Tensor(fc.weights[None]), Tensor(fc.means[None]),
+                                Tensor(fc.sigmas[None]), taus)
+    quantiles = {f"{tau:.1f}": float(q) for tau, q in zip(taus, qs.data[0])}
     probs = fc.direction_probs
     payload = {
         "asset": args.asset,
@@ -261,6 +259,10 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
     w = rng.normal(size=(5, 3))
     coeffs = rng.normal(size=(4, 5))
     check("op.matmul", lambda t: ad.reduce_sum(ad.matmul(t, w)), x, OP_TOL)
+    # the weight of a stacked product, whose gradient sums over every row
+    xs = rng.normal(size=(2, 3, 5))
+    check("op.matmul_stacked", lambda t: ad.reduce_sum(ad.tanh(ad.matmul(xs, t))),
+          Tensor(rng.normal(size=(5, 3)), requires_grad=True), OP_TOL)
     check("op.softmax",
           lambda t: ad.reduce_sum(ad.softmax(t, axis=-1) * coeffs),
           Tensor(rng.normal(size=(4, 5)), requires_grad=True), OP_TOL)

@@ -220,46 +220,60 @@ def mdn_nll_batch(weights: Tensor, means: Tensor, sigmas: Tensor, y: np.ndarray)
 # mixture quantiles (bisection forward, implicit-function backward)
 
 def _mixture_cdf_arrays(q, w, m, s):
-    # q (B, 1) against components (B, K)
+    # q (B, Q, 1) against components (B, 1, K)
     return np.sum(w * ndtr((q - m) / s), axis=-1)
 
 
 def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
-                     tau: float, tol: float = 1e-8) -> Tensor:
-    """Per-row tau-quantile of a Gaussian mixture, differentiable in all
-    mixture parameters.
+                     tau, tol: float = 1e-8) -> Tensor:
+    """Per-row quantiles of a Gaussian mixture, differentiable in all
+    mixture parameters: (B,) for one level ``tau``, (B, Q) for a sequence of
+    Q levels.
 
-    Forward solves F(q) = tau by bisection to ``tol``; backward applies the
-    implicit-function theorem, dq/dtheta = -(dF/dtheta) / pdf(q).
+    Forward solves F(q) = tau by bisection to ``tol``, every level at once;
+    a level leaves the loop once all its rows have converged, so each column
+    equals the one-level call bit for bit. Backward applies the
+    implicit-function theorem, dq/dtheta = -(dF/dtheta) / pdf(q), summed
+    over the levels.
     """
-    if not 0.0 < tau < 1.0:
+    taus = np.asarray(tau, dtype=np.float64)
+    levels = taus.reshape(-1)
+    if taus.ndim > 1 or not np.all((levels > 0.0) & (levels < 1.0)):
         raise ContractError("tau must lie strictly inside (0, 1)")
-    w, m, s = weights.data, means.data, sigmas.data
+    # (B, 1, K): one row of components against every level
+    w, m, s = (t.data[:, None, :] for t in (weights, means, sigmas))
     if np.any(s <= 0):
         raise ContractError("mixture stdevs must be positive")
-    lo = np.min(m - 12.0 * s, axis=-1)
-    hi = np.max(m + 12.0 * s, axis=-1)
+    lo = np.repeat(np.min(m - 12.0 * s, axis=-1), levels.size, axis=1)  # (B, Q)
+    hi = np.repeat(np.max(m + 12.0 * s, axis=-1), levels.size, axis=1)
+    q = np.empty_like(lo)
+    live = np.arange(levels.size)  # the levels still bisecting, as columns of lo, hi
     for _ in range(200):
+        if not live.size:
+            break
         mid = 0.5 * (lo + hi)
-        below = _mixture_cdf_arrays(mid[:, None], w, m, s) < tau
+        below = _mixture_cdf_arrays(mid[..., None], w, m, s) < levels[live]
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)
-        if np.all(hi - lo < tol):
-            break
-    q = 0.5 * (lo + hi)
+        done = np.all(hi - lo < tol, axis=0)
+        if done.any():
+            q[:, live[done]] = 0.5 * (lo[:, done] + hi[:, done])
+            live, lo, hi = live[~done], lo[:, ~done], hi[:, ~done]
+    q[:, live] = 0.5 * (lo + hi)
 
     def bwd(g):
-        qc = q[:, None]
+        qc = q[..., None]
         u = (qc - m) / s
         phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-        pdf = np.sum(w * phi / s, axis=-1, keepdims=True)  # (B, 1) > 0
-        gq = g[:, None]
+        pdf = np.sum(w * phi / s, axis=-1, keepdims=True)  # (B, Q, 1) > 0
+        gq = g.reshape(q.shape)[..., None]
         gw = gq * -ndtr(u) / pdf
         gm = gq * (w * phi / s) / pdf
         gs = gq * (w * phi * u / s) / pdf
-        return gw, gm, gs
+        return gw.sum(axis=1), gm.sum(axis=1), gs.sum(axis=1)
 
-    return ad.custom_op(q, (weights, means, sigmas), bwd)
+    out = q if taus.ndim else q[:, 0]
+    return ad.custom_op(out, (weights, means, sigmas), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ own RNG stream so a seeded run is reproducible bit for bit.
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,18 @@ class ForecastLossConfig:
             raise ContractError("mse_weight must be >= 0")
 
 
+def _check_number(name: str, value, least, integral: bool = False,
+                  strict: bool = False) -> None:
+    """ContractError naming ``name`` unless ``value`` is an integer (or, when
+    not ``integral``, a real number), not a bool, and >= ``least`` (> when
+    ``strict``)."""
+    kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    ok = isinstance(value, kind) and not isinstance(value, bool)
+    if not ok or not (value > least if strict else value >= least):
+        raise ContractError(
+            f"{name} must be {noun} {'>' if strict else '>='} {least}, got {value!r}")
+
+
 @dataclass
 class TrainingConfig:
     micro_batch_size: int = 32
@@ -83,21 +96,17 @@ class TrainingConfig:
     episodes_per_epoch: int = 8
 
     def __post_init__(self):
+        for name, least in (("micro_batch_size", 1), ("macro_batch_size", 1),
+                            ("warmup_steps", 0), ("episodes_per_epoch", 1)):
+            _check_number(name, getattr(self, name), least, integral=True)
+        for name, strict in (("peak_lr", True), ("rl_lr", True),
+                             ("weight_decay", False)):
+            _check_number(name, getattr(self, name), 0, strict=strict)
+        if isinstance(self.seeds, (str, numbers.Number)) or not self.seeds:
+            raise ContractError(f"seeds must be a nonempty list, got {self.seeds!r}")
+        for seed in self.seeds:
+            _check_number("seeds", seed, 0, integral=True)
         self.seeds = tuple(int(s) for s in self.seeds)
-        if self.micro_batch_size < 1 or self.macro_batch_size < 1:
-            raise ContractError("batch sizes must be >= 1")
-        if self.peak_lr <= 0:
-            raise ContractError("peak_lr must be positive")
-        if self.rl_lr <= 0:
-            raise ContractError("rl_lr must be positive")
-        if self.weight_decay < 0:
-            raise ContractError("weight_decay must be >= 0")
-        if self.episodes_per_epoch < 1:
-            raise ContractError("episodes_per_epoch must be >= 1")
-        if self.warmup_steps < 0:
-            raise ContractError("warmup_steps must be >= 0")
-        if not self.seeds:
-            raise ContractError("seed list must be nonempty")
 
 
 @dataclass
@@ -108,8 +117,7 @@ class StageSchedule:
         if set(self.epochs) != set(STAGES):
             raise ContractError(f"schedule must cover exactly the stages {STAGES}")
         for s in STAGES:
-            if int(self.epochs[s]) < 0:
-                raise ContractError("stage epoch counts must be >= 0")
+            _check_number(s, self.epochs[s], 0, integral=True)
             self.epochs[s] = int(self.epochs[s])
 
 
@@ -150,8 +158,9 @@ def forecast_loss(y, weights: Tensor, means: Tensor, sigmas: Tensor,
     point = ad.reduce_sum(weights * means, axis=-1)
     diff = point - yt
     loss = ad.reduce_mean(diff * diff) * cfg.mse_weight
-    for tau in cfg.quantile_levels:
-        q = heads.mixture_quantile(weights, means, sigmas, tau)
+    qs = heads.mixture_quantile(weights, means, sigmas, cfg.quantile_levels)
+    for j, tau in enumerate(cfg.quantile_levels):
+        q = ad.reshape(ad.slice_axis(qs, 1, j, j + 1), (yv.size,))
         loss = loss + _pinball_mean(yt, q, tau)
     return loss
 
@@ -338,12 +347,14 @@ def load_checkpoint(path: str):
     and every array is float64.
     """
     arrays, meta = container.read(path, CHECKPOINT_MAGIC)
-    params = {}
     for name, arr in arrays.items():
         if arr.dtype != np.float64:
             raise SchemaError(f"{path}: parameter {name} is {arr.dtype}, not float64")
-        params[name] = Tensor(arr, requires_grad=True)
-    return params, meta
+    if arrays:
+        ad.require_finite(np.concatenate([a.ravel() for a in arrays.values()]),
+                          f"{path}: parameters")
+    # the container's arrays are fresh copies, so the leaves can own them
+    return {name: Tensor.leaf(arr) for name, arr in arrays.items()}, meta
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +556,8 @@ class TrainingRun:
             report = StageReport(stage, n_epochs,
                                  {"total": totals, "return": returns}, n_epochs)
         else:
-            steps_per_epoch = len(self._stage_steps(stage, np.random.default_rng(0)))
+            epoch = self._stage_steps(stage, rng)
+            steps_per_epoch = len(epoch)
             if steps_per_epoch == 0:
                 raise ScheduleError(
                     f"stage {stage} has no steps for modalities {self.modalities}")
@@ -557,9 +569,11 @@ class TrainingRun:
             opt = AdamWState()
             losses: dict = {}
             step = 0
-            for _ in range(n_epochs):
+            for e in range(n_epochs):
+                if e:
+                    epoch = self._stage_steps(stage, rng)
                 epoch_terms: dict = {}
-                for task, kinds, with_align, batch in self._stage_steps(stage, rng):
+                for task, kinds, with_align, batch in epoch:
                     lr = lr_schedule(step, self.cfg.peak_lr,
                                      self.cfg.warmup_steps, total_steps)
                     with _divergence(stage, step):

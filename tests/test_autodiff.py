@@ -231,6 +231,59 @@ def test_backward_matmul_matches_fd():
     assert grad_check(f, a, eps=1e-4) < 1e-6
 
 
+# (a shape, b shape, whether a is a transposed view)
+_SHARED_WEIGHT_CASES = {
+    "btk_kn": ((4, 6, 5), (5, 3), False),
+    "t1": ((7, 1, 5), (5, 3), False),
+    "4d": ((2, 3, 4, 5), (5, 3), False),
+    "transposed_view": ((4, 6, 5), (5, 3), True),
+    "vector_weight": ((4, 6, 5), (5,), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SHARED_WEIGHT_CASES))
+def test_shared_weight_gradients_match_the_broadcast_reference(case):
+    a_shape, b_shape, view = _SHARED_WEIGHT_CASES[case]
+    rng = np.random.default_rng(21)
+    # a transposed view is built from a (B, k, T) leaf
+    x_shape = (a_shape[0], a_shape[2], a_shape[1]) if view else a_shape
+    x = Tensor(rng.normal(size=x_shape), requires_grad=True)
+    b = Tensor(rng.normal(size=b_shape), requires_grad=True)
+    coeffs = rng.normal(size=a_shape[:-1] + b_shape[1:])
+    with Tape() as tape:
+        a = transpose(x, (0, 2, 1)) if view else x
+        loss = reduce_sum(matmul(a, b) * coeffs)
+    assert a.data.flags.c_contiguous != view
+    backward(loss, tape)
+    # reference: one product per stacked matrix, then a sum over the stack
+    g, av = coeffs, a.data
+    if b.ndim == 1:
+        ga = g[..., None] * b.data
+        gb = np.matmul(np.swapaxes(av, -1, -2), g[..., None])[..., 0]
+    else:
+        ga = np.matmul(g, b.data.T)
+        gb = np.matmul(np.swapaxes(av, -1, -2), g)
+    gb = gb.reshape((-1,) + b_shape).sum(axis=0)
+    got_a = np.swapaxes(x.grad, -1, -2) if view else x.grad
+    for got, ref in ((got_a, ga), (b.grad, gb)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("a_shape,b_shape", [
+    ((2, 3, 5), (5, 4)), ((3, 1, 4), (4, 2)), ((2, 2, 3, 4), (4, 3)), ((2, 3, 4), (4,))],
+    ids=["btk_kn", "t1", "4d", "vector_weight"])
+def test_grad_check_of_a_shared_weight(a_shape, b_shape):
+    rng = np.random.default_rng(22)
+    a = rng.normal(size=a_shape)
+    w = Tensor(rng.normal(size=b_shape), requires_grad=True)
+
+    def f(t):
+        return reduce_sum(ad.tanh(matmul(a, t)))
+
+    assert grad_check(f, w, eps=1e-5) < 1e-7
+
+
 def test_backward_detached_leaf_untouched():
     x = Tensor([1.0, 2.0], requires_grad=True)
     y = Tensor([3.0], requires_grad=True)

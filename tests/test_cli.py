@@ -543,6 +543,37 @@ def test_a_query_rolls_the_decoder_once(work, capsys, monkeypatch, command):
     assert calls == [(rows, 1, TINY["model.d_model"])]
 
 
+def test_forecast_bisects_its_quantiles_once(work, capsys, monkeypatch):
+    calls = []
+    original = heads.mixture_quantile
+
+    def counted(weights, means, sigmas, tau, *args, **kwargs):
+        calls.append(tau)
+        return original(weights, means, sigmas, tau, *args, **kwargs)
+
+    monkeypatch.setattr(heads, "mixture_quantile", counted)
+    assert cli.main(["forecast", "--checkpoint", work["ckpt"], "--data", work["data"],
+                     "--date", "100", "--asset", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert calls == [(0.1, 0.5, 0.9)]
+    assert list(payload["quantiles"]) == ["0.1", "0.5", "0.9"]
+
+
+@pytest.mark.parametrize("command", ["forecast", "report", "eval"])
+def test_non_finite_checkpoint_parameter_exits_4(work, tmp_path, capsys, command):
+    params, meta = tr.load_checkpoint(work["ckpt"])
+    params["micro.out_mu.w"].data[0, 0] = math.nan
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    argv = [command, "--checkpoint", str(bad), "--data", work["data"]]
+    argv += {"forecast": ["--date", "100", "--asset", "0"],
+             "report": ["--date", "100"], "eval": []}[command]
+    assert cli.main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: non-finite values in {bad}: parameters\n"
+
+
 def test_report_bad_date(work, capsys):
     rc = cli.main(["report", "--checkpoint", work["ckpt"],
                    "--data", work["data"], "--date", "9999"])
@@ -653,7 +684,8 @@ def test_non_finite_output_is_one_line_numerical_error(work, tmp_path, capsys,
 def test_grad_check_passes(capsys):
     assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
-    assert "/14 checks passed" in out
+    assert "/15 checks passed" in out
+    assert "PASS  op.matmul_stacked " in out
     assert "FAIL" not in out
 
 
@@ -738,4 +770,22 @@ def test_bad_training_setting_exits_2_before_training(work, tmp_path, capsys,
     assert len(lines) == 1
     key = setting.split("=")[0]
     assert key in lines[0] or f"training: {key.split('.')[1]} " in lines[0]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    "training.micro_batch_size=2.5", "training.seeds=[0.7]",
+    "stages.joint_multitask=1.5", "training.peak_lr=true",
+    "training.warmup_steps=true", "stages.rl_finetune=false"])
+def test_non_integer_count_or_bool_exits_2_before_training(work, tmp_path, capsys,
+                                                          setting):
+    rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                   "--out", str(tmp_path / "run"), "--set", setting])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    section, field = setting.split("=")[0].split(".")
+    if section == "stages":
+        field = field.replace("_", "-")
+    assert lines[0].startswith(f"error: {section}: {field} must be ")
     assert not (tmp_path / "run").exists()

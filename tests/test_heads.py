@@ -13,7 +13,7 @@ from finfusion import datapipe as dp
 from finfusion import encoders as enc
 from finfusion import evaluate as ev
 from finfusion import heads
-from finfusion.autodiff import Tensor, grad_check, reduce_sum
+from finfusion.autodiff import Tape, Tensor, backward, grad_check, reduce_sum
 from finfusion.errors import ContractError, DegenerateInputError, DimensionError
 from finfusion.model import ModelConfig, init_model_params
 from tests.test_encoders import tiny_cfg
@@ -281,6 +281,60 @@ def test_mixture_quantile_tau_validation():
         heads.mixture_quantile(w, w, w, 0.0)
     with pytest.raises(ContractError):
         heads.mixture_quantile(w, w, w, 1.0)
+    with pytest.raises(ContractError):
+        heads.mixture_quantile(w, w, w, (0.5, 1.0))
+    with pytest.raises(ContractError):
+        heads.mixture_quantile(w, w, w, [[0.5]])
+
+
+def _random_mixture(rng, b, k):
+    raw = rng.uniform(0.05, 1.0, size=(b, k))
+    return (Tensor(raw / raw.sum(axis=1, keepdims=True), requires_grad=True),
+            Tensor(rng.normal(size=(b, k)) * rng.uniform(0.1, 3.0), requires_grad=True),
+            Tensor(rng.uniform(0.05, 2.0, size=(b, k)), requires_grad=True))
+
+
+def test_joint_quantiles_equal_per_level_calls_bit_for_bit():
+    rng = np.random.default_rng(12)
+    levels = (0.1, 0.5, 0.9)
+    for _ in range(100):
+        w, m, s = _random_mixture(rng, int(rng.integers(1, 64)), int(rng.integers(1, 6)))
+        joint = heads.mixture_quantile(w, m, s, levels).data
+        assert joint.shape == (w.shape[0], len(levels))
+        for j, tau in enumerate(levels):
+            assert np.array_equal(joint[:, j], heads.mixture_quantile(w, m, s, tau).data)
+
+
+def test_joint_quantiles_keep_each_levels_iteration_count():
+    # a width of 24 sigma = 2**30 * tol: rounding makes two of these levels
+    # converge one bisection step before the other two
+    one = Tensor(np.ones((1, 1)))
+    sigma = Tensor(np.array([[0.4473924266665772]]))
+    levels = (0.1, 0.5, 0.9, 0.3)
+    joint = heads.mixture_quantile(one, Tensor(np.zeros((1, 1))), sigma, levels).data
+    for j, tau in enumerate(levels):
+        single = heads.mixture_quantile(one, Tensor(np.zeros((1, 1))), sigma, tau).data
+        assert np.array_equal(joint[:, j], single)
+
+
+def test_joint_quantile_gradients_sum_the_per_level_gradients():
+    rng = np.random.default_rng(13)
+    levels = (0.1, 0.5, 0.9)
+    w, m, s = _random_mixture(rng, 5, 3)
+    coeffs = rng.normal(size=(5, len(levels)))
+    with Tape() as tape:
+        loss = reduce_sum(heads.mixture_quantile(w, m, s, levels) * coeffs)
+    backward(loss, tape)
+    joint = [t.grad.copy() for t in (w, m, s)]
+    for t in (w, m, s):
+        t.zero_grad()
+    with Tape() as tape:
+        terms = [reduce_sum(heads.mixture_quantile(w, m, s, tau) * coeffs[:, j])
+                 for j, tau in enumerate(levels)]
+        loss = terms[0] + terms[1] + terms[2]
+    backward(loss, tape)
+    for got, t in zip(joint, (w, m, s)):
+        assert np.max(np.abs(got - t.grad)) <= 1e-12 * np.max(np.abs(t.grad))
 
 
 # ---------------------------------------------------------------------------

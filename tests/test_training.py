@@ -16,7 +16,8 @@ import finfusion.model as fm
 import finfusion.rl as frl
 import finfusion.training as tr
 from finfusion.autodiff import Tensor
-from finfusion.errors import ContractError, DimensionError, ScheduleError, SchemaError
+from finfusion.errors import (ContractError, DimensionError, NumericalError, ScheduleError,
+                              SchemaError)
 
 from tests.test_encoders import tiny_cfg
 
@@ -441,6 +442,45 @@ def test_version_1_checkpoint_is_schema_error(tmp_path, world, capsys):
         assert captured.err == f"error: {path}: unsupported container version 1\n"
 
 
+def test_loaded_leaves_own_the_container_arrays(tmp_path, monkeypatch):
+    params = _random_params(np.random.default_rng(6), {"a.w": (3, 4), "b": (4,)})
+    path = str(tmp_path / "ck.bin")
+    tr.save_checkpoint(path, params)
+    arrays = {}
+    read = tr.container.read
+
+    def kept(*args):
+        out = read(*args)
+        arrays.update(out[0])
+        return out
+
+    checks = []
+    require_finite = ad.require_finite
+
+    def counted(arr, context):
+        checks.append(context)
+        require_finite(arr, context)
+
+    monkeypatch.setattr(tr.container, "read", kept)
+    monkeypatch.setattr(ad, "require_finite", counted)
+    loaded, _ = tr.load_checkpoint(path)
+    # one finiteness check for the file, and no second copy of any array
+    assert checks == [f"{path}: parameters"]
+    for name, leaf in loaded.items():
+        assert leaf.data is arrays[name] and leaf.data.flags.writeable
+        assert leaf.requires_grad and leaf.grad.shape == leaf.shape and not leaf.grad.any()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_checkpoint_parameter_is_numerical_error(tmp_path, bad):
+    params = _random_params(np.random.default_rng(7), {"a.w": (3, 4), "b": (4,)})
+    params["b"].data[2] = bad
+    path = str(tmp_path / "ck.bin")
+    tr.save_checkpoint(path, params)
+    with pytest.raises(NumericalError, match=f"non-finite values in {path}: parameters"):
+        tr.load_checkpoint(path)
+
+
 def test_checkpoint_save_is_deterministic(tmp_path):
     rng = np.random.default_rng(4)
     params = _random_params(rng, {"w": (5, 2), "b": (2,)})
@@ -497,6 +537,23 @@ def test_training_config_validation():
             tr.TrainingConfig(**{field: value})
     cfg = tr.TrainingConfig()
     assert cfg.seeds == (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("micro_batch_size", 2.5), ("macro_batch_size", 16.0), ("warmup_steps", True),
+    ("episodes_per_epoch", 1.5), ("seeds", (0.7,)), ("seeds", (True,)), ("seeds", (-1,)),
+    ("seeds", 3), ("peak_lr", True), ("rl_lr", False), ("weight_decay", True),
+    ("peak_lr", "0.1")])
+def test_training_config_rejects_non_integer_counts_and_bools(field, value):
+    with pytest.raises(ContractError, match=f"^{field} must be "):
+        tr.TrainingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, -1, "3"])
+def test_stage_schedule_rejects_non_integer_epochs(value):
+    epochs = dict(tr.DEFAULT_STAGE_EPOCHS, **{"joint-multitask": value})
+    with pytest.raises(ContractError, match="^joint-multitask must be an integer >= 0"):
+        tr.StageSchedule(epochs=epochs)
 
 
 def test_stage_schedule_takes_only_epochs():
@@ -571,6 +628,32 @@ def test_stage_reports_per_epoch_losses(world):
     rep2 = run.run_stage("multimodal-align")
     assert len(rep2.losses["align"]) == 2
     assert rep2.n_steps > 0
+
+
+def test_each_epoch_builds_its_step_list_once(world, monkeypatch):
+    built, ran = [], []
+    stage_steps, step = tr.TrainingRun._stage_steps, tr.TrainingRun._step
+
+    def counted(self, stage, rng):
+        steps = stage_steps(self, stage, rng)
+        built.append((stage, steps))
+        return steps
+
+    def recorded(self, task, kinds, with_align, pairs, opt, lr):
+        ran.append((task, kinds, with_align, pairs))
+        return step(self, task, kinds, with_align, pairs, opt, lr)
+
+    monkeypatch.setattr(tr.TrainingRun, "_stage_steps", counted)
+    monkeypatch.setattr(tr.TrainingRun, "_step", recorded)
+    run = _run(world, _schedule(2, 1, 2, 0))
+    reports = [run.run_stage(s) for s in tr.STAGES[:3]]
+    assert [stage for stage, _ in built] == [
+        "unimodal-pretrain", "unimodal-pretrain", "multimodal-align",
+        "joint-multitask", "joint-multitask"]
+    # every list built is run, in order, and the stage counts exactly those steps
+    assert ran == [s for _, steps in built for s in steps]
+    for rep in reports:
+        assert rep.n_steps == sum(len(steps) for stage, steps in built if stage == rep.stage)
 
 
 def test_unimodal_stage_does_not_touch_heads_it_never_uses(world):
