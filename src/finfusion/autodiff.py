@@ -15,6 +15,10 @@ and ``sqrt`` reject a non-finite result, since those are where a finite
 input overflows or leaves the domain. Every other op lets NaN and inf flow
 through; callers check what they consume once with ``require_finite``: the
 training step its loss and gradients, forward-only passes their outputs.
+
+Two fused ops, each one tape op with a hand-written backward, cover what
+every layer repeats: ``linear`` (``x @ w + b``) and ``attention`` (head
+split, scaled scores, mask, softmax, ``attn @ v`` and head merge).
 """
 
 from __future__ import annotations
@@ -47,10 +51,12 @@ __all__ = [
     "leaky_relu",
     "elu",
     "matmul",
+    "linear",
     "reduce_sum",
     "reduce_mean",
     "logsumexp",
     "softmax",
+    "attention",
     "layer_norm",
     "cross_entropy",
     "reshape",
@@ -483,6 +489,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(out, (a, b), bwd)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``matmul(x, w) + b`` as one op: (..., k) rows against one shared (k, n)
+    weight and (n,) bias, or a (k,) weight and (1,) bias. Each gradient is one
+    2-D product or sum over the stacked rows."""
+    n = w.shape[1] if w.ndim == 2 else 1
+    if w.ndim not in (1, 2) or x.shape[-1:] != w.shape[:1] or b.ndim > 1 or b.size != n:
+        raise DimensionError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
+    out = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        g2, w2 = g.reshape(-1, n), w.data.reshape(-1, n)
+        gx = (g2 @ w2.T).reshape(x.shape) if x.requires_grad else None
+        gw = x.data.reshape(-1, w2.shape[0]).T @ g2
+        return gx, gw.reshape(w.shape), g2.sum(axis=0).reshape(b.shape)
+
+    return custom_op(out, (x, w, b), bwd)
+
+
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -550,6 +574,46 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return (out * (g - inner),)
 
     return custom_op(out, (a,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+    """Multi-head scaled dot-product attention of (B, T, d) projections, from
+    head split to head merge, as one op.
+
+    ``keep`` is a boolean (query, key) mask that broadcasts to (B, H, T, T);
+    ``None`` means full attention. A masked logit is pushed low enough that
+    its softmax weight, and so its gradient, is exactly 0. Returns the output
+    and the (B, H, T, T) attention weights as a plain array.
+    """
+    b, t, d = q.shape
+    if k.shape != q.shape or v.shape != q.shape or d % n_heads:
+        raise DimensionError(f"attention needs equal q, k, v shapes with {n_heads} "
+                             f"heads dividing d: {q.shape} {k.shape} {v.shape}")
+    scale = 1.0 / np.sqrt(d // n_heads)
+
+    def split(a):  # (B, T, d) -> (B, H, T, d / H)
+        return a.reshape(b, t, n_heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if keep is not None:
+        scores = scores + np.where(np.broadcast_to(keep, scores.shape), 0.0, _EPS_MASK)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        ga = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
+        gk = np.matmul(qh.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
+        gv = np.matmul(attn.transpose(0, 1, 3, 2), gh)
+        return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
+
+    return custom_op(merge(np.matmul(attn, vh)), (q, k, v), bwd), attn
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -263,6 +263,12 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
     xs = rng.normal(size=(2, 3, 5))
     check("op.matmul_stacked", lambda t: ad.reduce_sum(ad.tanh(ad.matmul(xs, t))),
           Tensor(rng.normal(size=(5, 3)), requires_grad=True), OP_TOL)
+    bias, qa, va = (Tensor(rng.normal(size=s)) for s in (3, (2, 3, 4), (2, 3, 4)))
+    check("op.linear", lambda t: ad.reduce_sum(ad.tanh(ad.linear(Tensor(xs), t, bias))),
+          Tensor(rng.normal(size=(5, 3)), requires_grad=True), OP_TOL)
+    pad = np.array([[True, True, False], [True, True, True]])[:, None, None, :]  # key 2 of row 0
+    check("op.attention", lambda t: ad.reduce_sum(ad.tanh(ad.attention(qa, t, va, 2, pad)[0])),
+          Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True), OP_TOL)
     check("op.softmax",
           lambda t: ad.reduce_sum(ad.softmax(t, axis=-1) * coeffs),
           Tensor(rng.normal(size=(4, 5)), requires_grad=True), OP_TOL)

@@ -27,6 +27,7 @@ from .errors import (
     DegenerateInputError,
     InsufficientTailDataError,
     SchemaError,
+    check_number,
 )
 
 MONTH_DAYS = 21
@@ -136,18 +137,14 @@ class SyntheticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("crisis_rate", "stress_persistence", "signal_strength",
-                     "edge_density", "macro_gap_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ContractError(f"{name} must lie in [0, 1], got {v}")
-        for name in ("n_assets", "n_steps", "n_institutions", "window"):
-            if getattr(self, name) < 1:
-                raise ContractError(f"{name} must be >= 1")
-        if not 0.0 < self.crisis_rate < 1.0:
-            raise ContractError("crisis_rate must be strictly inside (0, 1)")
-        if self.n_assets > 16:
-            raise ContractError("at most 16 assets (fixed vocabulary)")
+        for name in ("stress_persistence", "signal_strength", "edge_density",
+                     "macro_gap_rate"):
+            check_number(name, getattr(self, name), 0, 1)
+        check_number("crisis_rate", self.crisis_rate, 0, 1, strict=True)
+        for name in ("n_steps", "n_institutions", "window"):
+            check_number(name, getattr(self, name), 1, integral=True)
+        check_number("n_assets", self.n_assets, 1, 16, integral=True)  # fixed vocabulary
+        check_number("seed", self.seed, 0, integral=True)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -120,34 +120,14 @@ def sinusoidal_positions(t: int, d: int) -> np.ndarray:
 def multi_head_attention(x: Tensor, params: dict, prefix: str, n_heads: int,
                          keep: np.ndarray | None = None,
                          record: dict | None = None) -> Tensor:
-    """Self-attention over axis -2 of x: (B, T, d) -> (B, T, d).
-
-    ``keep`` is a boolean (query, key) mask that broadcasts to (B, H, T, T)
-    and marks the keys each query may attend to; ``None`` means full
-    attention. Masked logits are pushed low enough that their softmax weight
-    underflows to 0.
-    """
-    b, t, d = x.shape
-    if d % n_heads != 0:
-        raise DimensionError(f"d_model {d} not divisible by {n_heads} heads")
-    dh = d // n_heads
-
-    def proj(name):
-        w, bias = params[f"{prefix}.w{name}"], params[f"{prefix}.b{name}"]
-        out = ad.matmul(x, w) + bias
-        out = ad.reshape(out, (b, t, n_heads, dh))
-        return ad.transpose(out, (0, 2, 1, 3))  # (B, H, T, dh)
-
-    q, k, v = proj("q"), proj("k"), proj("v")
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
-    if keep is not None:
-        scores = ad.masked_fill_logits(scores, np.broadcast_to(keep, scores.shape))
-    attn = ad.softmax(scores, axis=-1)
+    """Self-attention over axis -2 of x: (B, T, d) -> (B, T, d). ``keep``
+    marks the keys each query may attend to, as in ``autodiff.attention``."""
+    q, k, v = (ad.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
+               for n in "qkv")
+    out, attn = ad.attention(q, k, v, n_heads, keep)
     if record is not None:
-        record["attn"] = attn.data.copy()
-    out = ad.matmul(attn, v)  # (B, H, T, dh)
-    out = ad.reshape(ad.transpose(out, (0, 2, 1, 3)), (b, t, d))
-    return ad.matmul(out, params[f"{prefix}.wo"]) + params[f"{prefix}.bo"]
+        record["attn"] = attn.copy()
+    return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
@@ -159,8 +139,8 @@ def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
     normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     x = x + multi_head_attention(normed, params, prefix, n_heads, keep, record)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = ad.relu(ad.matmul(normed, params[f"{prefix}.ff.w1"]) + params[f"{prefix}.ff.b1"])
-    return x + ad.matmul(h, params[f"{prefix}.ff.w2"]) + params[f"{prefix}.ff.b2"]
+    h = ad.relu(ad.linear(normed, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"]))
+    return x + ad.linear(h, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
 
 
 def graph_keep(adjacency: np.ndarray) -> np.ndarray:
@@ -231,7 +211,7 @@ def encode_price_batch(features: np.ndarray, params: dict, cfg,
         raise DegenerateInputError("empty price window")
     if f != cfg.price_features:
         raise DimensionError(f"price feature width {f} != configured {cfg.price_features}")
-    x = ad.matmul(Tensor(feats), params["price.in.w"]) + params["price.in.b"]
+    x = ad.linear(Tensor(feats), params["price.in.w"], params["price.in.b"])
     x = x + Tensor(sinusoidal_positions(t, cfg.d_model)[None])
     for i in range(cfg.n_layers):
         rec = {} if record is not None else None
@@ -276,7 +256,7 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
     if np.any(np.isnan(vals)):
         raise ImputationRequiredError("macro vector contains missing values")
     x = Tensor(vals)
-    gate_logits = ad.matmul(x, params["macro.gate.w"]) + params["macro.gate.b"]
+    gate_logits = ad.linear(x, params["macro.gate.w"], params["macro.gate.b"])
     weights = ad.softmax(gate_logits, axis=-1)  # (B, G)
     if record is not None:
         record["group_weights"] = weights.data.copy()
@@ -284,14 +264,14 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
     for gi, group in enumerate(MACRO_GROUPS):
         idx = np.asarray(cfg.macro_groups[group], dtype=np.int64)
         sub = Tensor(vals[:, idx])
-        emb = ad.matmul(sub, params[f"macro.group{gi}.w"]) + params[f"macro.group{gi}.b"]
+        emb = ad.linear(sub, params[f"macro.group{gi}.w"], params[f"macro.group{gi}.b"])
         w = ad.slice_axis(weights, 1, gi, gi + 1)  # (B, 1)
         pieces.append(emb * w)
     h = ad.concat(pieces, axis=-1)
-    pre = ad.matmul(h, params["macro.mlp.w1"]) + params["macro.mlp.b1"]
+    pre = ad.linear(h, params["macro.mlp.w1"], params["macro.mlp.b1"])
     if record is not None:
         record["hidden_preact"] = pre.data.copy()
-    return ad.matmul(ad.tanh(pre), params["macro.mlp.w2"]) + params["macro.mlp.b2"]
+    return ad.linear(ad.tanh(pre), params["macro.mlp.w2"], params["macro.mlp.b2"])
 
 
 def encode_graph_batch(features: np.ndarray, keep: np.ndarray, params: dict, cfg,

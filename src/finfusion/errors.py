@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config number check."""
+
+import numbers
 
 
 class ContractError(ValueError):
@@ -43,3 +45,17 @@ class ConfigError(ValueError):
 
 class SchemaError(ValueError):
     """Serialized artifact schema version does not match this build."""
+
+
+def check_number(name: str, value, least, most=None, integral: bool = False,
+                 strict: bool = False) -> None:
+    """ContractError naming ``name`` unless ``value`` is an integer (or, when
+    not ``integral``, a real number), not a bool, >= ``least`` and, given
+    ``most``, <= ``most``; ``strict`` makes both bounds exclusive."""
+    kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if not (isinstance(value, kind) and not isinstance(value, bool)
+            and (value > least if strict else value >= least)
+            and (most is None or (value < most if strict else value <= most))):
+        bound = (f"{'>' if strict else '>='} {least}" if most is None else
+                 f"in {'(' if strict else '['}{least}, {most}{')' if strict else ']'}")
+        raise ContractError(f"{name} must be {noun} {bound}, got {value!r}")

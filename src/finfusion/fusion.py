@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .autodiff import Tensor
-from .errors import ContractError, DegenerateInputError, DimensionError
+from .errors import ContractError, DegenerateInputError, DimensionError, check_number
 
 MODALITIES = ("price", "text", "macro", "graph")
 
@@ -29,8 +29,7 @@ class AlignConfig:
     pairs: tuple = (("price", "text"),)
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ContractError("temperature must be positive")
+        check_number("temperature", self.temperature, 0, strict=True)
         for a, b in self.pairs:
             if a not in MODALITIES or b not in MODALITIES:
                 raise ContractError(f"unknown modality pair ({a}, {b})")

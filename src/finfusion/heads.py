@@ -130,8 +130,9 @@ def micro_head_batch(z_seq: Tensor, params: dict, cfg,
     weights, means, sigmas = _micro_step(x, params, cfg)
     for _ in range(k - 1):
         point = ad.reduce_sum(weights * means, axis=-1)  # (B,)
-        nxt = ad.matmul(ad.reshape(point, (b, 1)), params["micro.feedback.w"])
-        x = ad.concat([x, ad.reshape(nxt + params["micro.feedback.b"], (b, 1, d))], axis=1)
+        nxt = ad.linear(ad.reshape(point, (b, 1)), params["micro.feedback.w"],
+                        params["micro.feedback.b"])
+        x = ad.concat([x, ad.reshape(nxt, (b, 1, d))], axis=1)
         weights, means, sigmas = _micro_step(x, params, cfg)
     return weights, means, sigmas
 
@@ -143,10 +144,9 @@ def _micro_step(x: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, Tensor]:
     for i in range(cfg.micro_layers):
         x = enc.transformer_layer(x, params, f"micro.layer{i}", cfg.n_heads, causal)
     last = ad.reshape(ad.slice_axis(x, 1, t - 1, t), (b, d))
-    logit_w = ad.matmul(last, params["micro.out_w.w"]) + params["micro.out_w.b"]
+    logit_w, means, raw = (ad.linear(last, params[f"micro.out_{n}.w"],
+                                     params[f"micro.out_{n}.b"]) for n in ("w", "mu", "sig"))
     weights = ad.softmax(logit_w, axis=-1)
-    means = ad.matmul(last, params["micro.out_mu.w"]) + params["micro.out_mu.b"]
-    raw = ad.matmul(last, params["micro.out_sig.w"]) + params["micro.out_sig.b"]
     sigmas = ad.exp(raw)  # positivity by construction
     return weights, means, sigmas
 
@@ -298,11 +298,11 @@ def macro_risk_batch(z: Tensor, node_features: np.ndarray, keep: np.ndarray,
     keep = enc.require_graph_keep(keep, b, n)
     if z.shape != (b, cfg.d_model):
         raise DimensionError(f"fused state must be (B, d_model), got {z.shape}")
-    h = ad.matmul(Tensor(feats), params["risk.in.w"]) + params["risk.in.b"]
+    h = ad.linear(Tensor(feats), params["risk.in.w"], params["risk.in.b"])
     h = h + ad.reshape(z, (b, 1, cfg.d_model))
     for i in range(cfg.risk_gat_layers):
         h = enc.gat_layer(h, keep, params, f"risk.gat{i}")
-    node_logits = ad.matmul(h, params["risk.node.w"]) + params["risk.node.b"]
+    node_logits = ad.linear(h, params["risk.node.w"], params["risk.node.b"])
     contributions = ad.sigmoid(node_logits)  # (B, N)
     pooled = ad.reduce_mean(contributions, axis=-1)  # (B,)
     slope = ad.exp(params["risk.cal.slope_raw"])  # > 0 keeps monotonicity

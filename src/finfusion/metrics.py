@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _stats
 
 from .datapipe import FLAT_BAND
 from .errors import ContractError, DegenerateInputError, UndefinedMetricError
@@ -122,6 +121,18 @@ def precision_recall_f1(pred, true):
     return precision, recall, f1
 
 
+def _average_ranks(s):
+    """Ranks 1..n of ``s``, ties sharing their mean (scipy's "average" ranks)."""
+    order = np.argsort(s, kind="stable")
+    ordered = s[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], s.size]
+    ranks = np.empty(s.size)
+    # the tie group at sorted positions starts..ends-1 holds ranks starts+1..ends
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
+    return ranks
+
+
 def roc_auc(scores, labels):
     """Exact Mann-Whitney ROC-AUC: P(score+ > score-) + half the tie mass.
 
@@ -135,7 +146,7 @@ def roc_auc(scores, labels):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("ROC-AUC needs both classes present")
-    ranks = _stats.rankdata(s, method="average")
+    ranks = _average_ranks(s)
     u = ranks[y].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -16,7 +16,7 @@ from . import autodiff as ad
 from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, NumericalError
+from .errors import ContractError, DimensionError, NumericalError, check_number
 
 DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 
@@ -39,14 +39,14 @@ class RLConfig:
 
     def __post_init__(self):
         self.actions = tuple(float(a) for a in self.actions)
-        if self.alpha < 0 or self.beta < 0:
-            raise ContractError("alpha and beta must be >= 0")
-        if not 0.0 <= self.gamma < 1.0:
-            raise ContractError("gamma must lie in [0, 1)")
+        check_number("alpha", self.alpha, 0)
+        check_number("beta", self.beta, 0)
+        check_number("gamma", self.gamma, 0)
+        if self.gamma >= 1:
+            raise ContractError(f"gamma must be below 1, got {self.gamma!r}")
         if not self.actions:
             raise ContractError("action set must be nonempty")
-        if self.episode_length < 1:
-            raise ContractError("episode_length must be >= 1")
+        check_number("episode_length", self.episode_length, 1, integral=True)
         if self.r_sys_source not in ("truth", "model"):
             raise ContractError("r_sys_source must be 'truth' or 'model'")
 
@@ -255,7 +255,7 @@ def reinforce_gradient(trajectories, params: dict, cfg: RLConfig,
     one_hot[np.arange(acts.size), acts] = 1.0
 
     with ad.Tape() as tape:
-        logits = ad.matmul(Tensor(states), w) + b
+        logits = ad.linear(Tensor(states), w, b)
         log_probs = logits - ad.reshape(ad.logsumexp(logits, axis=-1), (acts.size, 1))
         picked = ad.reduce_sum(log_probs * Tensor(one_hot), axis=-1)
         # negative sign: backward computes a descent direction on the

@@ -23,7 +23,7 @@ from . import model as model_mod
 from . import rl as rl_mod
 from .autodiff import Tensor
 from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
-                     ScheduleError, SchemaError)
+                     ScheduleError, SchemaError, check_number)
 
 STAGES = ("unimodal-pretrain", "multimodal-align", "joint-multitask", "rl-finetune")
 
@@ -53,8 +53,8 @@ class LossWeights:
 
     def __post_init__(self):
         vals = (self.lambda1, self.lambda2, self.lambda3, self.lambda4)
-        if any(v < 0 for v in vals):
-            raise ContractError("loss weights must be nonnegative")
+        for i, v in enumerate(vals, start=1):
+            check_number(f"lambda{i}", v, 0)
         if all(v == 0 for v in vals):
             raise ContractError("at least one loss weight must be positive")
 
@@ -65,23 +65,10 @@ class ForecastLossConfig:
     mse_weight: float = 1.0
 
     def __post_init__(self):
+        for t in self.quantile_levels:
+            check_number("quantile_levels", t, 0, 1, strict=True)
         self.quantile_levels = tuple(float(t) for t in self.quantile_levels)
-        if any(not 0.0 < t < 1.0 for t in self.quantile_levels):
-            raise ContractError("quantile levels must lie strictly inside (0, 1)")
-        if self.mse_weight < 0:
-            raise ContractError("mse_weight must be >= 0")
-
-
-def _check_number(name: str, value, least, integral: bool = False,
-                  strict: bool = False) -> None:
-    """ContractError naming ``name`` unless ``value`` is an integer (or, when
-    not ``integral``, a real number), not a bool, and >= ``least`` (> when
-    ``strict``)."""
-    kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
-    ok = isinstance(value, kind) and not isinstance(value, bool)
-    if not ok or not (value > least if strict else value >= least):
-        raise ContractError(
-            f"{name} must be {noun} {'>' if strict else '>='} {least}, got {value!r}")
+        check_number("mse_weight", self.mse_weight, 0)
 
 
 @dataclass
@@ -98,14 +85,14 @@ class TrainingConfig:
     def __post_init__(self):
         for name, least in (("micro_batch_size", 1), ("macro_batch_size", 1),
                             ("warmup_steps", 0), ("episodes_per_epoch", 1)):
-            _check_number(name, getattr(self, name), least, integral=True)
+            check_number(name, getattr(self, name), least, integral=True)
         for name, strict in (("peak_lr", True), ("rl_lr", True),
                              ("weight_decay", False)):
-            _check_number(name, getattr(self, name), 0, strict=strict)
+            check_number(name, getattr(self, name), 0, strict=strict)
         if isinstance(self.seeds, (str, numbers.Number)) or not self.seeds:
             raise ContractError(f"seeds must be a nonempty list, got {self.seeds!r}")
         for seed in self.seeds:
-            _check_number("seeds", seed, 0, integral=True)
+            check_number("seeds", seed, 0, integral=True)
         self.seeds = tuple(int(s) for s in self.seeds)
 
 
@@ -117,7 +104,7 @@ class StageSchedule:
         if set(self.epochs) != set(STAGES):
             raise ContractError(f"schedule must cover exactly the stages {STAGES}")
         for s in STAGES:
-            _check_number(s, self.epochs[s], 0, integral=True)
+            check_number(s, self.epochs[s], 0, integral=True)
             self.epochs[s] = int(self.epochs[s])
 
 

@@ -480,3 +480,126 @@ def test_add_mul_grads_property(seed):
     x = Tensor(rng.uniform(0.5, 2.0, size=(2, 3)), requires_grad=True)
     err = grad_check(lambda t: reduce_sum(t * t + ad.log(t)), x)
     assert err < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# fused ops against the unfused compositions they replace
+
+def _rel_err(got, want):
+    scale = np.abs(want).max()
+    return float(np.abs(got - want).max() / scale) if scale else float(np.abs(got).max())
+
+
+def _value_and_grads(f, arrays, coeffs):
+    """f's output and the gradient of sum(f * coeffs) for each input array."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = f(*leaves)
+        loss = reduce_sum(out * Tensor(coeffs))
+    backward(loss, tape)
+    return [out.data] + [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("x_shape,w_shape,b_shape", [
+    ((3, 4, 5), (5, 6), (6,)),   # stacked (B, T, k) input
+    ((3, 1, 5), (5, 6), (6,)),   # T = 1
+    ((4, 5), (5, 6), (6,)),
+    ((3, 4, 5), (5,), (1,)),     # 1-D weight with a (1,) bias
+])
+def test_linear_matches_matmul_plus_bias(x_shape, w_shape, b_shape):
+    rng = np.random.default_rng(21)
+    arrays = [rng.normal(size=s) for s in (x_shape, w_shape, b_shape)]
+    coeffs = rng.normal(size=np.matmul(arrays[0], arrays[1]).shape)
+    got = _value_and_grads(ad.linear, arrays, coeffs)
+    want = _value_and_grads(lambda x, w, b: matmul(x, w) + b, arrays, coeffs)
+    assert got[0].tobytes() == want[0].tobytes()
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert _rel_err(g, w) <= 1e-12
+
+
+def test_linear_rejects_mismatched_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, Tensor(np.ones((5, 2))), Tensor(np.zeros(2)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, Tensor(np.ones((4, 2))), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.linear(x, Tensor(np.ones((4, 2, 1))), Tensor(np.zeros(1)))
+
+
+def _unfused_attention(q, k, v, n_heads, keep):
+    """The head split, scaled scores, mask, softmax, ``attn @ v`` and head
+    merge as separate ops, as ``multi_head_attention`` once composed them."""
+    b, t, d = q.shape
+    dh = d // n_heads
+
+    def split(a):
+        return transpose(reshape(a, (b, t, n_heads, dh)), (0, 2, 1, 3))
+
+    scores = matmul(split(q), transpose(split(k), (0, 1, 3, 2))) * (1.0 / np.sqrt(dh))
+    if keep is not None:
+        scores = masked_fill_logits(scores, np.broadcast_to(keep, scores.shape))
+    attn = softmax(scores, axis=-1)
+    return reshape(transpose(matmul(attn, split(v)), (0, 2, 1, 3)), (b, t, d)), attn
+
+
+_PAD = np.array([[True, True, True, False, False], [True, True, True, True, True],
+                 [True, False, False, False, False]])
+_MASKS = {
+    "none": lambda b, t: None,
+    "key-padding": lambda b, t: _PAD[:b, :t][:, None, None, :],
+    # the fusion layer's modality presence: any subset with one present
+    "presence": lambda b, t: np.array([[True, False, True, True, False],
+                                       [False, True, False, False, True],
+                                       [True, True, True, True, True]])[:b, :t][:, None, None, :],
+    "causal": lambda b, t: np.tril(np.ones((t, t), dtype=bool)),
+}
+
+
+@pytest.mark.parametrize("mask", sorted(_MASKS))
+@pytest.mark.parametrize("t", [1, 5])
+def test_attention_matches_the_unfused_composition(mask, t):
+    rng = np.random.default_rng(22)
+    b, d, n_heads = 3, 8, 2
+    keep = _MASKS[mask](b, t)
+    if keep is not None and t == 1:
+        keep = np.ones_like(keep)  # one key, and every query needs a key
+    arrays = [rng.normal(size=(b, t, d)) for _ in range(3)]
+    coeffs = rng.normal(size=(b, t, d))
+    got = _value_and_grads(lambda q, k, v: ad.attention(q, k, v, n_heads, keep)[0],
+                           arrays, coeffs)
+    want = _value_and_grads(lambda q, k, v: _unfused_attention(q, k, v, n_heads, keep)[0],
+                            arrays, coeffs)
+    assert got[0].tobytes() == want[0].tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        assert _rel_err(g, w) <= 1e-12
+    weights = ad.attention(*map(Tensor, arrays), n_heads, keep)[1]
+    ref = _unfused_attention(*map(Tensor, arrays), n_heads, keep)[1].data
+    assert weights.shape == (b, n_heads, t, t)
+    assert weights.tobytes() == ref.tobytes()
+
+
+def test_attention_masked_key_gets_exactly_zero_weight_and_gradient():
+    rng = np.random.default_rng(23)
+    b, t, d = 3, 5, 8
+    keep = _PAD[:, None, None, :]
+    arrays = [rng.normal(size=(b, t, d)) for _ in range(3)]
+    _, weights = ad.attention(*map(Tensor, arrays), 2, keep)
+    hidden = np.broadcast_to(~keep, weights.shape)
+    assert np.all(weights[hidden] == 0.0)
+    assert np.all(weights[~hidden] > 0.0)
+    _, _, gk, gv = _value_and_grads(lambda q, k, v: ad.attention(q, k, v, 2, keep)[0],
+                                    arrays, rng.normal(size=(b, t, d)))
+    assert np.all(gk[~_PAD] == 0.0) and np.all(gv[~_PAD] == 0.0)
+    assert np.all(gv[_PAD] != 0.0)
+    # a lone key's weight is 1 whatever its logit, so its key gradient is 0 too
+    assert np.all(gk[:2][_PAD[:2]] != 0.0)
+
+
+def test_attention_rejects_bad_shapes():
+    x = Tensor(np.ones((2, 3, 6)))
+    with pytest.raises(DimensionError):
+        ad.attention(x, x, x, 4)
+    with pytest.raises(DimensionError):
+        ad.attention(x, Tensor(np.ones((2, 4, 6))), x, 2)

@@ -684,7 +684,7 @@ def test_non_finite_output_is_one_line_numerical_error(work, tmp_path, capsys,
 def test_grad_check_passes(capsys):
     assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
-    assert "/15 checks passed" in out
+    assert "/17 checks passed" in out
     assert "PASS  op.matmul_stacked " in out
     assert "FAIL" not in out
 
@@ -771,6 +771,26 @@ def test_bad_training_setting_exits_2_before_training(work, tmp_path, capsys,
     key = setting.split("=")[0]
     assert key in lines[0] or f"training: {key.split('.')[1]} " in lines[0]
     assert not (tmp_path / "run").exists()
+
+
+# a fractional or boolean count, a boolean real and an out-of-range value in
+# every section outside training and model, each named by its key
+@pytest.mark.parametrize("setting", [
+    "synthetic.n_steps=400.5", "synthetic.n_assets=true", "synthetic.n_assets=17",
+    "synthetic.window=2.5", "synthetic.seed=-1", "synthetic.edge_density=true",
+    "synthetic.crisis_rate=1", "rl.episode_length=2.5", "rl.gamma=true",
+    "rl.alpha=-1", "loss.lambda1=true", "loss.lambda4=-0.5",
+    "forecast_loss.mse_weight=true", "forecast_loss.quantile_levels=[0.5,true]",
+    "align.temperature=true", "align.temperature=0"])
+def test_bad_number_in_any_section_exits_2(work, tmp_path, capsys, setting):
+    rc = cli.main(["generate", "--config", work["cfg"], "--out", str(tmp_path / "data"),
+                   "--set", setting])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    section, field = setting.split("=")[0].split(".")
+    assert lines[0].startswith(f"error: {section}: {field} must be ")
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("setting", [

@@ -135,8 +135,9 @@ def test_micro_head_batch_gradients(setup):
 
 
 def _causal_transformer_layer(x, params, prefix, n_heads, keep):
-    """The micro decoder's former private layer, kept as a reference: it adds
-    the attention output as (x + m) + b, the shared layer as x + (m + b)."""
+    """The micro decoder's former private layer, kept as the unfused
+    reference: it adds each residual branch as (x + m) + b, the shared layer
+    as x + (m + b)."""
     b, t, d = x.shape
     dh = d // n_heads
     normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])

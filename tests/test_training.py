@@ -890,3 +890,23 @@ def test_adamw_matches_the_per_leaf_reference_bit_for_bit(world, monkeypatch):
     assert any(late) and not all(late)
     for n in flat.params:
         assert flat.params[n].data.tobytes() == ref.params[n].data.tobytes(), n
+
+
+def test_joint_step_tape_op_budget(world, monkeypatch):
+    """The tape ops one joint-stage step records, so that a layer built from
+    unfused ops fails here instead of slowing every step. The two counts are
+    a forecast step with the alignment term and a risk step; before
+    ``ad.linear`` and ``ad.attention`` they were 289 and 196."""
+    counts = []
+    backward = ad.backward
+
+    def counting(loss, tape):
+        counts.append(len(tape))
+        backward(loss, tape)
+
+    monkeypatch.setattr(ad, "backward", counting)
+    run = _run(world, _schedule(0, 0, 1, 0))
+    run.run_stage("unimodal-pretrain")
+    run.run_stage("multimodal-align")
+    run.run_stage("joint-multitask")
+    assert sorted(set(counts)) == [130, 203]
