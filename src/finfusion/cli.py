@@ -26,7 +26,7 @@ from . import rl as frl
 from . import training as tr
 from .autodiff import Tensor
 from .config import RunConfig
-from .errors import ConfigError, ContractError, NumericalError, SchemaError
+from .errors import ConfigError, ContractError, NumericalError, SchemaError, check_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -72,7 +72,16 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _check_flags(args, **least) -> None:
+    """Each named integer flag, when given, is at least its bound."""
+    for name, bound in least.items():
+        value = getattr(args, name)
+        if value is not None:
+            check_number(f"--{name}", value, bound, integral=True)
+
+
 def cmd_train(args) -> int:
+    _check_flags(args, seed=0)
     cfg = RunConfig.load(args.config, args.set)
     ds = dp.load_dataset(args.data)
     if cfg.model.vocab_size < len(ds.vocab):
@@ -189,6 +198,7 @@ def cmd_forecast(args) -> int:
 
 
 def cmd_rl_run(args) -> int:
+    _check_flags(args, seed=0, updates=0, episodes=1)
     cfg = RunConfig.load(args.config, args.set)
     params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
@@ -345,6 +355,7 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
 
 
 def cmd_grad_check(args) -> int:
+    _check_flags(args, seed=0)
     results = gradient_battery(d_model=args.d_model, seed=args.seed)
     worst = 0.0
     failed = 0

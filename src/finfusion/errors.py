@@ -50,12 +50,28 @@ class SchemaError(ValueError):
 def check_number(name: str, value, least, most=None, integral: bool = False,
                  strict: bool = False) -> None:
     """ContractError naming ``name`` unless ``value`` is an integer (or, when
-    not ``integral``, a real number), not a bool, >= ``least`` and, given
-    ``most``, <= ``most``; ``strict`` makes both bounds exclusive."""
+    not ``integral``, a real number), not a bool, >= ``least`` (unless that
+    is None) and, given ``most``, <= ``most``; ``strict`` makes both bounds
+    exclusive."""
     kind, noun = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
     if not (isinstance(value, kind) and not isinstance(value, bool)
-            and (value > least if strict else value >= least)
+            and (least is None or (value > least if strict else value >= least))
             and (most is None or (value < most if strict else value <= most))):
-        bound = (f"{'>' if strict else '>='} {least}" if most is None else
-                 f"in {'(' if strict else '['}{least}, {most}{')' if strict else ']'}")
-        raise ContractError(f"{name} must be {noun} {bound}, got {value!r}")
+        if most is not None:
+            bound = f" in {'(' if strict else '['}{least}, {most}{')' if strict else ']'}"
+        elif least is not None:
+            bound = f" {'>' if strict else '>='} {least}"
+        else:
+            bound = ""
+        raise ContractError(f"{name} must be {noun}{bound}, got {value!r}")
+
+
+def check_numbers(name: str, values, least=None, most=None, integral: bool = False,
+                  strict: bool = False) -> None:
+    """``check_number`` over every item of the list or tuple ``values``; any
+    other value (a scalar, a string) is a ContractError naming ``name``."""
+    if not isinstance(values, (list, tuple)):
+        noun = "integers" if integral else "numbers"
+        raise ContractError(f"{name} must be a list of {noun}, got {values!r}")
+    for value in values:
+        check_number(name, value, least, most, integral, strict)

@@ -14,7 +14,7 @@ from . import fusion as fus
 from . import heads as task_heads
 from .autodiff import Tensor
 from .datapipe import MACRO_SLOTS
-from .errors import ConfigError
+from .errors import ConfigError, check_number
 
 DEFAULT_MACRO_GROUPS = {
     "growth": (0, 2),
@@ -80,8 +80,8 @@ class ModelConfig:
         covered = sorted(i for idx in self.macro_groups.values() for i in idx)
         if covered != list(range(len(self.macro_slots))):
             raise ConfigError("macro groups must partition the macro slots")
-        if not 0 < self.warning_threshold < 1:
-            raise ConfigError("warning_threshold must be in (0, 1)")
+        check_number("flat_band", self.flat_band, 0)
+        check_number("warning_threshold", self.warning_threshold, 0, 1, strict=True)
 
     def to_dict(self) -> dict:
         d = asdict(self)

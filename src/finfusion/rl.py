@@ -16,7 +16,8 @@ from . import autodiff as ad
 from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
-from .errors import ContractError, DimensionError, NumericalError, check_number
+from .errors import (ContractError, DimensionError, NumericalError, check_number,
+                     check_numbers)
 
 DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 
@@ -38,6 +39,7 @@ class RLConfig:
     r_sys_source: str = "truth"
 
     def __post_init__(self):
+        check_numbers("actions", self.actions)
         self.actions = tuple(float(a) for a in self.actions)
         check_number("alpha", self.alpha, 0)
         check_number("beta", self.beta, 0)
@@ -158,13 +160,16 @@ class DatasetEnv:
     ``kinds``, in fixed chunks of ``model.EVAL_BATCH`` rows, so a state does
     not depend on which dates an episode visits. Only ``policy.*`` may move
     while the env is in use; callers that move the backbone build a new env.
+
+    Nor does a state depend on the actions taken: step i always moves to
+    ``states[i + 1]``, earns ``position * edge[i]`` and is charged
+    ``|position| * stress[i]``. ``rollout`` relies on that contract to
+    sample a whole episode of this env as arrays.
     """
 
     def __init__(self, dataset, params: dict, model_cfg, rl_cfg: RLConfig,
                  split: str = "train", asset: int = 0, kinds=fus.MODALITIES):
-        self.ds = dataset
         self.cfg = rl_cfg
-        self.asset = asset
         self.dates = list(dataset.splits[split])
         if len(self.dates) < 2:
             raise ContractError(f"split '{split}' too short for an episode")
@@ -178,6 +183,14 @@ class DatasetEnv:
             risks.append(out["risk_score"].data)
         self.states = np.concatenate(zs)
         self.risk = np.concatenate(risks)
+        # per steppable date (all but the last): the next return, and the
+        # stress charge of the configured source
+        steppable = np.asarray(self.dates[:-1])
+        self.edge = dataset.returns[asset, steppable + 1]
+        if rl_cfg.r_sys_source == "model":
+            self.stress = self.risk[:-1]
+        else:
+            self.stress = np.array([dataset.stress_next(t) for t in steppable])
         self.i = 0
 
     @property
@@ -194,13 +207,8 @@ class DatasetEnv:
         action.require_in(self.cfg)
         if self.remaining < 1:
             raise ContractError("episode ran past the end of the split")
-        date = self.dates[self.i]
-        profit = action.position * self.ds.y_next(self.asset, date)
-        if self.cfg.r_sys_source == "model":
-            stress = float(self.risk[self.i])
-        else:
-            stress = self.ds.stress_next(date)
-        r_sys = abs(action.position) * stress
+        profit = action.position * float(self.edge[self.i])
+        r_sys = abs(action.position) * float(self.stress[self.i])
         self.i += 1
         return self.states[self.i], profit, r_sys
 
@@ -208,12 +216,23 @@ class DatasetEnv:
 def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
             start: int = 0) -> Trajectory:
     """Sample one episode from the policy; length is capped by both the
-    configured episode length and the environment horizon."""
+    configured episode length and the environment horizon.
+
+    Any env with ``reset``, ``env_step`` and ``remaining`` is stepped one
+    action at a time. A ``DatasetEnv`` is rolled out as arrays instead: its
+    states do not depend on the actions, so the whole episode's policy is
+    one product and its rewards are vectors. It draws the same uniforms as
+    stepping; the product's logits can differ from one-row ones in the last
+    bit, which moves an action only if a uniform lands that close to a CDF
+    edge.
+    """
     state = env.reset(start)
-    states, actions, rewards, profits, stresses = [], [], [], [], []
     steps = min(cfg.episode_length, env.remaining)
     if steps < 1:
         raise ContractError("no room left for a single step")
+    if isinstance(env, DatasetEnv):
+        return _dataset_rollout(env, params, cfg, rng, start, steps)
+    states, actions, rewards, profits, stresses = [], [], [], [], []
     for _ in range(steps):
         a_idx = sample_action(policy(state, params), rng)
         act = Action(cfg.actions[a_idx])
@@ -228,6 +247,38 @@ def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
         states=np.asarray(states), actions=np.asarray(actions),
         rewards=np.asarray(rewards), profits=np.asarray(profits),
         r_sys=np.asarray(stresses))
+
+
+def _dataset_rollout(env: DatasetEnv, params: dict, cfg: RLConfig,
+                     rng: np.random.Generator, start: int, steps: int) -> Trajectory:
+    """``steps`` steps of ``env`` from ``start``, each array computed in the
+    order ``policy``, ``sample_action``, ``env_step`` and ``reward`` use per
+    step; leaves ``env.i`` where stepping would."""
+    states = env.states[start:start + steps]
+    w, b = params["policy.w"].data, params["policy.b"].data
+    if states.shape[1] != w.shape[0]:
+        raise DimensionError(f"state dim {states.shape[1]} vs policy dim {w.shape[0]}")
+    logits = states @ w + b
+    logits -= logits.max(axis=1, keepdims=True)
+    e = np.exp(logits)
+    cdf = (e / e.sum(axis=1, keepdims=True)).cumsum(axis=1)
+    if not np.isfinite(cdf[:, -1]).all():
+        raise NumericalError("non-finite action distribution")
+    cdf /= cdf[:, -1:]
+    # the number of CDF entries <= u is searchsorted(u, side="right")
+    actions = (cdf <= rng.random(steps)[:, None]).sum(axis=1)
+    positions = np.asarray(cfg.actions)[actions]
+    for position in set(cfg.actions) - set(env.cfg.actions):
+        if (positions == position).any():
+            Action(position).require_in(env.cfg)
+    profits = positions * env.edge[start:start + steps]
+    r_sys = np.abs(positions) * env.stress[start:start + steps]
+    if not (np.isfinite(profits).all() and np.isfinite(r_sys).all()):
+        raise ContractError("reward inputs must be finite")
+    env.i = start + steps
+    return Trajectory(states=states, actions=actions,
+                      rewards=cfg.alpha * profits - cfg.beta * r_sys,
+                      profits=profits, r_sys=r_sys)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ own RNG stream so a seeded run is reproducible bit for bit.
 
 import contextlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,8 @@ from . import heads
 from . import model as model_mod
 from . import rl as rl_mod
 from .autodiff import Tensor
-from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
-                     ScheduleError, SchemaError, check_number)
+from .errors import (ContractError, DimensionError, NumericalError, ScheduleError,
+                     SchemaError, check_number, check_numbers)
 
 STAGES = ("unimodal-pretrain", "multimodal-align", "joint-multitask", "rl-finetune")
 
@@ -65,8 +64,7 @@ class ForecastLossConfig:
     mse_weight: float = 1.0
 
     def __post_init__(self):
-        for t in self.quantile_levels:
-            check_number("quantile_levels", t, 0, 1, strict=True)
+        check_numbers("quantile_levels", self.quantile_levels, 0, 1, strict=True)
         self.quantile_levels = tuple(float(t) for t in self.quantile_levels)
         check_number("mse_weight", self.mse_weight, 0)
 
@@ -89,10 +87,9 @@ class TrainingConfig:
         for name, strict in (("peak_lr", True), ("rl_lr", True),
                              ("weight_decay", False)):
             check_number(name, getattr(self, name), 0, strict=strict)
-        if isinstance(self.seeds, (str, numbers.Number)) or not self.seeds:
-            raise ContractError(f"seeds must be a nonempty list, got {self.seeds!r}")
-        for seed in self.seeds:
-            check_number("seeds", seed, 0, integral=True)
+        check_numbers("seeds", self.seeds, 0, integral=True)
+        if not self.seeds:
+            raise ContractError("seeds must be a nonempty list")
         self.seeds = tuple(int(s) for s in self.seeds)
 
 
@@ -624,7 +621,7 @@ def load_params(path: str):
     params, meta = load_checkpoint(path)
     try:
         mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
-    except (KeyError, TypeError, ConfigError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(
             f"checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
         ) from e

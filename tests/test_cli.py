@@ -5,8 +5,10 @@ are observable without subprocesses. A single tiny dataset and trained
 checkpoint are shared across the module.
 """
 
+import dataclasses
 import json
 import math
+import numbers
 import os
 import warnings
 
@@ -16,6 +18,7 @@ from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 import finfusion.cli as cli
+import finfusion.config as config
 import finfusion.datapipe as dp
 import finfusion.heads as heads
 import finfusion.metrics as mx
@@ -809,3 +812,79 @@ def test_non_integer_count_or_bool_exits_2_before_training(work, tmp_path, capsy
         field = field.replace("_", "-")
     assert lines[0].startswith(f"error: {section}: {field} must be ")
     assert not (tmp_path / "run").exists()
+
+
+def _keys_holding(test):
+    """Every key of a ``config.SECTIONS`` field whose default passes ``test``."""
+    return [f"{section}.{f.name}" for section, cls in config.SECTIONS.items()
+            for f in dataclasses.fields(cls) if test(getattr(cls(), f.name))]
+
+
+def _is_number(v):
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _expect_named_config_error(work, tmp_path, capsys, key, value):
+    rc = cli.main(["generate", "--config", work["cfg"], "--out", str(tmp_path / "data"),
+                   "--set", f"{key}={value}"])
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    section, field = key.split(".")
+    if section == "stages":
+        field = field.replace("_", "-")
+    assert lines[0].startswith(f"error: {section}: {field}")
+    assert not (tmp_path / "data").exists()
+
+
+# every numeric field of every section and every stage's epoch count, so
+# that a field added later is covered without listing it here
+_NUMERIC_KEYS = (_keys_holding(_is_number)
+                 + [f"stages.{s.replace('-', '_')}" for s in tr.STAGES])
+_NUMBER_LIST_KEYS = _keys_holding(
+    lambda v: isinstance(v, tuple) and bool(v) and all(map(_is_number, v)))
+
+
+def test_the_field_walk_finds_every_kind_of_field():
+    assert {"synthetic.n_steps", "model.flat_band", "model.warning_threshold",
+            "training.peak_lr", "rl.gamma", "align.temperature",
+            "stages.rl_finetune"} <= set(_NUMERIC_KEYS)
+    assert set(_NUMBER_LIST_KEYS) == {"training.seeds", "forecast_loss.quantile_levels",
+                                      "rl.actions"}
+
+
+@pytest.mark.parametrize("value", ["true", '"x"'])
+@pytest.mark.parametrize("key", _NUMERIC_KEYS)
+def test_every_numeric_field_rejects_a_bool_and_a_string(work, tmp_path, capsys, key,
+                                                         value):
+    _expect_named_config_error(work, tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("value", ["true", '"x"', "0.5", "[true]", '["x"]',
+                                   "[0.5, false]"])
+@pytest.mark.parametrize("key", _NUMBER_LIST_KEYS)
+def test_every_number_list_rejects_a_scalar_or_a_bad_item(work, tmp_path, capsys, key,
+                                                          value):
+    _expect_named_config_error(work, tmp_path, capsys, key, value)
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--seed", "-1"]), ("rl-run", ["--seed", "-1"]),
+    ("rl-run", ["--updates", "-1"]), ("rl-run", ["--episodes", "0"]),
+    ("grad-check", ["--seed", "-1"])])
+def test_a_bad_count_or_seed_flag_exits_2_naming_it(work, tmp_path, capsys, command,
+                                                    flags):
+    out = tmp_path / "out"
+    inputs = {"train": ["--config", work["cfg"], "--data", work["data"]],
+              "rl-run": ["--config", work["cfg"], "--checkpoint", work["ckpt"],
+                         "--data", work["data"]],
+              "grad-check": []}[command]
+    tail = [] if command == "grad-check" else ["--out", str(out)]
+    rc = cli.main([command, *inputs, *tail, *flags])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {flags[0]} must be an integer >= ")
+    assert captured.out == ""
+    assert not out.exists()

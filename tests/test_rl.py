@@ -123,6 +123,9 @@ def test_rl_config_validation():
         rl.RLConfig(gamma=1.0)
     with pytest.raises(ContractError):
         rl.RLConfig(actions=())
+    for actions in ((True, False), 1, (0.0, "1")):
+        with pytest.raises(ContractError, match="actions must be"):
+            rl.RLConfig(actions=actions)
     with pytest.raises(ContractError):
         rl.RLConfig(beta=-0.1)
 
@@ -432,3 +435,83 @@ def test_trace_export_roundtrip(tiny_world, tmp_path):
     assert len(rec["steps"]) == 8
     assert rec["return"] == pytest.approx(rl.discounted_return(trajs[0], cfg.gamma))
     assert {"t", "position", "reward", "profit", "r_sys"} <= set(rec["steps"][0])
+
+
+class _SteppedOnly:
+    """Only ``reset``, ``env_step`` and ``remaining`` of an env, so that
+    ``rollout`` steps it one action at a time."""
+
+    def __init__(self, env):
+        self._env = env
+
+    def reset(self, start=0):
+        return self._env.reset(start)
+
+    def env_step(self, action):
+        return self._env.env_step(action)
+
+    @property
+    def remaining(self):
+        return self._env.remaining
+
+
+@pytest.mark.parametrize("source", ["truth", "model"])
+def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
+    ds, mcfg, backbone = tiny_world
+    cfg = rl.RLConfig(episode_length=12, r_sys_source=source)
+    env = rl.DatasetEnv(ds, backbone, mcfg, cfg)
+    # both paths read these tables, so they are checked against the dataset
+    steppable = env.dates[:-1]
+    want_stress = (env.risk[:-1] if source == "model"
+                   else [ds.stress_next(t) for t in steppable])
+    assert env.edge.tolist() == [ds.y_next(0, t) for t in steppable]
+    assert env.stress.tolist() == list(want_stress)
+    stepped = _SteppedOnly(env)
+    last = len(env.dates) - 1
+    # starts capped by episode_length (0, 5) and by the horizon (last - 7, last - 1)
+    starts = (0, 5, last - 7, last - 1)
+    seen = set()
+    for seed in range(60):
+        # from near-uniform to nearly deterministic policies
+        scale = (0.1, 1.0, 5.0)[seed % 3]
+        params = _policy_params(np.random.default_rng(1000 + seed), mcfg.d_model, 3)
+        params["policy.w"].data *= scale / 0.3
+        fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            # the start drawn between episodes, as policy_epoch draws it
+            start = starts[int(fast_rng.integers(0, len(starts)))]
+            assert starts[int(slow_rng.integers(0, len(starts)))] == start
+            fast = rl.rollout(env, params, cfg, fast_rng, start=start)
+            fast_i = env.i
+            slow = rl.rollout(stepped, params, cfg, slow_rng, start=start)
+            assert env.i == fast_i == start + len(slow)
+            assert len(slow) == min(12, last - start)
+            for field in ("actions", "rewards", "profits", "r_sys", "states"):
+                a, b = getattr(fast, field), getattr(slow, field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+            seen.update(fast.actions.tolist())
+        assert fast_rng.random() == slow_rng.random()
+    assert seen == {0, 1, 2}
+
+
+def test_dataset_rollout_rejects_a_non_finite_policy(tiny_world):
+    ds, mcfg, params = tiny_world
+    cfg = rl.RLConfig(episode_length=6)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
+    bad = _policy_params((np.zeros((mcfg.d_model, 3)), np.zeros(3)), mcfg.d_model, 3)
+    bad["policy.w"].data[0, 1] = np.nan  # as diverged weights would be
+    for target in (env, _SteppedOnly(env)):
+        with pytest.raises(NumericalError, match="non-finite action distribution"):
+            rl.rollout(target, bad, cfg, np.random.default_rng(0), start=0)
+
+
+def test_rollout_rejects_a_position_outside_the_env_action_set(tiny_world):
+    ds, mcfg, params = tiny_world
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(episode_length=6))
+    cfg = rl.RLConfig(episode_length=6, actions=(-1.0, 0.0, 2.0))
+    # a policy that always picks position 2.0, which the env does not offer
+    picks_last = _policy_params((np.zeros((mcfg.d_model, 3)), np.array([0.0, 0.0, 50.0])),
+                                mcfg.d_model, 3)
+    for target in (env, _SteppedOnly(env)):
+        with pytest.raises(ContractError, match="not in action set"):
+            rl.rollout(target, picks_last, cfg, np.random.default_rng(0), start=0)
