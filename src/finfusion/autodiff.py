@@ -95,12 +95,13 @@ class Tensor:
         self.grad = np.zeros_like(arr) if requires_grad else None
 
     @classmethod
-    def leaf(cls, arr: np.ndarray) -> "Tensor":
-        """A trainable leaf that takes ownership of the float64 array ``arr``
-        without the constructor's copy and finiteness check: for arrays the
-        caller has just made and checked itself."""
+    def leaf(cls, arr: np.ndarray, grad: np.ndarray) -> "Tensor":
+        """A trainable leaf that takes ownership of the float64 array ``arr``,
+        and of ``grad``, zeros of its shape, as its gradient buffer, without
+        the constructor's copy and finiteness check: for arrays the caller
+        has just made and checked itself."""
         t = cls.__new__(cls)
-        t.data, t.requires_grad, t.grad = arr, True, np.zeros_like(arr)
+        t.data, t.requires_grad, t.grad = arr, True, grad
         return t
 
     @property

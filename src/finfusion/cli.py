@@ -77,7 +77,7 @@ def _check_flags(args, **least) -> None:
     for name, bound in least.items():
         value = getattr(args, name)
         if value is not None:
-            check_number(f"--{name}", value, bound, integral=True)
+            check_number(f"--{name.replace('_', '-')}", value, bound, integral=True)
 
 
 def cmd_train(args) -> int:
@@ -161,6 +161,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_forecast(args) -> int:
+    _check_flags(args, horizon=1)
     params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
     if not 0 <= args.asset < ds.n_assets:
@@ -233,6 +234,7 @@ def cmd_rl_run(args) -> int:
 
 
 def cmd_report(args) -> int:
+    _check_flags(args, horizon=1)
     params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
     kinds = tuple(meta.get("modalities", fus.MODALITIES))
@@ -355,7 +357,9 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
 
 
 def cmd_grad_check(args) -> int:
-    _check_flags(args, seed=0)
+    _check_flags(args, seed=0, d_model=2)
+    if args.d_model % 2:  # the battery's model has two heads
+        raise ContractError(f"--d-model must be an integer >= 2 and even, got {args.d_model}")
     results = gradient_battery(d_model=args.d_model, seed=args.seed)
     worst = 0.0
     failed = 0

@@ -100,10 +100,12 @@ def _parse(blob: bytes, magic: bytes) -> tuple:
         raise SchemaError(f"{len(blob)} bytes, its header describes {expected}")
     if _digest(header, [memoryview(blob)[start:]]) != digest:
         raise SchemaError("header or arrays fail their sha256 check")
-    arrays, offset = {}, start
+    # one copy of the array bytes, writable and independent of the file's;
+    # each array is a view into it, copied again only where it is unaligned
+    body = np.frombuffer(blob, dtype=np.uint8, offset=start).copy()
+    arrays, offset = {}, 0
     for (name, dtype, shape), n in zip(entries, counts):
-        # a copy: aligned, writable, and independent of the file's bytes
-        arrays[name] = np.frombuffer(blob, dtype=dtype, count=n,
-                                     offset=offset).reshape(shape).copy()
+        arr = np.frombuffer(body, dtype=dtype, count=n, offset=offset).reshape(shape)
+        arrays[name] = arr if arr.flags.aligned else arr.copy()
         offset += np.dtype(dtype).itemsize * n
     return arrays, meta

@@ -604,20 +604,15 @@ class AlignedDataset:
         return float(self.node_stress[t + 1].mean())
 
     # features -----------------------------------------------------------
-    def price_feature_matrix(self, asset: int) -> np.ndarray:
-        """(T, 12) transformed price columns before z-scoring: log OHLC,
-        log volume, log SMAs, RSI/100, MACD pair, return stdev, turnover."""
-        o = self.ohlcv[asset]
-        ind = self.indicators[asset]
+    def price_feature_matrix(self, asset: int | None = None) -> np.ndarray:
+        """(T, 12) transformed price columns of ``asset`` before z-scoring,
+        or (A, T, 12) for every asset when ``asset`` is None: log OHLC, log
+        volume, log SMAs, RSI/100, MACD pair, return stdev, turnover."""
+        o = self.ohlcv if asset is None else self.ohlcv[asset]
+        ind = self.indicators if asset is None else self.indicators[asset]
         with np.errstate(invalid="ignore"):
-            cols = np.column_stack([
-                np.log(o[:, 0]), np.log(o[:, 1]), np.log(o[:, 2]), np.log(o[:, 3]),
-                np.log(o[:, 4]),
-                np.log(ind[:, 0]), np.log(ind[:, 1]),
-                ind[:, 2] / 100.0,
-                ind[:, 3], ind[:, 4], ind[:, 5], ind[:, 6],
-            ])
-        return cols
+            return np.concatenate([np.log(o), np.log(ind[..., :2]), ind[..., 2:3] / 100.0,
+                                   ind[..., 3:7]], axis=-1)
 
     def graph_feature_matrix(self) -> np.ndarray:
         """(T, N, 6) per-institution columns (see GRAPH_FEATURE_NAMES)."""
@@ -655,7 +650,7 @@ class AlignedDataset:
         y_std = float(y_pool.std())
         if y_std == 0.0:
             raise DegenerateInputError("constant training returns")
-        price = np.stack([self.price_feature_matrix(a) for a in range(self.n_assets)])
+        price = self.price_feature_matrix()
         graph = self.graph_feature_matrix()
         # price stats pool all assets over the train dates
         self.norm = {
@@ -866,9 +861,10 @@ def load_dataset(path: str) -> AlignedDataset:
     it derives."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    head, _, body = raw.partition(b"\n")
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
     try:
-        meta = json.loads(head)
+        meta = json.loads(raw[:end])
         ds = _read_meta(meta)
         header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
         for name in ("train", "val", "test"):
@@ -878,7 +874,7 @@ def load_dataset(path: str) -> AlignedDataset:
         raise _at_line(path, 1, e) from e
     arrays = _read_sidecar(path, raw, ds)
     if arrays is None:
-        arrays = _parse_records(path, body, ds)
+        arrays = _parse_records(path, raw[end + 1:], ds)
     problem = _check_records(arrays, ds.tokens.shape[2], len(ds.vocab))
     if problem is not None:
         raise SchemaError(f"{path}, line {problem[0] + 2}: {problem[1]}")

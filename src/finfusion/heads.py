@@ -5,10 +5,11 @@ plain-text bulletins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import autodiff as ad
 from . import encoders as enc
@@ -16,6 +17,16 @@ from .autodiff import Tensor
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _ndtr(x) -> np.ndarray:
+    """The standard normal CDF, elementwise: 0.5 * erfc(-x / sqrt 2), with
+    ``math.erfc`` mapped over the values. Within 4.5e-16 of scipy's
+    ``ndtr``; +-inf give 1 and 0, NaN gives NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    args = (x * -_SQRT_HALF).ravel().tolist()
+    return 0.5 * np.fromiter(map(math.erfc, args), np.float64, x.size).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +171,7 @@ def mixture_direction_probs(weights: np.ndarray, means: np.ndarray,
 
 
 def mixture_cdf_value(x, weights, means, sigmas) -> float:
-    return float(np.sum(np.asarray(weights) * ndtr((x - np.asarray(means)) / np.asarray(sigmas))))
+    return float(np.sum(np.asarray(weights) * _ndtr((x - np.asarray(means)) / np.asarray(sigmas))))
 
 
 def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list:
@@ -217,11 +228,14 @@ def mdn_nll_batch(weights: Tensor, means: Tensor, sigmas: Tensor, y: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# mixture quantiles (bisection forward, implicit-function backward)
+# mixture quantiles (safeguarded-Newton forward, implicit-function backward)
 
-def _mixture_cdf_arrays(q, w, m, s):
-    # q (B, Q, 1) against components (B, 1, K)
-    return np.sum(w * ndtr((q - m) / s), axis=-1)
+def _mixture_cdf_pdf(q, w, m, s):
+    """The mixture CDF and density at each q (N,) against its components (N, K)."""
+    u = (q[:, None] - m) / s
+    cdf = np.sum(w * _ndtr(u), axis=-1)
+    pdf = np.sum(w * np.exp(-0.5 * u * u) / s, axis=-1) / math.sqrt(2.0 * math.pi)
+    return cdf, pdf
 
 
 def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
@@ -230,11 +244,14 @@ def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
     mixture parameters: (B,) for one level ``tau``, (B, Q) for a sequence of
     Q levels.
 
-    Forward solves F(q) = tau by bisection to ``tol``, every level at once;
-    a level leaves the loop once all its rows have converged, so each column
-    equals the one-level call bit for bit. Backward applies the
-    implicit-function theorem, dq/dtheta = -(dF/dtheta) / pdf(q), summed
-    over the levels.
+    Forward solves F(q) = tau by safeguarded Newton (Numerical Recipes'
+    ``rtsafe``), every row and level at once. The bracket runs from the
+    least to the greatest component quantile mu_k + sigma_k z_tau, which
+    holds the root. A Newton step is taken when it lands inside the bracket
+    and shrinks fast enough, a bisection step otherwise. Each (row, level)
+    leaves the loop once its step is under ``tol``, so each column equals
+    the one-level call bit for bit. Backward applies the implicit-function
+    theorem, dq/dtheta = -(dF/dtheta) / pdf(q), summed over the levels.
     """
     taus = np.asarray(tau, dtype=np.float64)
     levels = taus.reshape(-1)
@@ -244,22 +261,41 @@ def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
     w, m, s = (t.data[:, None, :] for t in (weights, means, sigmas))
     if np.any(s <= 0):
         raise ContractError("mixture stdevs must be positive")
-    lo = np.repeat(np.min(m - 12.0 * s, axis=-1), levels.size, axis=1)  # (B, Q)
-    hi = np.repeat(np.max(m + 12.0 * s, axis=-1), levels.size, axis=1)
-    q = np.empty_like(lo)
-    live = np.arange(levels.size)  # the levels still bisecting, as columns of lo, hi
-    for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (lo + hi)
-        below = _mixture_cdf_arrays(mid[..., None], w, m, s) < levels[live]
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        done = np.all(hi - lo < tol, axis=0)
-        if done.any():
-            q[:, live[done]] = 0.5 * (lo[:, done] + hi[:, done])
-            live, lo, hi = live[~done], lo[:, ~done], hi[:, ~done]
-    q[:, live] = 0.5 * (lo + hi)
+    z = np.array([NormalDist().inv_cdf(float(t)) for t in levels])[:, None]  # (Q, 1)
+    component_q = m + s * z  # (B, Q, K)
+    # one flat element per (row, level); each leaves the loop when it converges
+    shape = component_q.shape[:2]
+    lo, hi = component_q.min(axis=-1).ravel(), component_q.max(axis=-1).ravel()
+    wf, mf, sf = (np.broadcast_to(a, component_q.shape).reshape(-1, component_q.shape[-1])
+                  for a in (w, m, s))
+    target = np.broadcast_to(levels, shape).ravel()
+    at = np.arange(lo.size)
+    q = np.empty(lo.size)
+    x = 0.5 * (lo + hi)
+    step = step_old = hi - lo
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(200):
+            if not at.size:
+                break
+            cdf, pdf = _mixture_cdf_pdf(x, wf, mf, sf)
+            f = cdf - target
+            lo, hi = np.where(f < 0.0, x, lo), np.where(f > 0.0, x, hi)
+            newton_step = f / pdf
+            guess = x - newton_step
+            # Newton when it lands in the bracket and at most halves the step
+            # before last; F(x) = tau gives a zero Newton step
+            newton = ((guess >= lo) & (guess <= hi)
+                      & (2.0 * np.abs(newton_step) <= np.abs(step_old)))
+            step_old, step = step, np.where(newton, newton_step, 0.5 * (hi - lo))
+            x = np.where(newton, guess, lo + step)
+            done = np.abs(step) < tol
+            if done.any():
+                q[at[done]] = x[done]
+                keep = ~done
+                at, x, lo, hi, step, step_old, wf, mf, sf, target = (
+                    a[keep] for a in (at, x, lo, hi, step, step_old, wf, mf, sf, target))
+    q[at] = x
+    q = q.reshape(shape)
 
     def bwd(g):
         qc = q[..., None]
@@ -267,7 +303,7 @@ def mixture_quantile(weights: Tensor, means: Tensor, sigmas: Tensor,
         phi = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
         pdf = np.sum(w * phi / s, axis=-1, keepdims=True)  # (B, Q, 1) > 0
         gq = g.reshape(q.shape)[..., None]
-        gw = gq * -ndtr(u) / pdf
+        gw = gq * -_ndtr(u) / pdf
         gm = gq * (w * phi / s) / pdf
         gs = gq * (w * phi * u / s) / pdf
         return gw.sum(axis=1), gm.sum(axis=1), gs.sum(axis=1)

@@ -337,8 +337,13 @@ def load_checkpoint(path: str):
     if arrays:
         ad.require_finite(np.concatenate([a.ravel() for a in arrays.values()]),
                           f"{path}: parameters")
-    # the container's arrays are fresh copies, so the leaves can own them
-    return {name: Tensor.leaf(arr) for name, arr in arrays.items()}, meta
+    # the container's arrays are fresh copies, so the leaves can own them;
+    # their gradients are views into one zeroed vector
+    grads, params, offset = np.zeros(sum(a.size for a in arrays.values())), {}, 0
+    for name, arr in arrays.items():
+        params[name] = Tensor.leaf(arr, grads[offset:offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    return params, meta
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Command-line surface: exit codes, artifacts, and reproducibility.
 
 Every command runs in-process through cli.main so exit codes and stdout
-are observable without subprocesses. A single tiny dataset and trained
-checkpoint are shared across the module.
+are observable without subprocesses; only the import guard starts a fresh
+interpreter. A single tiny dataset and trained checkpoint are shared across
+the module.
 """
 
 import dataclasses
@@ -10,7 +11,10 @@ import json
 import math
 import numbers
 import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -562,6 +566,21 @@ def test_forecast_bisects_its_quantiles_once(work, capsys, monkeypatch):
     assert list(payload["quantiles"]) == ["0.1", "0.5", "0.9"]
 
 
+def test_a_command_imports_no_scipy(work):
+    # scipy is a test-only dependency: a fresh process that runs a command
+    # must not load any of it
+    script = ("import sys, finfusion.cli as cli\n"
+              f"rc = cli.main(['forecast', '--checkpoint', {work['ckpt']!r}, "
+              f"'--data', {work['data']!r}, '--date', '100', '--asset', '1'])\n"
+              "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 @pytest.mark.parametrize("command", ["forecast", "report", "eval"])
 def test_non_finite_checkpoint_parameter_exits_4(work, tmp_path, capsys, command):
     params, meta = tr.load_checkpoint(work["ckpt"])
@@ -871,13 +890,17 @@ def test_every_number_list_rejects_a_scalar_or_a_bad_item(work, tmp_path, capsys
 @pytest.mark.parametrize("command,flags", [
     ("train", ["--seed", "-1"]), ("rl-run", ["--seed", "-1"]),
     ("rl-run", ["--updates", "-1"]), ("rl-run", ["--episodes", "0"]),
-    ("grad-check", ["--seed", "-1"])])
+    ("grad-check", ["--seed", "-1"]), ("forecast", ["--horizon", "0"]),
+    ("report", ["--horizon", "-2"]), ("grad-check", ["--d-model", "3"]),
+    ("grad-check", ["--d-model", "0"])])
 def test_a_bad_count_or_seed_flag_exits_2_naming_it(work, tmp_path, capsys, command,
                                                     flags):
     out = tmp_path / "out"
+    query = ["--checkpoint", work["ckpt"], "--data", work["data"], "--date", "100"]
     inputs = {"train": ["--config", work["cfg"], "--data", work["data"]],
               "rl-run": ["--config", work["cfg"], "--checkpoint", work["ckpt"],
                          "--data", work["data"]],
+              "forecast": [*query, "--asset", "0"], "report": query,
               "grad-check": []}[command]
     tail = [] if command == "grad-check" else ["--out", str(out)]
     rc = cli.main([command, *inputs, *tail, *flags])

@@ -637,6 +637,29 @@ def test_sidecar_arrays_pass_the_same_value_checks(tmp_path, small_ds, defect):
     assert _SIDECAR_DEFECTS[defect] in str(e.value)
 
 
+def test_price_features_of_every_asset_stack_the_per_asset_ones(small_ds):
+    every = small_ds.price_feature_matrix()
+    assert every.shape == (small_ds.n_assets, small_ds.n_steps, 12)
+    per_asset = np.stack([small_ds.price_feature_matrix(a) for a in range(small_ds.n_assets)])
+    assert np.array_equal(every, per_asset, equal_nan=True)
+
+
+def test_container_arrays_are_aligned_writable_and_apart_from_the_file(tmp_path):
+    # a bool array puts the float array after it off its 8-byte alignment
+    arrays = [("f", np.arange(3.0)), ("b", np.array([True, False, True])),
+              ("g", np.arange(4.0).reshape(2, 2)), ("i", np.arange(2, dtype=np.int64))]
+    path = str(tmp_path / "c.bin")
+    container.write(path, b"TEST", arrays, {"k": 1})
+    back, meta = container.read(path, b"TEST")
+    assert meta == {"k": 1} and list(back) == ["f", "b", "g", "i"]
+    for name, want in arrays:
+        got = back[name]
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.flags.aligned and got.flags.writeable
+    back["f"][0] = 7.0
+    assert container.read(path, b"TEST")[0]["f"][0] == 0.0
+
+
 def test_usable_dates_matches_the_per_date_rule(small_ds):
     ds = small_ds
     w = ds.config.window

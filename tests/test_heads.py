@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, special, stats
 from scipy.special import ndtri
 
 from finfusion import autodiff as ad
@@ -286,6 +286,72 @@ def test_mixture_quantile_tau_validation():
         heads.mixture_quantile(w, w, w, (0.5, 1.0))
     with pytest.raises(ContractError):
         heads.mixture_quantile(w, w, w, [[0.5]])
+
+
+def test_ndtr_matches_scipy():
+    x = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [0.0, -0.0, 1e-300, -1e-300]])
+    got = heads._ndtr(x.reshape(5, -1))
+    assert got.shape == (5, x.size // 5)
+    assert np.max(np.abs(got.ravel() - special.ndtr(x))) <= 4.5e-16
+    assert np.array_equal(heads._ndtr(np.array([np.inf, -np.inf])), [1.0, 0.0])
+    assert np.isnan(heads._ndtr(np.array([np.nan]))).all()
+    assert heads._ndtr(np.array(0.25)).shape == ()
+
+
+_QUANTILE_TAUS = (1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6)
+# each case: (weights, means, sigmas), one row per mixture
+_QUANTILE_CASES = {
+    "dominant": ([[0.998, 0.001, 0.001]], [[0.3, -2.0, 4.0]], [[0.8, 0.5, 2.5]]),
+    "identical": ([[0.25, 0.25, 0.5]], [[-0.4, -0.4, -0.4]], [[1.7, 1.7, 1.7]]),
+    "separated": ([[0.3, 0.4, 0.3]], [[-30.0, 0.0, 45.0]], [[0.5, 1.0, 0.2]]),
+    "wide and narrow": ([[0.5, 0.5]], [[0.0, 0.0]], [[0.01, 40.0]]),
+    "one": ([[1.0]], [[2.5]], [[0.05]]),
+}
+
+
+def _count_solver_evaluations(monkeypatch):
+    calls = []
+    evaluate = heads._mixture_cdf_pdf
+
+    def counted(*args):
+        calls.append(1)
+        return evaluate(*args)
+
+    monkeypatch.setattr(heads, "_mixture_cdf_pdf", counted)
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(_QUANTILE_CASES))
+def test_mixture_quantile_matches_brentq(case, monkeypatch):
+    w, m, s = (np.array(v) for v in _QUANTILE_CASES[case])
+    calls = _count_solver_evaluations(monkeypatch)
+    for tau in _QUANTILE_TAUS:
+        calls.clear()
+        q = heads.mixture_quantile(Tensor(w), Tensor(m), Tensor(s), tau).data[0]
+        assert len(calls) <= 25
+
+        def excess(x):
+            return float(np.sum(w[0] * stats.norm.cdf(x, m[0], s[0]))) - tau
+
+        lo, hi = np.min(m - 60.0 * s), np.max(m + 60.0 * s)
+        assert q == pytest.approx(optimize.brentq(excess, lo, hi, xtol=1e-14, rtol=1e-15),
+                                  abs=1e-8)
+
+
+def test_mixture_quantile_takes_newton_steps(monkeypatch):
+    # a bracket of width >= 1 takes bisection at least 27 halvings to 1e-8
+    rng = np.random.default_rng(21)
+    calls = _count_solver_evaluations(monkeypatch)
+    counts = []
+    for _ in range(200):
+        w, m, s = _random_mixture(rng, 32, 3)
+        m.data[:] = m.data * 3.0 + np.array([-2.0, 0.0, 2.0])
+        for tau in _QUANTILE_TAUS:
+            calls.clear()
+            heads.mixture_quantile(w, m, s, tau)
+            counts.append(len(calls))
+    assert max(counts) <= 25
+    assert np.median(counts) <= 14
 
 
 def _random_mixture(rng, b, k):

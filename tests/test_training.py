@@ -471,6 +471,22 @@ def test_loaded_leaves_own_the_container_arrays(tmp_path, monkeypatch):
         assert leaf.requires_grad and leaf.grad.shape == leaf.shape and not leaf.grad.any()
 
 
+def test_loaded_gradients_are_views_into_one_vector(tmp_path):
+    params = _random_params(np.random.default_rng(9),
+                            {"a.w": (3, 4), "b": (4,), "c": (), "d": (0, 2)})
+    path = str(tmp_path / "ck.bin")
+    tr.save_checkpoint(path, params)
+    loaded, _ = tr.load_checkpoint(path)
+    grads = [leaf.grad for leaf in loaded.values()]
+    base = grads[0].base
+    assert base is not None and base.size == 3 * 4 + 4 + 1
+    assert all(g.base is base and g.flags.writeable and not g.any() for g in grads)
+    # the views do not overlap: each leaf accumulates into its own span
+    for i, leaf in enumerate(loaded.values()):
+        leaf.grad[...] = i + 1
+    assert sorted(base.tolist()) == [1.0] * 12 + [2.0] * 4 + [3.0]
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_checkpoint_parameter_is_numerical_error(tmp_path, bad):
     params = _random_params(np.random.default_rng(7), {"a.w": (3, 4), "b": (4,)})
