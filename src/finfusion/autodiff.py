@@ -578,14 +578,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              keep: np.ndarray | None = None) -> tuple[Tensor, np.ndarray]:
+              keep: np.ndarray | None = None) -> Tensor:
     """Multi-head scaled dot-product attention of (B, T, d) projections, from
-    head split to head merge, as one op.
+    head split to head merge, as one op returning the (B, T, d) output.
 
     ``keep`` is a boolean (query, key) mask that broadcasts to (B, H, T, T);
     ``None`` means full attention. A masked logit is pushed low enough that
-    its softmax weight, and so its gradient, is exactly 0. Returns the output
-    and the (B, H, T, T) attention weights as a plain array.
+    its softmax weight, and so its gradient, is exactly 0.
     """
     b, t, d = q.shape
     if k.shape != q.shape or v.shape != q.shape or d % n_heads:
@@ -614,7 +613,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         gv = np.matmul(attn.transpose(0, 1, 3, 2), gh)
         return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
 
-    return custom_op(merge(np.matmul(attn, vh)), (q, k, v), bwd), attn
+    return custom_op(merge(np.matmul(attn, vh)), (q, k, v), bwd)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -118,26 +118,22 @@ def sinusoidal_positions(t: int, d: int) -> np.ndarray:
 
 
 def multi_head_attention(x: Tensor, params: dict, prefix: str, n_heads: int,
-                         keep: np.ndarray | None = None,
-                         record: dict | None = None) -> Tensor:
+                         keep: np.ndarray | None = None) -> Tensor:
     """Self-attention over axis -2 of x: (B, T, d) -> (B, T, d). ``keep``
     marks the keys each query may attend to, as in ``autodiff.attention``."""
     q, k, v = (ad.linear(x, params[f"{prefix}.w{n}"], params[f"{prefix}.b{n}"])
                for n in "qkv")
-    out, attn = ad.attention(q, k, v, n_heads, keep)
-    if record is not None:
-        record["attn"] = attn.copy()
+    out = ad.attention(q, k, v, n_heads, keep)
     return ad.linear(out, params[f"{prefix}.wo"], params[f"{prefix}.bo"])
 
 
 def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
-                      keep: np.ndarray | None = None,
-                      record: dict | None = None) -> Tensor:
+                      keep: np.ndarray | None = None) -> Tensor:
     """Pre-norm block: attention then position-wise feed-forward, residual
     both. ``keep`` is the attention mask of ``multi_head_attention``: a key
     padding mask, the presence of fused modalities, or a causal mask."""
     normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
-    x = x + multi_head_attention(normed, params, prefix, n_heads, keep, record)
+    x = x + multi_head_attention(normed, params, prefix, n_heads, keep)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
     h = ad.relu(ad.linear(normed, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"]))
     return x + ad.linear(h, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
@@ -163,8 +159,7 @@ def require_graph_keep(keep: np.ndarray, b: int, n: int) -> np.ndarray:
     return keep
 
 
-def gat_layer(x: Tensor, keep: np.ndarray, params: dict, prefix: str,
-              record: dict | None = None) -> Tensor:
+def gat_layer(x: Tensor, keep: np.ndarray, params: dict, prefix: str) -> Tensor:
     """Graph attention over (B, N, F) node states with a (B, N, N)
     ``graph_keep`` mask.
 
@@ -180,15 +175,11 @@ def gat_layer(x: Tensor, keep: np.ndarray, params: dict, prefix: str,
         ad.reshape(src, (b, n, 1)) + ad.reshape(dst, (b, 1, n)), alpha=0.2)
     scores = ad.masked_fill_logits(scores, keep)
     alpha = ad.softmax(scores, axis=-1)  # (B, N, N), rows sum to 1
-    if record is not None:
-        record["coeffs"] = alpha.data.copy()
     return ad.elu(ad.matmul(alpha, h))
 
 
-def masked_mean_pool(x: Tensor, mask: np.ndarray | None) -> Tensor:
+def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     """Mean over axis -2 restricted to mask-true rows."""
-    if mask is None:
-        return ad.reduce_mean(x, axis=-2)
     m = np.asarray(mask, dtype=np.float64)[..., None]
     total = ad.reduce_sum(x * Tensor(m), axis=-2)
     counts = m.sum(axis=-2)
@@ -200,8 +191,7 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray | None) -> Tensor:
 # ---------------------------------------------------------------------------
 # batched encoders
 
-def encode_price_batch(features: np.ndarray, params: dict, cfg,
-                       record: dict | None = None) -> Tensor:
+def encode_price_batch(features: np.ndarray, params: dict, cfg) -> Tensor:
     """(B, T, F) price+indicator windows -> (B, d_model)."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 3:
@@ -214,15 +204,12 @@ def encode_price_batch(features: np.ndarray, params: dict, cfg,
     x = ad.linear(Tensor(feats), params["price.in.w"], params["price.in.b"])
     x = x + Tensor(sinusoidal_positions(t, cfg.d_model)[None])
     for i in range(cfg.n_layers):
-        rec = {} if record is not None else None
-        x = transformer_layer(x, params, f"price.layer{i}", cfg.n_heads, record=rec)
-        if record is not None:
-            record[f"layer{i}.attn"] = rec["attn"]
-    return masked_mean_pool(x, None)
+        x = transformer_layer(x, params, f"price.layer{i}", cfg.n_heads)
+    return ad.reduce_mean(x, axis=-2)
 
 
-def encode_text_batch(token_ids: np.ndarray, lengths: np.ndarray, params: dict, cfg,
-                      record: dict | None = None) -> Tensor:
+def encode_text_batch(token_ids: np.ndarray, lengths: np.ndarray, params: dict,
+                      cfg) -> Tensor:
     """(B, L) right-padded token ids with (B,) true lengths -> (B, d_model)."""
     ids = np.asarray(token_ids, dtype=np.int64)
     lens = np.asarray(lengths, dtype=np.int64)
@@ -237,18 +224,12 @@ def encode_text_batch(token_ids: np.ndarray, lengths: np.ndarray, params: dict, 
     x = ad.take_rows(params["text.embed"], ids)
     x = x + Tensor(sinusoidal_positions(l, cfg.d_model)[None])
     for i in range(cfg.n_layers):
-        rec = {} if record is not None else None
         x = transformer_layer(x, params, f"text.layer{i}", cfg.n_heads,
-                              keep=mask[:, None, None, :], record=rec)
-        if record is not None:
-            record[f"layer{i}.attn"] = rec["attn"]
-    if record is not None:
-        record["hidden"] = x.data.copy()
+                              keep=mask[:, None, None, :])
     return masked_mean_pool(x, mask)
 
 
-def encode_macro_batch(values: np.ndarray, params: dict, cfg,
-                       record: dict | None = None) -> Tensor:
+def encode_macro_batch(values: np.ndarray, params: dict, cfg) -> Tensor:
     """(B, M) macro snapshots -> (B, d_model) via a softmax gate over groups."""
     vals = np.asarray(values, dtype=np.float64)
     if vals.ndim != 2 or vals.shape[1] != len(cfg.macro_slots):
@@ -258,8 +239,6 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
     x = Tensor(vals)
     gate_logits = ad.linear(x, params["macro.gate.w"], params["macro.gate.b"])
     weights = ad.softmax(gate_logits, axis=-1)  # (B, G)
-    if record is not None:
-        record["group_weights"] = weights.data.copy()
     pieces = []
     for gi, group in enumerate(MACRO_GROUPS):
         idx = np.asarray(cfg.macro_groups[group], dtype=np.int64)
@@ -269,16 +248,14 @@ def encode_macro_batch(values: np.ndarray, params: dict, cfg,
         pieces.append(emb * w)
     h = ad.concat(pieces, axis=-1)
     pre = ad.linear(h, params["macro.mlp.w1"], params["macro.mlp.b1"])
-    if record is not None:
-        record["hidden_preact"] = pre.data.copy()
     return ad.linear(ad.tanh(pre), params["macro.mlp.w2"], params["macro.mlp.b2"])
 
 
-def encode_graph_batch(features: np.ndarray, keep: np.ndarray, params: dict, cfg,
-                       record: dict | None = None) -> tuple[Tensor, Tensor]:
+def encode_graph_batch(features: np.ndarray, keep: np.ndarray, params: dict,
+                       cfg) -> Tensor:
     """(B, N, F) node features and their (B, N, N) ``graph_keep`` mask ->
-    node and pooled embeddings, through ``cfg.graph_layers`` graph-attention
-    layers."""
+    (B, d_model), the node states of ``cfg.graph_layers`` graph-attention
+    layers averaged over the nodes."""
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 3:
         raise DimensionError(f"expected (B, N, F) features, got {feats.shape}")
@@ -288,9 +265,5 @@ def encode_graph_batch(features: np.ndarray, keep: np.ndarray, params: dict, cfg
         raise DimensionError(f"graph feature width {f} != configured {cfg.graph_features}")
     x = Tensor(feats)
     for i in range(cfg.graph_layers):
-        rec = {} if record is not None else None
-        x = gat_layer(x, keep, params, f"graph.layer{i}", record=rec)
-        if record is not None:
-            record[f"layer{i}.coeffs"] = rec["coeffs"]
-    pooled = ad.reduce_mean(x, axis=-2)
-    return x, pooled
+        x = gat_layer(x, keep, params, f"graph.layer{i}")
+    return ad.reduce_mean(x, axis=-2)

@@ -94,16 +94,10 @@ def evaluate_split(dataset, params, cfg, split: str,
     out["distress.roc_auc"] = _maybe(mx.roc_auc, node_scores, node_labels)
     out["distress.pr_auc"] = _maybe(mx.pr_auc, node_scores, node_labels)
 
-    try:
-        acc, f1, auc = mx.early_warning_metrics(
-            risk["warning"], risk["crisis"], risk["score"])
-    except UndefinedMetricError:
-        acc = float(np.mean(risk["warning"] == risk["crisis"]))
-        _, _, f1 = mx.precision_recall_f1(risk["warning"], risk["crisis"])
-        auc = None
-    out["warning.accuracy"] = acc
-    out["warning.f1"] = f1
-    out["warning.roc_auc"] = auc
+    warning, crisis = risk["warning"], risk["crisis"]
+    out["warning.accuracy"] = float(np.mean(warning == crisis))
+    _, _, out["warning.f1"] = mx.precision_recall_f1(warning, crisis)
+    out["warning.roc_auc"] = _maybe(mx.roc_auc, risk["score"], crisis)
     return out
 
 

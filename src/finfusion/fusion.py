@@ -44,8 +44,8 @@ def init_fusion_params(cfg, rng: np.random.Generator) -> dict:
     return p
 
 
-def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict, cfg,
-               record: dict | None = None) -> tuple[Tensor, np.ndarray]:
+def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict,
+               cfg) -> tuple[Tensor, np.ndarray]:
     """Mix per-modality embeddings into z.
 
     ``embeddings`` maps modality name to a (B, d_model) tensor; entries may be
@@ -71,7 +71,7 @@ def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict, cfg,
     x = ad.stack(tokens, axis=1)  # (B, 4, d)
     x = x + ad.reshape(params["fusion.type"], (1, 4, cfg.d_model))
     x = enc.transformer_layer(x, params, "fusion.layer0", cfg.n_heads,
-                              keep=presence[:, None, None, :], record=record)
+                              keep=presence[:, None, None, :])
     # learned-query attention pooling over present tokens
     scores = ad.matmul(x, params["fusion.pool.q"]) * (1.0 / np.sqrt(cfg.d_model))
     scores = ad.masked_fill_logits(scores, presence)

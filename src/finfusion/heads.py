@@ -164,14 +164,14 @@ def _micro_step(x: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, Tensor]:
 
 def mixture_direction_probs(weights: np.ndarray, means: np.ndarray,
                             sigmas: np.ndarray, flat_band: float) -> np.ndarray:
-    """(down, flat, up) from the mixture CDF at the +-flat_band boundaries."""
-    lo = mixture_cdf_value(-flat_band, weights, means, sigmas)
-    hi = mixture_cdf_value(flat_band, weights, means, sigmas)
-    return np.array([lo, hi - lo, 1.0 - hi])
-
-
-def mixture_cdf_value(x, weights, means, sigmas) -> float:
-    return float(np.sum(np.asarray(weights) * _ndtr((x - np.asarray(means)) / np.asarray(sigmas))))
+    """(..., 3) (down, flat, up) probabilities of (..., K) mixtures, from
+    each mixture's CDF at the +-flat_band boundaries."""
+    w, m, s = (np.asarray(a, dtype=np.float64)[..., None, :]
+               for a in (weights, means, sigmas))
+    edges = np.array([[-flat_band], [flat_band]])
+    cdf = np.sum(w * _ndtr((edges - m) / s), axis=-1)
+    lo, hi = cdf[..., 0], cdf[..., 1]
+    return np.stack([lo, hi - lo, 1.0 - hi], axis=-1)
 
 
 def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list:
@@ -188,17 +188,13 @@ def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list
     ad.require_finite(np.stack((weights.data, means.data, sigmas.data)),
                       "forecast mixture")
     y_std, y_mean = norm["y_std"], norm["y_mean"]
-    forecasts = []
-    for w, m, s in zip(weights.data, means.data, sigmas.data):
-        raw_means, raw_sigmas = m * y_std + y_mean, s * y_std
-        forecasts.append(MicroForecast(
-            horizon=k,
-            point=float(np.sum(w * m)) * y_std + y_mean,
-            direction_probs=mixture_direction_probs(w, raw_means, raw_sigmas,
-                                                    cfg.flat_band),
-            weights=w.copy(), means=raw_means, sigmas=raw_sigmas,
-        ))
-    return forecasts
+    w = weights.data.copy()
+    raw_means, raw_sigmas = means.data * y_std + y_mean, sigmas.data * y_std
+    points = np.sum(w * means.data, axis=-1) * y_std + y_mean
+    probs = mixture_direction_probs(w, raw_means, raw_sigmas, cfg.flat_band)
+    return [MicroForecast(horizon=k, point=float(p), direction_probs=d,
+                          weights=wi, means=mi, sigmas=si)
+            for p, d, wi, mi, si in zip(points, probs, w, raw_means, raw_sigmas)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,6 @@ pass that training, evaluation, queries and the RL environment share."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -61,10 +60,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in _POSITIVE_DIMS + _COUNTS:
-            value, least = getattr(self, name), int(name in _POSITIVE_DIMS)
-            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if not integral or value < least:
-                raise ConfigError(f"{name}: must be an integer >= {least}, got {value!r}")
+            check_number(name, getattr(self, name), int(name in _POSITIVE_DIMS),
+                         integral=True)
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
         self.macro_slots = tuple(self.macro_slots)
@@ -134,8 +131,7 @@ def embed_batch(batch: dict, params: dict, cfg, kinds, keep: np.ndarray) -> dict
     if "macro" in kinds:
         embs["macro"] = enc.encode_macro_batch(batch["macro"], params, cfg)
     if "graph" in kinds:
-        _, embs["graph"] = enc.encode_graph_batch(
-            batch["graph_feats"], keep, params, cfg)
+        embs["graph"] = enc.encode_graph_batch(batch["graph_feats"], keep, params, cfg)
     return embs
 
 

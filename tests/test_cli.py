@@ -766,7 +766,7 @@ def test_bad_model_dimension_is_config_error(work, tmp_path, capsys, field, valu
     assert rc == 2
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"error: model: {field}: must be an integer >= ")
+    assert lines[0].startswith(f"error: model: {field} must be an integer >= ")
     assert not (tmp_path / "run").exists()
 
 

@@ -59,12 +59,16 @@ def test_graph_rejects_mismatched_adjacency(setup):
 # ---------------------------------------------------------------------------
 # price encoder
 
-def test_price_singleton_attention_weight_is_one(setup):
+def test_price_singleton_attention_weight_is_one(setup, spy):
     cfg, params = setup
     feats = np.random.default_rng(0).normal(size=(1, 1, 3))
-    rec = {}
-    enc.encode_price_batch(feats, params, cfg, record=rec)
-    assert np.allclose(rec["layer0.attn"], 1.0)
+    calls = spy(ad, "attention")
+    enc.encode_price_batch(feats, params, cfg)
+    assert len(calls) == cfg.n_layers
+    for call in calls:
+        # a lone key gets weight exactly 1, so the output is its value
+        v = call.args[2]
+        assert call.result.data.tobytes() == v.data.tobytes()
 
 
 def test_price_deterministic(setup):
@@ -98,11 +102,14 @@ def test_price_width_and_errors(setup):
 # ---------------------------------------------------------------------------
 # text encoder
 
-def test_text_singleton_pooling_equals_hidden(setup):
+def test_text_singleton_pooling_equals_hidden(setup, spy):
     cfg, params = setup
-    rec = {}
-    out = enc.encode_text_batch(np.array([[3]]), np.array([1]), params, cfg, record=rec)
-    assert np.allclose(out.data[0], rec["hidden"][0, 0], atol=1e-12)
+    calls = spy(enc, "masked_mean_pool")
+    out = enc.encode_text_batch(np.array([[3]]), np.array([1]), params, cfg)
+    [pool] = calls
+    assert pool.result is out
+    hidden = pool.args[0]
+    assert np.allclose(out.data[0], hidden.data[0, 0], atol=1e-12)
 
 
 def test_text_deterministic(setup):
@@ -142,31 +149,40 @@ def test_text_gradient_matches_fd(setup):
 # ---------------------------------------------------------------------------
 # macro encoder
 
-def test_macro_equal_gate_logits_give_uniform_weights(setup):
+def _gate_weights(spy, vals, params, cfg):
+    """The (B, G) group weights of the macro encoder's softmax gate."""
+    calls = spy(ad, "softmax")
+    enc.encode_macro_batch(vals, params, cfg)
+    [gate] = calls
+    assert gate.result.shape == (len(vals), len(enc.MACRO_GROUPS))
+    return gate.result.data
+
+
+def test_macro_equal_gate_logits_give_uniform_weights(setup, spy):
     cfg, _ = setup
     params = init_model_params(cfg, np.random.default_rng(5))
     params["macro.gate.w"].data[...] = 0.0
     params["macro.gate.b"].data[...] = 0.0
-    rec = {}
     vals = np.random.default_rng(6).normal(size=(3, len(cfg.macro_slots)))
-    enc.encode_macro_batch(vals, params, cfg, record=rec)
-    assert np.allclose(rec["group_weights"], 0.25)
+    assert np.allclose(_gate_weights(spy, vals, params, cfg), 0.25)
 
 
-def test_macro_zero_input_zero_preactivation(setup):
+def test_macro_zero_input_zero_preactivation(setup, spy):
     cfg, params = setup
-    rec = {}
-    enc.encode_macro_batch(np.zeros((2, len(cfg.macro_slots))), params, cfg, record=rec)
-    assert np.allclose(rec["hidden_preact"], 0.0)
+    calls = spy(ad, "tanh")
+    enc.encode_macro_batch(np.zeros((2, len(cfg.macro_slots))), params, cfg)
+    [act] = calls
+    pre = act.args[0]
+    assert pre.shape == (2, cfg.macro_hidden)
+    assert np.allclose(pre.data, 0.0)
 
 
-def test_macro_weights_sum_to_one_over_draws(setup):
+def test_macro_weights_sum_to_one_over_draws(setup, spy):
     cfg, params = setup
     rng = np.random.default_rng(7)
-    rec = {}
     vals = rng.normal(size=(100, len(cfg.macro_slots))) * 3
-    enc.encode_macro_batch(vals, params, cfg, record=rec)
-    assert np.allclose(rec["group_weights"].sum(axis=1), 1.0, atol=1e-6)
+    weights = _gate_weights(spy, vals, params, cfg)
+    assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_macro_nan_requires_imputation(setup):
@@ -180,30 +196,40 @@ def test_macro_nan_requires_imputation(setup):
 # ---------------------------------------------------------------------------
 # graph encoder
 
-def test_graph_isolated_node_self_coefficient(setup):
+def _graph_coefficients(spy, feats, adj, params, cfg):
+    """The (B, N, N) attention coefficients of each graph-encoder layer."""
+    calls = spy(ad, "softmax")
+    enc.encode_graph_batch(feats, enc.graph_keep(adj), params, cfg)
+    assert len(calls) == cfg.graph_layers
+    return [call.result.data for call in calls]
+
+
+def test_graph_isolated_node_self_coefficient(setup, spy):
     cfg, params = setup
     feats = np.random.default_rng(8).normal(size=(1, 3, 3))
     adj = np.zeros((1, 3, 3))
-    rec = {}
-    enc.encode_graph_batch(feats, enc.graph_keep(adj), params, cfg, record=rec)
-    assert np.allclose(rec["layer0.coeffs"][0], np.eye(3))
+    [coeffs] = _graph_coefficients(spy, feats, adj, params, cfg)
+    assert np.allclose(coeffs[0], np.eye(3))
 
 
-def test_graph_coefficients_sum_to_one(setup):
+def test_graph_coefficients_sum_to_one(setup, spy):
     cfg, params = setup
     rng = np.random.default_rng(9)
     feats = rng.normal(size=(2, 4, 3))
     adj = (rng.uniform(size=(2, 4, 4)) > 0.5).astype(float)
-    rec = {}
-    enc.encode_graph_batch(feats, enc.graph_keep(adj), params, cfg, record=rec)
-    assert np.allclose(rec["layer0.coeffs"].sum(axis=-1), 1.0, atol=1e-6)
+    [coeffs] = _graph_coefficients(spy, feats, adj, params, cfg)
+    assert coeffs.shape == (2, 4, 4)
+    assert np.allclose(coeffs.sum(axis=-1), 1.0, atol=1e-6)
 
 
-def test_graph_symmetric_pair_identical_embeddings(setup):
+def test_graph_symmetric_pair_identical_embeddings(setup, spy):
     cfg, params = setup
     f = np.array([[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
     adj = np.array([[0.0, 1.0], [1.0, 0.0]])
-    nodes, _ = enc.encode_graph_batch(f[None], enc.graph_keep(adj[None]), params, cfg)
+    layers = spy(enc, "gat_layer")
+    enc.encode_graph_batch(f[None], enc.graph_keep(adj[None]), params, cfg)
+    nodes = layers[-1].result
+    assert nodes.shape == (1, 2, cfg.d_model)
     assert np.allclose(nodes.data[0, 0], nodes.data[0, 1], atol=1e-12)
 
 
@@ -232,8 +258,8 @@ def test_all_encoders_same_width(setup):
     p = enc.encode_price_batch(rng.normal(size=(1, 4, 3)), params, cfg)
     t = enc.encode_text_batch(np.array([[1, 2]]), np.array([2]), params, cfg)
     m = enc.encode_macro_batch(rng.normal(size=(1, len(cfg.macro_slots))), params, cfg)
-    _, g = enc.encode_graph_batch(rng.normal(size=(1, 3, 3)),
-                                  enc.graph_keep(np.ones((1, 3, 3))), params, cfg)
+    g = enc.encode_graph_batch(rng.normal(size=(1, 3, 3)),
+                               enc.graph_keep(np.ones((1, 3, 3))), params, cfg)
     stacked = ad.concat([p, t, m, g], axis=0)
     assert stacked.shape == (4, cfg.d_model)
 
@@ -262,7 +288,7 @@ def test_encoder_end_to_end_gradients(setup, target):
         elif target.startswith("macro"):
             out = enc.encode_macro_batch(macro, params, cfg)
         else:
-            _, out = enc.encode_graph_batch(gf, enc.graph_keep(adj), params, cfg)
+            out = enc.encode_graph_batch(gf, enc.graph_keep(adj), params, cfg)
         return reduce_sum(out * Tensor(weights))
 
     err = grad_check(f, params[target], eps=1e-5)

@@ -50,6 +50,25 @@ def test_direction_probs_sum_to_one(setup):
     assert np.all(f.direction_probs >= 0)
 
 
+def test_direction_probs_of_a_batch_equal_each_row():
+    # (..., K) mixtures in one call give each mixture's own (K,) call bit for
+    # bit, and the mixture CDF at +-flat_band matches scipy's
+    rng = np.random.default_rng(4)
+    raw = rng.uniform(0.1, 1.0, size=(2, 3, 4))
+    w = raw / raw.sum(axis=-1, keepdims=True)
+    m = rng.normal(scale=0.01, size=w.shape)
+    s = rng.uniform(0.005, 0.02, size=w.shape)
+    band = 5e-4
+    probs = heads.mixture_direction_probs(w, m, s, band)
+    assert probs.shape == (2, 3, 3)
+    for i in np.ndindex(2, 3):
+        row = heads.mixture_direction_probs(w[i], m[i], s[i], band)
+        assert row.tobytes() == probs[i].tobytes()
+        lo, hi = (np.sum(w[i] * stats.norm.cdf(x, loc=m[i], scale=s[i]))
+                  for x in (-band, band))
+        np.testing.assert_allclose(row, [lo, hi - lo, 1.0 - hi], rtol=1e-12, atol=1e-15)
+
+
 def test_two_step_roll_equals_manual_feedback(setup):
     cfg, params = setup
     rng = np.random.default_rng(3)
@@ -249,7 +268,8 @@ def test_mixture_quantile_cdf_roundtrip():
     s = rng.uniform(0.3, 2.0, size=(4, k))
     q = heads.mixture_quantile(Tensor(w), Tensor(m), Tensor(s), 0.25).data
     for i in range(4):
-        assert heads.mixture_cdf_value(q[i], w[i], m[i], s[i]) == pytest.approx(0.25, abs=1e-6)
+        cdf = np.sum(w[i] * stats.norm.cdf(q[i], loc=m[i], scale=s[i]))
+        assert cdf == pytest.approx(0.25, abs=1e-6)
 
 
 def test_mixture_quantile_gradients():

@@ -41,7 +41,7 @@ def test_forward_batch_default_matches_hand_assembly(world):
         "macro": enc.encode_macro_batch(batch["macro"], params, mcfg),
         "graph": enc.encode_graph_batch(batch["graph_feats"],
                                         enc.graph_keep(batch["graph_adj"]),
-                                        params, mcfg)[1],
+                                        params, mcfg),
     }
     z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
     out = fm.forward_batch(batch, params, mcfg)

@@ -614,6 +614,27 @@ def _run(world, schedule, seed=0, **cfg_over):
     return tr.TrainingRun(ds, mcfg, cfg, schedule=schedule, rl_cfg=rlc, seed=seed)
 
 
+# the leaves no loss reaches: at h = 1 the micro decoder attends over one
+# key, so its query and key projections cannot matter, and only a k-step
+# rollout reads the feedback embedding
+DEAD_LEAVES = {"micro.feedback.w", "micro.feedback.b", "micro.layer0.wq",
+               "micro.layer0.wk", "micro.layer0.bq", "micro.layer0.bk"}
+
+
+def test_every_leaf_but_the_known_dead_gets_a_gradient(world, spy):
+    def graded(buf, names, *_):
+        return {n for n in names if np.any(buf.grad[slice(*buf.spans[n])])}
+
+    steps = spy(tr, "adamw_step", snapshot=graded)
+    updates = spy(frl, "reinforce_update")
+    run = _run(world, _schedule(1, 1, 1, 1))
+    run.run_all()
+    assert steps and updates
+    reached = set().union(*(call.snapshot for call in steps))
+    reached |= {n for call in updates for n, g in call.result.items() if np.any(g)}
+    assert set(run.params) - reached == DEAD_LEAVES
+
+
 def test_stage_order_enforced(world):
     run = _run(world, _schedule(1, 1, 1, 1))
     with pytest.raises(ScheduleError):
