@@ -1,0 +1,124 @@
+"""Print the sha256 of every artifact of the README `small.json` flow.
+
+A refactor that claims to keep behaviour must leave these bytes unchanged.
+The script runs each CLI command in a fresh interpreter, in a temporary
+directory, with `OPENBLAS_NUM_THREADS=1`, against the package source given
+by `--src` (default: this checkout's `src/`), and prints one
+`<sha256>  <artifact>` line per artifact:
+
+- the `generate` dataset (`dataset.jsonl`, `dataset.bin`);
+- the `train --seed 0` checkpoint and `reports.json`;
+- `eval --split test`'s `report.json` and `report.txt`;
+- the 30 `forecast`/`report` stdouts, concatenated (dates 300, 330, 350,
+  370, 390; horizons 1 and 3; asset 0, asset 1, then `report`);
+- the `rl-run` traces with `rl.r_sys_source` `truth` and `model`;
+- the `grad-check` stdout.
+
+To compare two trees, run it once per tree and diff the output:
+
+    python3 scripts/artifact_hashes.py > new.txt
+    python3 scripts/artifact_hashes.py --src ../parent/src > old.txt
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# the README's small.json, key for key
+SMALL = {
+    "synthetic.n_steps": 400,
+    "synthetic.n_assets": 2,
+    "synthetic.n_institutions": 8,
+    "model.d_model": 16,
+    "model.n_heads": 2,
+    "model.n_layers": 1,
+    "model.d_ff": 32,
+    "model.vocab_size": 132,
+    "model.macro_group_dim": 4,
+    "model.macro_hidden": 32,
+    "model.graph_layers": 1,
+    "model.micro_layers": 1,
+    "model.risk_gat_layers": 1,
+    "training.peak_lr": 0.003,
+    "training.warmup_steps": 5,
+    "training.seeds": [0],
+    "stages.unimodal_pretrain": 2,
+    "stages.multimodal_align": 1,
+    "stages.joint_multitask": 8,
+    "stages.rl_finetune": 2,
+    "out_dir": "runs/small",
+}
+DATES = (300, 330, 350, 370, 390)
+HORIZONS = (1, 3)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+                        help="directory holding the finfusion package")
+    args = parser.parse_args(argv)
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
+               OPENBLAS_NUM_THREADS="1")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        cfg = work / "small.json"
+        cfg.write_text(json.dumps(SMALL, indent=2) + "\n")
+
+        def run(*cli) -> bytes:
+            done = subprocess.run([sys.executable, "-m", "finfusion", *cli], cwd=work,
+                                  env=env, capture_output=True, check=False)
+            if done.returncode != 0:
+                sys.exit(f"{' '.join(cli)} exited {done.returncode}:\n"
+                         f"{done.stderr.decode(errors='replace')}")
+            return done.stdout
+
+        def show(name: str, data: bytes) -> None:
+            print(f"{sha256(data)}  {name}", flush=True)
+
+        def show_file(path: Path) -> None:
+            show(str(path.relative_to(work)), path.read_bytes())
+
+        data, ckpt = work / "dataset.jsonl", work / "seed_0" / "checkpoint.bin"
+        common = ("--checkpoint", str(ckpt), "--data", str(data))
+        run("generate", "--config", str(cfg), "--out", str(work))
+        show_file(data)
+        show_file(work / "dataset.bin")
+        run("train", "--config", str(cfg), "--data", str(data), "--out", str(work),
+            "--seed", "0")
+        show_file(ckpt)
+        show_file(work / "seed_0" / "reports.json")
+        run("eval", *common, "--split", "test", "--out", str(work / "eval"))
+        show_file(work / "eval" / "report.json")
+        show_file(work / "eval" / "report.txt")
+
+        queries = b""
+        for date in DATES:
+            for horizon in HORIZONS:
+                when = ("--date", str(date), "--horizon", str(horizon))
+                for asset in (0, 1):
+                    queries += run("forecast", *common, *when, "--asset", str(asset))
+                queries += run("report", *common, *when)
+        show(f"forecast/report stdout ({len(DATES) * len(HORIZONS) * 3} requests)",
+             queries)
+
+        for source in ("truth", "model"):
+            out = work / f"rl_{source}"
+            run("rl-run", "--config", str(cfg), *common, "--out", str(out),
+                "--set", f"rl.r_sys_source={source}")
+            show_file(out / "traces.jsonl")
+        show("grad-check stdout", run("grad-check"))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,9 +10,9 @@ Anything fancier must go through an explicit reshape so backward rules stay
 auditable.
 
 Finiteness is checked at boundaries, not after every op. The public
-``Tensor(...)`` constructor rejects non-finite input, and ``exp``, ``log``
-and ``sqrt`` reject a non-finite result, since those are where a finite
-input overflows or leaves the domain. Every other op lets NaN and inf flow
+``Tensor(...)`` constructor rejects non-finite input, and ``exp`` and
+``log`` reject a non-finite result, since those are where a finite input
+overflows or leaves the domain. Every other op lets NaN and inf flow
 through; callers check what they consume once with ``require_finite``: the
 training step its loss and gradients, forward-only passes their outputs.
 
@@ -39,12 +39,9 @@ __all__ = [
     "add",
     "sub",
     "mul",
-    "div",
-    "neg",
     "pow_const",
     "exp",
     "log",
-    "sqrt",
     "tanh",
     "sigmoid",
     "relu",
@@ -65,6 +62,7 @@ __all__ = [
     "slice_axis",
     "take_rows",
     "stack",
+    "masked_fill_logits",
 ]
 
 _EPS_MASK = -1e9  # additive mask value; exp underflows to exactly 0.0
@@ -116,13 +114,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat read-only view of the underlying buffer."""
-        flat = self.data.ravel()
-        flat.flags.writeable = False
-        return flat
-
     def item(self) -> float:
         if self.size != 1:
             raise ContractError(f"item() on tensor of size {self.size}")
@@ -140,29 +131,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, _as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(_as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other))
@@ -170,19 +143,8 @@ class Tensor:
     def __pow__(self, exponent):
         return pow_const(self, exponent)
 
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
     def mean(self, axis=None, keepdims=False):
         return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 def _as_tensor(x) -> Tensor:
@@ -367,25 +329,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return custom_op(out, (a, b), bwd)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
-    _check_broadcast(a.shape, b.shape)
-    out = a.data / b.data
-
-    def bwd(g):
-        ga = _unbroadcast(g / b.data, a.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
-        return ga, gb
-
-    return custom_op(out, (a, b), bwd)
-
-
 # ---------------------------------------------------------------------------
 # elementwise unary ops
-
-def neg(a: Tensor) -> Tensor:
-    return custom_op(-a.data, (a,), lambda g: (-g,))
-
 
 def pow_const(a: Tensor, exponent: float) -> Tensor:
     p = float(exponent)
@@ -409,13 +354,6 @@ def log(a: Tensor) -> Tensor:
         out = np.log(a.data)
     require_finite(out, "log")
     return custom_op(out, (a,), lambda g: (g / a.data,))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    with np.errstate(invalid="ignore"):
-        out = np.sqrt(a.data)
-    require_finite(out, "sqrt")
-    return custom_op(out, (a,), lambda g: (g * 0.5 / out,))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -456,10 +394,12 @@ def elu(a: Tensor, alpha: float = 1.0) -> Tensor:
 # linear algebra
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product; leading batch dimensions must match or be absent."""
+    """Matrix product of a (..., m, k) left operand and a (..., k, n) or (k,)
+    right one; leading batch dimensions must match or be absent."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.ndim < 1 or b.ndim < 1:
-        raise DimensionError("matmul requires at least 1-d operands")
+    if a.ndim < 2 or b.ndim < 1:
+        raise DimensionError(f"matmul needs a left operand of 2 or more dims and a right "
+                             f"one of 1 or more: {a.shape} x {b.shape}")
     if a.shape[-1] != b.shape[-2 if b.ndim > 1 else -1]:
         raise DimensionError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
@@ -467,13 +407,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
-        if a.ndim == 1 and b.ndim == 1:
-            return g * b.data, g * a.data
-        if a.ndim == 1:
-            # (k,) x (..., k, n) -> (..., n)
-            ga = np.matmul(g[..., None, :], np.swapaxes(b.data, -1, -2))[..., 0, :]
-            gb = a.data[:, None] * g[..., None, :]
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
         if b.ndim <= 2:
             # (..., m, k) x one shared (k, n) or (k,) weight: every stacked row
             # is a row of one 2-D product, so each gradient is a single gemm

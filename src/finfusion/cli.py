@@ -88,7 +88,6 @@ def cmd_train(args) -> int:
         raise ConfigError(
             f"model.vocab_size: {cfg.model.vocab_size} is smaller than the "
             f"dataset vocabulary ({len(ds.vocab)} tokens)")
-    os.makedirs(args.out, exist_ok=True)
     seeds = cfg.training.seeds if args.seed is None else (args.seed,)
     for seed in seeds:
         run = tr.TrainingRun(
@@ -202,6 +201,8 @@ def cmd_rl_run(args) -> int:
     _check_flags(args, seed=0, updates=0, episodes=1)
     cfg = RunConfig.load(args.config, args.set)
     params, mcfg, meta = tr.load_params(args.checkpoint)
+    frl.check_action_count(cfg.rl, params["policy.w"].shape[1],
+                           "the checkpoint's model.n_actions (its policy.w width)")
     ds = dp.load_dataset(args.data)
     seed = meta.get("seed", 0) if args.seed is None else args.seed
     kinds = tuple(meta.get("modalities", fus.MODALITIES))

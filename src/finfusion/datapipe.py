@@ -600,9 +600,6 @@ class AlignedDataset:
     def y_next(self, asset: int, t: int) -> float:
         return float(self.returns[asset, t + 1])
 
-    def stress_next(self, t: int) -> float:
-        return float(self.node_stress[t + 1].mean())
-
     # features -----------------------------------------------------------
     def price_feature_matrix(self, asset: int | None = None) -> np.ndarray:
         """(T, 12) transformed price columns of ``asset`` before z-scoring,

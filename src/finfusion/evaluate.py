@@ -26,15 +26,11 @@ def predict_micro(dataset, params, cfg, split: str,
     pairs = dataset.sample_pairs(split)
     if not pairs:
         raise ContractError(f"split {split!r} has no usable pairs")
-    preds, trues = [], []
-    for i in range(0, len(pairs), fm.EVAL_BATCH):
-        chunk = pairs[i:i + fm.EVAL_BATCH]
-        batch = dataset.batch_arrays(chunk)
-        out = fm.forward_batch(batch, params, cfg, kinds, heads=("micro",))
-        point_z = (out["mdn_weights"].data * out["mdn_means"].data).sum(axis=-1)
-        preds.append(point_z * dataset.norm["y_std"] + dataset.norm["y_mean"])
-        trues.append(batch["y_raw"])
-    return {"pred": np.concatenate(preds), "true": np.concatenate(trues)}
+    out = fm.forward_chunks(dataset, pairs, params, cfg, kinds=kinds,
+                            heads=("micro",), labels=("y_raw",))
+    point_z = (out["mdn_weights"] * out["mdn_means"]).sum(axis=-1)
+    return {"pred": point_z * dataset.norm["y_std"] + dataset.norm["y_mean"],
+            "true": out["y_raw"]}
 
 
 def predict_risk(dataset, params, cfg, split: str,
@@ -43,24 +39,17 @@ def predict_risk(dataset, params, cfg, split: str,
     dates = dataset.splits[split]
     if not dates:
         raise ContractError(f"split {split!r} has no dates")
-    scores, contribs, crisis, stress, distress = [], [], [], [], []
-    for i in range(0, len(dates), fm.EVAL_BATCH):
-        chunk = [(0, t) for t in dates[i:i + fm.EVAL_BATCH]]
-        batch = dataset.batch_arrays(chunk)
-        out = fm.forward_batch(batch, params, cfg, kinds, heads=("risk",))
-        scores.append(out["risk_score"].data)
-        contribs.append(out["contributions"].data)
-        crisis.append(batch["crisis_next"])
-        stress.append(batch["stress_next"])
-        distress.append(batch["node_distress"])
-    scores = np.concatenate(scores)
+    out = fm.forward_chunks(dataset, [(0, t) for t in dates], params, cfg,
+                            kinds=kinds, heads=("risk",),
+                            labels=("crisis_next", "stress_next", "node_distress"))
+    scores = out["risk_score"]
     return {
         "score": scores,
         "warning": (scores >= cfg.warning_threshold).astype(np.int64),
-        "contributions": np.concatenate(contribs),
-        "crisis": np.concatenate(crisis),
-        "stress": np.concatenate(stress),
-        "node_distress": np.concatenate(distress),
+        "contributions": out["contributions"],
+        "crisis": out["crisis_next"],
+        "stress": out["stress_next"],
+        "node_distress": out["node_distress"],
     }
 
 

@@ -30,9 +30,13 @@ class AlignConfig:
 
     def __post_init__(self):
         check_number("temperature", self.temperature, 0, strict=True)
-        for a, b in self.pairs:
-            if a not in MODALITIES or b not in MODALITIES:
-                raise ContractError(f"unknown modality pair ({a}, {b})")
+        if not isinstance(self.pairs, (list, tuple)):
+            raise ContractError(f"pairs must be a list of modality pairs, got {self.pairs!r}")
+        for pair in self.pairs:
+            if not (isinstance(pair, (list, tuple)) and len(pair) == 2
+                    and pair[0] != pair[1] and all(k in MODALITIES for k in pair)):
+                raise ContractError(f"pairs must be pairs of two different modalities "
+                                    f"of {MODALITIES}, got {pair!r}")
 
 
 def init_fusion_params(cfg, rng: np.random.Generator) -> dict:
@@ -44,37 +48,25 @@ def init_fusion_params(cfg, rng: np.random.Generator) -> dict:
     return p
 
 
-def fuse_batch(embeddings: dict, presence: np.ndarray, params: dict,
-               cfg) -> tuple[Tensor, np.ndarray]:
+def fuse_batch(embeddings: dict, params: dict, cfg) -> tuple[Tensor, np.ndarray]:
     """Mix per-modality embeddings into z.
 
-    ``embeddings`` maps modality name to a (B, d_model) tensor; entries may be
-    omitted when that modality is absent for the whole batch. ``presence`` is
-    (B, 4) over the fixed modality order. Returns z (B, d_model) and the
-    pooling weights (B, 4) with exact zeros at absent slots.
+    ``embeddings`` maps modality name to a (B, d_model) tensor; a modality it
+    omits is absent from every row, and its slot is masked out of the mixing
+    layer's keys and of the pooling. Returns z (B, d_model) and the pooling
+    weights (B, 4) with exact zeros at absent slots.
     """
-    presence = np.asarray(presence, dtype=bool)
-    b = presence.shape[0]
-    if presence.shape != (b, 4):
-        raise DimensionError(f"presence must be (B, 4), got {presence.shape}")
-    if not presence.any(axis=1).all():
-        raise DegenerateInputError("a batch row has no modalities")
+    if not embeddings:
+        raise DegenerateInputError("no modalities to fuse")
+    present = np.array([kind in embeddings for kind in MODALITIES])
+    b = next(iter(embeddings.values())).shape[0]
     zero = Tensor(np.zeros((b, cfg.d_model)))
-    tokens = []
-    for ki, kind in enumerate(MODALITIES):
-        embedded = embeddings.get(kind)
-        if embedded is None:
-            if presence[:, ki].any():
-                raise ContractError(f"{kind} marked present but no embedding given")
-            embedded = zero
-        tokens.append(embedded)
-    x = ad.stack(tokens, axis=1)  # (B, 4, d)
+    x = ad.stack([embeddings.get(kind, zero) for kind in MODALITIES], axis=1)  # (B, 4, d)
     x = x + ad.reshape(params["fusion.type"], (1, 4, cfg.d_model))
-    x = enc.transformer_layer(x, params, "fusion.layer0", cfg.n_heads,
-                              keep=presence[:, None, None, :])
+    x = enc.transformer_layer(x, params, "fusion.layer0", cfg.n_heads, keep=present)
     # learned-query attention pooling over present tokens
     scores = ad.matmul(x, params["fusion.pool.q"]) * (1.0 / np.sqrt(cfg.d_model))
-    scores = ad.masked_fill_logits(scores, presence)
+    scores = ad.masked_fill_logits(scores, present)
     weights = ad.softmax(scores, axis=-1)  # (B, 4)
     z = ad.matmul(ad.reshape(weights, (b, 1, 4)), x)  # (B, 1, d)
     z = ad.reshape(z, (b, cfg.d_model))

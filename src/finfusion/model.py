@@ -13,7 +13,7 @@ from . import fusion as fus
 from . import heads as task_heads
 from .autodiff import Tensor
 from .datapipe import MACRO_SLOTS
-from .errors import ConfigError, check_number
+from .errors import ConfigError, check_number, check_numbers
 
 DEFAULT_MACRO_GROUPS = {
     "growth": (0, 2),
@@ -64,6 +64,14 @@ class ModelConfig:
                          integral=True)
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
+        if not (isinstance(self.macro_slots, (list, tuple))
+                and all(isinstance(s, str) for s in self.macro_slots)):
+            raise ConfigError(f"macro_slots must be a list of strings, got {self.macro_slots!r}")
+        if not isinstance(self.macro_groups, dict):
+            raise ConfigError("macro_groups must be an object of slot index lists, "
+                              f"got {self.macro_groups!r}")
+        for name, idx in self.macro_groups.items():
+            check_numbers(f"macro_groups.{name}", idx, 0, integral=True)
         self.macro_slots = tuple(self.macro_slots)
         self.macro_groups = {k: tuple(v) for k, v in self.macro_groups.items()}
         if self.d_model % self.n_heads != 0:
@@ -139,7 +147,7 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
                   kinds=fus.MODALITIES, heads=("micro", "risk")) -> dict:
     """Run the encoders named in ``kinds``, fusion, and the task heads named in
     ``heads`` on one fully aligned batch; modalities outside ``kinds`` are
-    fused as absent.
+    fused as absent from every row.
 
     ``batch`` carries numpy arrays: price (B, T, F), tokens (B, L) with
     tok_len (B,), macro (B, M), graph node features (B, N, Fg) and adjacency
@@ -154,10 +162,7 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
     b = batch["price"].shape[0]
     keep = enc.graph_keep(batch["graph_adj"])
     embs = embed_batch(batch, params, cfg, kinds, keep)
-    presence = np.zeros((b, len(fus.MODALITIES)), dtype=bool)
-    for ki, kind in enumerate(fus.MODALITIES):
-        presence[:, ki] = kind in embs
-    z, fuse_weights = fus.fuse_batch(embs, presence, params, cfg)
+    z, fuse_weights = fus.fuse_batch(embs, params, cfg)
     out = {"z": z, "embs": embs, "fuse_weights": fuse_weights}
     if "micro" in heads:
         mixture = task_heads.micro_head_batch(
@@ -170,3 +175,21 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
         if isinstance(t, Tensor):
             ad.require_finite(t.data, f"forward output {name}")
     return out
+
+
+def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
+                   kinds=fus.MODALITIES, heads=("micro", "risk"), labels=()) -> dict:
+    """One read-only ``forward_batch`` pass over the (asset, date) ``pairs``
+    of ``dataset`` in chunks of ``EVAL_BATCH`` rows. Returns the values of
+    every output tensor and the ``batch_arrays`` entries named in ``labels``,
+    each concatenated over the chunks."""
+    parts: dict = {}
+    for i in range(0, len(pairs), EVAL_BATCH):
+        batch = dataset.batch_arrays(pairs[i:i + EVAL_BATCH])
+        out = forward_batch(batch, params, cfg, kinds=kinds, heads=heads)
+        for name, t in out.items():
+            if isinstance(t, Tensor):
+                parts.setdefault(name, []).append(t.data)
+        for name in labels:
+            parts.setdefault(name, []).append(batch[name])
+    return {name: np.concatenate(arrs) for name, arrs in parts.items()}

@@ -16,8 +16,8 @@ from . import autodiff as ad
 from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
-from .errors import (ContractError, DimensionError, NumericalError, check_number,
-                     check_numbers)
+from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
+                     check_number, check_numbers)
 
 DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 
@@ -51,6 +51,14 @@ class RLConfig:
         check_number("episode_length", self.episode_length, 1, integral=True)
         if self.r_sys_source not in ("truth", "model"):
             raise ContractError("r_sys_source must be 'truth' or 'model'")
+
+
+def check_action_count(cfg: RLConfig, n_actions: int, source: str) -> None:
+    """ConfigError unless the action set has one position per policy output;
+    ``source`` names the setting ``n_actions`` comes from."""
+    if len(cfg.actions) != n_actions:
+        raise ConfigError(f"rl.actions has {len(cfg.actions)} positions but {source} "
+                          f"is {n_actions}; the two must agree")
 
 
 @dataclass(frozen=True)
@@ -152,14 +160,15 @@ class DatasetEnv:
 
     States are the fused representations the backbone produces for each
     (asset, date); profit uses the raw next-step return. Stress comes from
-    the dataset (truth mode) or from the risk head's current assessment
-    (model mode), always scaled by position exposure.
+    the dataset's ``stress_next`` label (truth mode) or from the risk head's
+    current assessment (model mode), always scaled by position exposure.
 
-    The env snapshots the backbone when it is built: the z and risk score of
-    every date in the split are computed once, fusing only the modalities in
-    ``kinds``, in fixed chunks of ``model.EVAL_BATCH`` rows, so a state does
-    not depend on which dates an episode visits. Only ``policy.*`` may move
-    while the env is in use; callers that move the backbone build a new env.
+    The env snapshots the backbone when it is built: one
+    ``model.forward_chunks`` pass computes the z and risk score of every date
+    in the split, with its next return and stress label, fusing only the
+    modalities in ``kinds``, so a state does not depend on which dates an
+    episode visits. Only ``policy.*`` may move while the env is in use;
+    callers that move the backbone build a new env.
 
     Nor does a state depend on the actions taken: step i always moves to
     ``states[i + 1]``, earns ``position * edge[i]`` and is charged
@@ -173,24 +182,15 @@ class DatasetEnv:
         self.dates = list(dataset.splits[split])
         if len(self.dates) < 2:
             raise ContractError(f"split '{split}' too short for an episode")
-        zs, risks = [], []
-        for i in range(0, len(self.dates), model_mod.EVAL_BATCH):
-            chunk = self.dates[i:i + model_mod.EVAL_BATCH]
-            batch = dataset.batch_arrays([(asset, t) for t in chunk])
-            out = model_mod.forward_batch(batch, params, model_cfg, kinds=kinds,
-                                          heads=("risk",))
-            zs.append(out["z"].data)
-            risks.append(out["risk_score"].data)
-        self.states = np.concatenate(zs)
-        self.risk = np.concatenate(risks)
+        out = model_mod.forward_chunks(
+            dataset, [(asset, t) for t in self.dates], params, model_cfg,
+            kinds=kinds, heads=("risk",), labels=("y_raw", "stress_next"))
+        self.states, self.risk = out["z"], out["risk_score"]
         # per steppable date (all but the last): the next return, and the
         # stress charge of the configured source
-        steppable = np.asarray(self.dates[:-1])
-        self.edge = dataset.returns[asset, steppable + 1]
-        if rl_cfg.r_sys_source == "model":
-            self.stress = self.risk[:-1]
-        else:
-            self.stress = np.array([dataset.stress_next(t) for t in steppable])
+        self.edge = out["y_raw"][:-1]
+        self.stress = out["risk_score" if rl_cfg.r_sys_source == "model"
+                          else "stress_next"][:-1]
         self.i = 0
 
     @property

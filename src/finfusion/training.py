@@ -387,6 +387,7 @@ class TrainingRun:
         self.align_cfg = align_cfg or fus.AlignConfig(
             pairs=(("price", "text"), ("price", "macro"), ("price", "graph")))
         self.rl_cfg = rl_cfg or rl_mod.RLConfig(r_sys_source="model")
+        rl_mod.check_action_count(self.rl_cfg, model_cfg.n_actions, "model.n_actions")
         # restricting the modality set turns the run into an ablation
         self.modalities = tuple(modalities) if modalities else tuple(fus.MODALITIES)
         bad = set(self.modalities) - set(fus.MODALITIES)

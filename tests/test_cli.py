@@ -887,6 +887,42 @@ def test_every_number_list_rejects_a_scalar_or_a_bad_item(work, tmp_path, capsys
     _expect_named_config_error(work, tmp_path, capsys, key, value)
 
 
+# a structured field of the wrong shape, each named by its key
+@pytest.mark.parametrize("key,value", [
+    ("model.macro_groups", "[1, 2]"),
+    ("model.macro_groups", '{"growth": 5, "inflation": [1, 3], "credit": [4, 5], '
+                           '"market_stress": [6, 7]}'),
+    ("model.macro_groups", '{"growth": [0, 2.5], "inflation": [1, 3], "credit": [4, 5], '
+                           '"market_stress": [6, 7]}'),
+    ("model.macro_slots", "5"), ("model.macro_slots", "[1, 2]"),
+    ("align.pairs", "5"), ("align.pairs", '"price"'),
+    ("align.pairs", '[["price", "text", "macro"]]'), ("align.pairs", '[["price", "price"]]'),
+    ("align.pairs", '[["price", "bogus"]]')])
+def test_bad_structured_field_exits_2_naming_it(work, tmp_path, capsys, key, value):
+    _expect_named_config_error(work, tmp_path, capsys, key, value)
+
+
+# the policy's width and the positions it picks from are two settings
+@pytest.mark.parametrize("command,setting,counts", [
+    ("train", "model.n_actions=5", (3, 5)), ("train", "model.n_actions=2", (3, 2)),
+    ("rl-run", "rl.actions=[-1, 1]", (2, 3)), ("rl-run", "rl.actions=[-1, 0, 0.5, 1]", (4, 3))])
+def test_an_action_count_mismatch_exits_2_before_any_work(work, tmp_path, capsys, command,
+                                                          setting, counts):
+    out = tmp_path / "out"
+    inputs = {"train": ["--data", work["data"], "--seed", "0"],
+              "rl-run": ["--checkpoint", work["ckpt"], "--data", work["data"]]}[command]
+    rc = cli.main([command, "--config", work["cfg"], *inputs, "--out", str(out),
+                   "--set", setting])
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert rc == 2
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: rl.actions has {counts[0]} positions but ")
+    assert "model.n_actions" in lines[0] and f"is {counts[1]};" in lines[0]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,flags", [
     ("train", ["--seed", "-1"]), ("rl-run", ["--seed", "-1"]),
     ("rl-run", ["--updates", "-1"]), ("rl-run", ["--episodes", "0"]),

@@ -394,8 +394,7 @@ def test_labels_are_next_step(small_ds):
     b = ds.batch_arrays([(0, t)])
     assert ds.y_next(0, t) == b["y_raw"][0] == ds.returns[0, t + 1]
     assert b["crisis_next"][0] == ds.regime[t + 1]
-    assert ds.stress_next(t) == b["stress_next"][0]
-    assert b["stress_next"][0] == pytest.approx(ds.node_stress[t + 1].mean())
+    assert b["stress_next"][0] == ds.node_stress[t + 1].mean()
     assert np.array_equal(b["node_distress"][0],
                           ds.node_stress[t + 1] > dp.NODE_DISTRESS_THRESHOLD)
 
@@ -428,7 +427,7 @@ def _batch_reference(ds, pairs):
         y[i] = (raw - ds.norm["y_mean"]) / ds.norm["y_std"]
         direction[i] = 0 if raw < -dp.FLAT_BAND else (2 if raw > dp.FLAT_BAND else 1)
         crisis[i] = int(ds.regime[t + 1])
-        stress[i] = ds.stress_next(t)
+        stress[i] = ds.node_stress[t + 1].mean()
         node_distress[i] = ds.node_stress[t + 1] > dp.NODE_DISTRESS_THRESHOLD
     adj = np.broadcast_to(ds.adjacency, (len(pairs),) + ds.adjacency.shape).copy()
     return {

@@ -63,7 +63,7 @@ def test_predict_risk_aligns_labels(world):
     assert np.array_equal(got["warning"], (got["score"] >= 0.5).astype(int))
     for i, t in enumerate(dates[:5]):
         assert got["crisis"][i] == ds.regime[t + 1]
-        assert got["stress"][i] == pytest.approx(ds.stress_next(t))
+        assert got["stress"][i] == pytest.approx(ds.node_stress[t + 1].mean())
 
 
 def test_evaluate_split_key_set_and_ranges(world):

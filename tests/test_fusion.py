@@ -33,31 +33,30 @@ def test_fuse_weights_sum_to_one(setup):
     cfg, params = setup
     rng = np.random.default_rng(0)
     embs = random_embeddings(rng, 3, cfg.d_model)
-    presence = np.array([[True] * 4,
-                         [True, False, True, False],
-                         [False, False, False, True]])
-    _, weights = fus.fuse_batch(embs, presence, params, cfg)
-    for row, pres in zip(weights, presence):
-        assert abs(row[pres].sum() - 1.0) < 1e-9
-        assert np.all(row[~pres] == 0.0)
+    for pres in ([True] * 4, [True, False, True, False], [False, False, False, True]):
+        pres = np.array(pres)
+        present = {k: v for k, v in embs.items() if pres[fus.MODALITIES.index(k)]}
+        _, weights = fus.fuse_batch(present, params, cfg)
+        for row in weights:
+            assert abs(row[pres].sum() - 1.0) < 1e-9
+            assert np.all(row[~pres] == 0.0)
 
 
 def test_fuse_single_modality_weight_one(setup):
     cfg, params = setup
     rng = np.random.default_rng(1)
     embs = {"macro": Tensor(rng.normal(size=(1, cfg.d_model)))}
-    presence = np.array([[False, False, True, False]])
-    z, weights = fus.fuse_batch(embs, presence, params, cfg)
+    z, weights = fus.fuse_batch(embs, params, cfg)
     assert weights[0, 2] == pytest.approx(1.0)
     # deterministic transform of that single embedding
-    z2, _ = fus.fuse_batch(embs, presence, params, cfg)
+    z2, _ = fus.fuse_batch(embs, params, cfg)
     assert np.array_equal(z.data, z2.data)
 
 
 def test_fuse_empty_bundle_rejected(setup):
     cfg, params = setup
     with pytest.raises(DegenerateInputError):
-        fus.fuse_batch({}, np.zeros((1, 4), dtype=bool), params, cfg)
+        fus.fuse_batch({}, params, cfg)
 
 
 def _removal_reference(embs_present, slots, params, cfg):
@@ -82,9 +81,8 @@ def test_masking_equals_physical_removal(setup):
         pres = rng.uniform(size=4) > 0.4
         if not pres.any():
             pres[rng.integers(4)] = True
-        presence = pres[None, :]
         masked = {k: v for k, v in embs.items() if pres[fus.MODALITIES.index(k)]}
-        z_masked, w_masked = fus.fuse_batch(masked, presence, params, cfg)
+        z_masked, w_masked = fus.fuse_batch(masked, params, cfg)
         slots = [i for i in range(4) if pres[i]]
         ref_z, ref_w = _removal_reference(
             [embs[fus.MODALITIES[i]] for i in slots], slots, params, cfg)
@@ -99,10 +97,10 @@ def test_fuse_permutation_equivariant_with_zero_type_embeddings(setup):
     rng = np.random.default_rng(4)
     vecs = [Tensor(rng.normal(size=(1, cfg.d_model))) for _ in range(4)]
     base = {k: v for k, v in zip(fus.MODALITIES, vecs)}
-    z1, _ = fus.fuse_batch(base, np.ones((1, 4), dtype=bool), params, cfg)
+    z1, _ = fus.fuse_batch(base, params, cfg)
     perm = [2, 0, 3, 1]
     shuffled = {k: vecs[perm[i]] for i, k in enumerate(fus.MODALITIES)}
-    z2, _ = fus.fuse_batch(shuffled, np.ones((1, 4), dtype=bool), params, cfg)
+    z2, _ = fus.fuse_batch(shuffled, params, cfg)
     assert np.allclose(z1.data, z2.data, atol=1e-10)
 
 
@@ -131,11 +129,10 @@ def test_fuse_gradients(setup):
     params = init_model_params(cfg, np.random.default_rng(5))
     rng = np.random.default_rng(6)
     embs = random_embeddings(rng, 2, cfg.d_model)
-    presence = np.ones((2, 4), dtype=bool)
     wsum = rng.normal(size=(2, cfg.d_model))
 
     def f(_):
-        z, _w = fus.fuse_batch(embs, presence, params, cfg)
+        z, _w = fus.fuse_batch(embs, params, cfg)
         return reduce_sum(z * Tensor(wsum))
 
     for target in ("fusion.pool.q", "fusion.type", "fusion.layer0.wq"):

@@ -26,7 +26,7 @@ def world():
                     vocab_size=len(ds.vocab))
     params = fm.init_model_params(mcfg, np.random.default_rng(0))
     batch = ds.batch_arrays([(a, t) for t in ds.splits["train"][:5] for a in (0, 1)])
-    return batch, mcfg, params
+    return batch, mcfg, params, ds
 
 
 def _bytes(x):
@@ -34,7 +34,7 @@ def _bytes(x):
 
 
 def test_forward_batch_default_matches_hand_assembly(world):
-    batch, mcfg, params = world
+    batch, mcfg, params, _ = world
     embs = {
         "price": enc.encode_price_batch(batch["price"], params, mcfg),
         "text": enc.encode_text_batch(batch["tokens"], batch["tok_len"], params, mcfg),
@@ -43,7 +43,7 @@ def test_forward_batch_default_matches_hand_assembly(world):
                                         enc.graph_keep(batch["graph_adj"]),
                                         params, mcfg),
     }
-    z, _ = fus.fuse_batch(embs, np.ones((10, 4), dtype=bool), params, mcfg)
+    z, _ = fus.fuse_batch(embs, params, mcfg)
     out = fm.forward_batch(batch, params, mcfg)
     assert out["z"].data.tobytes() == z.data.tobytes()
 
@@ -51,7 +51,7 @@ def test_forward_batch_default_matches_hand_assembly(world):
 @pytest.mark.parametrize("heads", [(), ("micro",), ("risk",)],
                          ids=["no-heads", "micro", "risk"])
 def test_forward_batch_head_subset_matches_default(world, heads):
-    batch, mcfg, params = world
+    batch, mcfg, params, _ = world
     full = fm.forward_batch(batch, params, mcfg)
     part = fm.forward_batch(batch, params, mcfg, heads=heads)
     shared = {"z", "embs", "fuse_weights"}
@@ -65,7 +65,7 @@ def test_forward_batch_head_subset_matches_default(world, heads):
 
 
 def test_adjacency_view_gives_the_same_bits_as_a_copy(world):
-    batch, mcfg, params = world
+    batch, mcfg, params, _ = world
     assert not batch["graph_adj"].flags.writeable
     copied = dict(batch, graph_adj=batch["graph_adj"].copy())
     assert copied["graph_adj"].flags.writeable
@@ -77,8 +77,30 @@ def test_adjacency_view_gives_the_same_bits_as_a_copy(world):
 
 
 def test_forward_batch_rejects_non_finite_outputs(world):
-    batch, mcfg, params = world
+    batch, mcfg, params, _ = world
     poisoned = dict(params, **{"risk.node.w": Tensor(params["risk.node.w"].data)})
     poisoned["risk.node.w"].data[...] = np.nan
     with pytest.raises(NumericalError, match="forward output"):
         fm.forward_batch(batch, poisoned, mcfg, heads=("risk",))
+
+
+@pytest.mark.parametrize("heads", [("micro",), ("risk",)], ids=["micro", "risk"])
+def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
+    _, mcfg, params, ds = world
+    pairs = ds.sample_pairs("train")
+    assert len(pairs) > 2 * fm.EVAL_BATCH  # a partial last chunk
+    labels = ("y_raw", "stress_next")
+    got = fm.forward_chunks(ds, pairs, params, mcfg, kinds=("price", "graph"),
+                            heads=heads, labels=labels)
+    want = {}
+    for i in range(0, len(pairs), fm.EVAL_BATCH):
+        batch = ds.batch_arrays(pairs[i:i + fm.EVAL_BATCH])
+        out = fm.forward_batch(batch, params, mcfg, kinds=("price", "graph"), heads=heads)
+        for name in ("z",) + tuple(k for h in heads for k in HEAD_KEYS[h]):
+            want.setdefault(name, []).append(out[name].data)
+        for name in labels:
+            want.setdefault(name, []).append(batch[name])
+    assert set(got) == set(want)
+    for name, parts in want.items():
+        assert got[name].dtype == parts[0].dtype, name
+        assert got[name].tobytes() == np.concatenate(parts).tobytes(), name

@@ -393,9 +393,8 @@ def test_dataset_env_honours_modalities(tiny_world):
         batch = ds.batch_arrays([(0, t) for t in chunk])
         embs = model_mod.embed_batch(batch, params, mcfg, kinds,
                                      enc.graph_keep(batch["graph_adj"]))
-        presence = np.zeros((len(chunk), 4), dtype=bool)
-        presence[:, :2] = True  # price, text
-        zs.append(fus.fuse_batch(embs, presence, params, mcfg)[0].data)
+        assert list(embs) == list(kinds)
+        zs.append(fus.fuse_batch(embs, params, mcfg)[0].data)
     assert np.array_equal(env.states, np.concatenate(zs))
     assert not np.allclose(env.states, full.states)
 
@@ -463,7 +462,7 @@ def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
     # both paths read these tables, so they are checked against the dataset
     steppable = env.dates[:-1]
     want_stress = (env.risk[:-1] if source == "model"
-                   else [ds.stress_next(t) for t in steppable])
+                   else [ds.node_stress[t + 1].mean() for t in steppable])
     assert env.edge.tolist() == [ds.y_next(0, t) for t in steppable]
     assert env.stress.tolist() == list(want_stress)
     stepped = _SteppedOnly(env)
