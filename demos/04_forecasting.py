@@ -27,8 +27,9 @@ mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 8, "rl-finetune": 0})
 print("training (2 pretrain + 1 align + 8 joint epochs)...")
-run = ev.train_run(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
-                   schedule=sched, seed=0)
+run = tr.TrainingRun(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
+                     schedule=sched, seed=0)
+run.run_all()
 
 print("\n== one-step forecast for asset 0 at the first test date ==")
 date = int(ds.splits["test"][0])
@@ -65,7 +66,7 @@ print("quantiles never cross:", bool(np.all(q10 <= q90)))
 
 print("\n== test-split accuracy ==")
 micro = ev.predict_micro(ds, run.params, mcfg, "test")
-acc = mx.directional_accuracy(micro["pred"], micro["true"], mcfg.flat_band)
+acc = mx.directional_accuracy(micro["pred"], micro["true"])
 mape, excluded = mx.mape_with_exclusions(micro["true"], micro["pred"])
 n = len(micro["true"])
 print(f"directional accuracy {mx.format_metric('micro.directional_accuracy', acc)}"

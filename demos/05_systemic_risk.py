@@ -27,8 +27,9 @@ mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 8, "rl-finetune": 0})
 print("training (2 pretrain + 1 align + 8 joint epochs)...")
-run = ev.train_run(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
-                   schedule=sched, seed=0)
+run = tr.TrainingRun(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
+                     schedule=sched, seed=0)
+run.run_all()
 
 print("\n== risk score over the test window ==")
 risk = ev.predict_risk(ds, run.params, mcfg, "test")

@@ -12,7 +12,6 @@ import tempfile
 import numpy as np
 
 import finfusion.datapipe as dp
-import finfusion.evaluate as ev
 import finfusion.model as fm
 import finfusion.rl as rl
 import finfusion.training as tr
@@ -114,8 +113,9 @@ mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
                       risk_gat_layers=1)
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 8, "rl-finetune": 0})
-run = ev.train_run(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
-                   schedule=sched, seed=0)
+run = tr.TrainingRun(ds, mcfg, tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5),
+                     schedule=sched, seed=0)
+run.run_all()
 
 rng = np.random.default_rng(0)
 for source in ("truth", "model"):

@@ -7,7 +7,10 @@ by `--src` (default: this checkout's `src/`), and prints one
 `<sha256>  <artifact>` line per artifact:
 
 - the `generate` dataset (`dataset.jsonl`, `dataset.bin`);
-- the `train --seed 0` checkpoint and `reports.json`;
+- the `train --seed 0` checkpoint and `reports.json`, and a digest of the
+  checkpoint's arrays alone (each leaf's name, dtype, shape and bytes, as
+  `container.read` returns them), so that a change which moves only the
+  checkpoint's meta shows as one changed line;
 - `eval --split test`'s `report.json` and `report.txt`;
 - the 30 `forecast`/`report` stdouts, concatenated (dates 300, 330, 350,
   370, 390; horizons 1 and 3; asset 0, asset 1, then `report`);
@@ -55,6 +58,16 @@ SMALL = {
 }
 DATES = (300, 330, 350, 370, 390)
 HORIZONS = (1, 3)
+# run as `python -c` against --src: prints the sha256 of a checkpoint's arrays
+ARRAYS_DIGEST = """
+import hashlib, sys
+from finfusion import container, training
+arrays, _ = container.read(sys.argv[1], training.CHECKPOINT_MAGIC)
+digest = hashlib.sha256()
+for name, arr in arrays.items():
+    digest.update(f"{name} {arr.dtype.str} {arr.shape}\\n".encode() + arr.tobytes())
+print(digest.hexdigest())
+"""
 
 
 def sha256(data: bytes) -> str:
@@ -74,13 +87,16 @@ def main(argv=None) -> int:
         cfg = work / "small.json"
         cfg.write_text(json.dumps(SMALL, indent=2) + "\n")
 
-        def run(*cli) -> bytes:
-            done = subprocess.run([sys.executable, "-m", "finfusion", *cli], cwd=work,
+        def python(*argv) -> bytes:
+            done = subprocess.run([sys.executable, *argv], cwd=work,
                                   env=env, capture_output=True, check=False)
             if done.returncode != 0:
-                sys.exit(f"{' '.join(cli)} exited {done.returncode}:\n"
+                sys.exit(f"{' '.join(argv)} exited {done.returncode}:\n"
                          f"{done.stderr.decode(errors='replace')}")
             return done.stdout
+
+        def run(*cli) -> bytes:
+            return python("-m", "finfusion", *cli)
 
         def show(name: str, data: bytes) -> None:
             print(f"{sha256(data)}  {name}", flush=True)
@@ -96,6 +112,8 @@ def main(argv=None) -> int:
         run("train", "--config", str(cfg), "--data", str(data), "--out", str(work),
             "--seed", "0")
         show_file(ckpt)
+        print(f"{python('-c', ARRAYS_DIGEST, str(ckpt)).decode().strip()}  "
+              "seed_0/checkpoint.bin arrays", flush=True)
         show_file(work / "seed_0" / "reports.json")
         run("eval", *common, "--split", "test", "--out", str(work / "eval"))
         show_file(work / "eval" / "report.json")

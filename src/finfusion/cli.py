@@ -199,10 +199,14 @@ def cmd_forecast(args) -> int:
 
 def cmd_rl_run(args) -> int:
     _check_flags(args, seed=0, updates=0, episodes=1)
+    model_sets = [s.partition("=")[0] for s in args.set if s.startswith("model.")]
+    if model_sets:
+        raise ConfigError(f"{model_sets[0]}: rl-run takes the model from the checkpoint")
     cfg = RunConfig.load(args.config, args.set)
     params, mcfg, meta = tr.load_params(args.checkpoint)
-    frl.check_action_count(cfg.rl, params["policy.w"].shape[1],
-                           "the checkpoint's model.n_actions (its policy.w width)")
+    if len(cfg.rl.actions) != params["policy.w"].shape[1]:
+        raise ConfigError(f"rl.actions has {len(cfg.rl.actions)} positions but the "
+                          f"checkpoint's policy.w has {params['policy.w'].shape[1]} outputs")
     ds = dp.load_dataset(args.data)
     seed = meta.get("seed", 0) if args.seed is None else args.seed
     kinds = tuple(meta.get("modalities", fus.MODALITIES))
@@ -297,6 +301,8 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
                          graph_layers=1, mdn_components=2, micro_layers=1,
                          risk_gat_layers=1)
     params = fm.init_model_params(cfg, rng)
+    # unused draw (the policy's xavier init): dropping it would shift the rest
+    rng.uniform(size=(d_model, 3))
     b, t_steps, n_nodes = 2, 5, 3
     price = rng.normal(size=(b, t_steps, cfg.price_features))
     tokens = rng.integers(1, cfg.vocab_size, size=(b, 6))

@@ -67,8 +67,7 @@ class RunConfig:
     loss: tr.LossWeights = dataclasses.field(default_factory=tr.LossWeights)
     forecast_loss: tr.ForecastLossConfig = dataclasses.field(
         default_factory=tr.ForecastLossConfig)
-    rl: frl.RLConfig = dataclasses.field(
-        default_factory=lambda: frl.RLConfig(r_sys_source="model"))
+    rl: frl.RLConfig = dataclasses.field(default_factory=frl.RLConfig)
     align: fus.AlignConfig = dataclasses.field(default_factory=fus.AlignConfig)
     schedule: tr.StageSchedule = dataclasses.field(
         default_factory=tr.StageSchedule)
@@ -105,8 +104,6 @@ class RunConfig:
             if field not in known_fields[section]:
                 raise ConfigError(f"{key}: no such field in section {section!r}")
             groups[section][field] = value
-        # training couples the policy to the risk head unless told otherwise
-        groups["rl"].setdefault("r_sys_source", "model")
         built = {}
         for name, kwargs in groups.items():
             try:

@@ -67,11 +67,10 @@ def evaluate_split(dataset, params, cfg, split: str,
 
     micro = predict_micro(dataset, params, cfg, split, kinds)
     pred, true = micro["pred"], micro["true"]
-    out["micro.directional_accuracy"] = _maybe(
-        mx.directional_accuracy, pred, true, cfg.flat_band)
+    out["micro.directional_accuracy"] = _maybe(mx.directional_accuracy, pred, true)
     mape = _maybe(mx.mape_with_exclusions, true, pred)
     out["micro.mape"] = mape[0] if mape is not None else None
-    out["micro.hit_ratio"] = mx.hit_ratio(true, pred, cfg.flat_band)
+    out["micro.hit_ratio"] = mx.hit_ratio(true, pred)
 
     risk = predict_risk(dataset, params, cfg, split, kinds)
     node_scores = risk["contributions"].reshape(-1)
@@ -93,14 +92,6 @@ def evaluate_split(dataset, params, cfg, split: str,
 # ---------------------------------------------------------------------------
 # seeded protocol
 
-def train_run(dataset, model_cfg, train_cfg, schedule=None, seed=0,
-              modalities=None, **kw) -> tr.TrainingRun:
-    run = tr.TrainingRun(dataset, model_cfg, train_cfg, schedule=schedule,
-                         seed=seed, modalities=modalities, **kw)
-    run.run_all()
-    return run
-
-
 def seed_protocol(synth_cfg, model_cfg, train_cfg, schedule=None,
                   split="test", modalities=None, seeds=None, **kw):
     """Independent end-to-end runs per seed: fresh data, fresh init.
@@ -112,8 +103,9 @@ def seed_protocol(synth_cfg, model_cfg, train_cfg, schedule=None,
     for seed in seeds:
         scfg = dataclasses.replace(synth_cfg, seed=int(seed))
         dataset = dp.build_dataset(scfg)
-        run = train_run(dataset, model_cfg, train_cfg, schedule=schedule,
-                        seed=int(seed), modalities=modalities, **kw)
+        run = tr.TrainingRun(dataset, model_cfg, train_cfg, schedule=schedule,
+                             seed=int(seed), modalities=modalities, **kw)
+        run.run_all()
         kinds = modalities or fus.MODALITIES
         per_seed.append(evaluate_split(dataset, run.params, model_cfg, split,
                                        kinds=kinds))

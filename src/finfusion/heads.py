@@ -14,6 +14,7 @@ import numpy as np
 from . import autodiff as ad
 from . import encoders as enc
 from .autodiff import Tensor
+from .datapipe import FLAT_BAND
 from .errors import ContractError, DegenerateInputError, DimensionError
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
@@ -163,12 +164,12 @@ def _micro_step(x: Tensor, params: dict, cfg) -> tuple[Tensor, Tensor, Tensor]:
 
 
 def mixture_direction_probs(weights: np.ndarray, means: np.ndarray,
-                            sigmas: np.ndarray, flat_band: float) -> np.ndarray:
+                            sigmas: np.ndarray, band: float) -> np.ndarray:
     """(..., 3) (down, flat, up) probabilities of (..., K) mixtures, from
-    each mixture's CDF at the +-flat_band boundaries."""
+    each mixture's CDF at the +-band boundaries."""
     w, m, s = (np.asarray(a, dtype=np.float64)[..., None, :]
                for a in (weights, means, sigmas))
-    edges = np.array([[-flat_band], [flat_band]])
+    edges = np.array([[-band], [band]])
     cdf = np.sum(w * _ndtr((edges - m) / s), axis=-1)
     lo, hi = cdf[..., 0], cdf[..., 1]
     return np.stack([lo, hi - lo, 1.0 - hi], axis=-1)
@@ -181,7 +182,7 @@ def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list
     The decoder rolls every row at once (``micro_head_batch``). ``norm``
     holds the label statistics ``y_mean`` and ``y_std``; the affine map back
     to raw returns keeps the mixture's structure, and direction
-    probabilities are taken against the raw-unit flat band.
+    probabilities are taken against the labels' band ``FLAT_BAND``.
     """
     weights, means, sigmas = micro_head_batch(z_seq, params, cfg, k)
     # a forward-only path: its ops do not check, so check what it returns
@@ -191,7 +192,7 @@ def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list
     w = weights.data.copy()
     raw_means, raw_sigmas = means.data * y_std + y_mean, sigmas.data * y_std
     points = np.sum(w * means.data, axis=-1) * y_std + y_mean
-    probs = mixture_direction_probs(w, raw_means, raw_sigmas, cfg.flat_band)
+    probs = mixture_direction_probs(w, raw_means, raw_sigmas, FLAT_BAND)
     return [MicroForecast(horizon=k, point=float(p), direction_probs=d,
                           weights=wi, means=mi, sigmas=si)
             for p, d, wi, mi, si in zip(points, probs, w, raw_means, raw_sigmas)]

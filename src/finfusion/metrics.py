@@ -82,10 +82,6 @@ def mape_with_exclusions(true, pred, eps=MAPE_EPS):
     return value, excluded
 
 
-def mape(true, pred, eps=MAPE_EPS):
-    return mape_with_exclusions(true, pred, eps)[0]
-
-
 def hit_ratio(true, pred, threshold=FLAT_BAND, band=FLAT_BAND):
     """Directional accuracy restricted to actionable steps (|pred| >= threshold).
 

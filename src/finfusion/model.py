@@ -31,8 +31,11 @@ EVAL_BATCH = 64
 # counts that may be 0 (d_ff 0 means 4 * d_model)
 _POSITIVE_DIMS = ("d_model", "n_heads", "vocab_size", "price_features",
                   "macro_group_dim", "macro_hidden", "graph_features",
-                  "graph_layers", "mdn_components", "n_actions")
+                  "graph_layers", "mdn_components")
 _COUNTS = ("n_layers", "d_ff", "micro_layers", "risk_gat_layers")
+# keys of model configs saved before the policy width moved to rl.actions
+# and the direction band to datapipe.FLAT_BAND
+_RETIRED = ("n_actions", "flat_band")
 
 
 @dataclass
@@ -53,10 +56,8 @@ class ModelConfig:
     graph_layers: int = 2
     mdn_components: int = 3
     micro_layers: int = 1
-    flat_band: float = 5e-4
     risk_gat_layers: int = 2
     warning_threshold: float = 0.5
-    n_actions: int = 3
 
     def __post_init__(self):
         for name in _POSITIVE_DIMS + _COUNTS:
@@ -85,7 +86,6 @@ class ModelConfig:
         covered = sorted(i for idx in self.macro_groups.values() for i in idx)
         if covered != list(range(len(self.macro_slots))):
             raise ConfigError("macro groups must partition the macro slots")
-        check_number("flat_band", self.flat_band, 0)
         check_number("warning_threshold", self.warning_threshold, 0, 1, strict=True)
 
     def to_dict(self) -> dict:
@@ -96,14 +96,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
+        return cls(**{k: v for k, v in dict(d).items() if k not in _RETIRED})
 
 
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     """All learnable leaves in one flat dict, keyed by dotted names.
 
-    Prefixes (price., text., macro., graph., fusion., micro., risk., policy.)
-    let training stages select parameter subsets.
+    Prefixes (price., text., macro., graph., fusion., micro., risk.) let
+    training stages select subsets; ``rl.init_policy_params`` adds policy.
     """
     params: dict = {}
     params.update(enc.init_price_params(cfg, rng))
@@ -113,8 +113,6 @@ def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:
     params.update(fus.init_fusion_params(cfg, rng))
     params.update(task_heads.init_micro_params(cfg, rng))
     params.update(task_heads.init_risk_params(cfg, rng))
-    params["policy.w"] = enc.xavier(rng, cfg.d_model, cfg.n_actions)
-    params["policy.b"] = Tensor(np.zeros(cfg.n_actions), requires_grad=True)
     return params
 
 

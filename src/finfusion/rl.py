@@ -13,11 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import encoders as enc
 from . import fusion as fus
 from . import model as model_mod
 from .autodiff import Tensor
-from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
-                     check_number, check_numbers)
+from .errors import (ContractError, DimensionError, NumericalError, check_number,
+                     check_numbers)
 
 DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 
@@ -26,9 +27,10 @@ DEFAULT_ACTIONS = (-1.0, 0.0, 1.0)
 class RLConfig:
     """Reward and rollout knobs.
 
-    r_sys_source picks where the stress penalty comes from: "truth" reads
-    the environment's ground-truth stress variable, "model" reads the
-    trained risk head (the closed feedback loop).
+    ``actions`` are the positions the policy picks from, one per output.
+    r_sys_source picks where the stress penalty comes from: "model" reads
+    the trained risk head (the closed feedback loop), "truth" the
+    environment's ground-truth stress variable.
     """
 
     alpha: float = 1.0
@@ -36,7 +38,7 @@ class RLConfig:
     gamma: float = 0.99
     episode_length: int = 64
     actions: tuple = DEFAULT_ACTIONS
-    r_sys_source: str = "truth"
+    r_sys_source: str = "model"
 
     def __post_init__(self):
         check_numbers("actions", self.actions)
@@ -53,12 +55,11 @@ class RLConfig:
             raise ContractError("r_sys_source must be 'truth' or 'model'")
 
 
-def check_action_count(cfg: RLConfig, n_actions: int, source: str) -> None:
-    """ConfigError unless the action set has one position per policy output;
-    ``source`` names the setting ``n_actions`` comes from."""
-    if len(cfg.actions) != n_actions:
-        raise ConfigError(f"rl.actions has {len(cfg.actions)} positions but {source} "
-                          f"is {n_actions}; the two must agree")
+def init_policy_params(d_model: int, n_actions: int, rng: np.random.Generator) -> dict:
+    """The policy leaves over a d_model state for ``n_actions`` positions:
+    xavier weights and zero biases."""
+    return {"policy.w": enc.xavier(rng, d_model, n_actions),
+            "policy.b": Tensor(np.zeros(n_actions), requires_grad=True)}
 
 
 @dataclass(frozen=True)
@@ -160,8 +161,8 @@ class DatasetEnv:
 
     States are the fused representations the backbone produces for each
     (asset, date); profit uses the raw next-step return. Stress comes from
-    the dataset's ``stress_next`` label (truth mode) or from the risk head's
-    current assessment (model mode), always scaled by position exposure.
+    the dataset's ``stress_next`` label or the risk head's current
+    assessment, as ``rl_cfg.r_sys_source`` says, scaled by position exposure.
 
     The env snapshots the backbone when it is built: one
     ``model.forward_chunks`` pass computes the z and risk score of every date
@@ -172,13 +173,12 @@ class DatasetEnv:
 
     Nor does a state depend on the actions taken: step i always moves to
     ``states[i + 1]``, earns ``position * edge[i]`` and is charged
-    ``|position| * stress[i]``. ``rollout`` relies on that contract to
-    sample a whole episode of this env as arrays.
+    ``|position| * stress[i]``, so ``rollout`` samples a whole episode of
+    this env as arrays; it has no one-step ``env_step``.
     """
 
     def __init__(self, dataset, params: dict, model_cfg, rl_cfg: RLConfig,
                  split: str = "train", asset: int = 0, kinds=fus.MODALITIES):
-        self.cfg = rl_cfg
         self.dates = list(dataset.splits[split])
         if len(self.dates) < 2:
             raise ContractError(f"split '{split}' too short for an episode")
@@ -203,26 +203,17 @@ class DatasetEnv:
         self.i = start
         return self.states[self.i]
 
-    def env_step(self, action: Action):
-        action.require_in(self.cfg)
-        if self.remaining < 1:
-            raise ContractError("episode ran past the end of the split")
-        profit = action.position * float(self.edge[self.i])
-        r_sys = abs(action.position) * float(self.stress[self.i])
-        self.i += 1
-        return self.states[self.i], profit, r_sys
-
 
 def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
             start: int = 0) -> Trajectory:
     """Sample one episode from the policy; length is capped by both the
     configured episode length and the environment horizon.
 
-    Any env with ``reset``, ``env_step`` and ``remaining`` is stepped one
-    action at a time. A ``DatasetEnv`` is rolled out as arrays instead: its
-    states do not depend on the actions, so the whole episode's policy is
-    one product and its rewards are vectors. It draws the same uniforms as
-    stepping; the product's logits can differ from one-row ones in the last
+    A ``DatasetEnv`` is rolled out as arrays: its states do not depend on
+    the actions, so the whole episode's policy is one product and its
+    rewards are vectors. Any other env with ``reset``, ``env_step`` and
+    ``remaining`` is stepped one action at a time. Both draw the same
+    uniforms; the product's logits can differ from one-row ones in the last
     bit, which moves an action only if a uniform lands that close to a CDF
     edge.
     """
@@ -252,8 +243,7 @@ def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
 def _dataset_rollout(env: DatasetEnv, params: dict, cfg: RLConfig,
                      rng: np.random.Generator, start: int, steps: int) -> Trajectory:
     """``steps`` steps of ``env`` from ``start``, each array computed in the
-    order ``policy``, ``sample_action``, ``env_step`` and ``reward`` use per
-    step; leaves ``env.i`` where stepping would."""
+    order ``policy``, ``sample_action`` and ``reward`` use per step."""
     states = env.states[start:start + steps]
     w, b = params["policy.w"].data, params["policy.b"].data
     if states.shape[1] != w.shape[0]:
@@ -268,14 +258,10 @@ def _dataset_rollout(env: DatasetEnv, params: dict, cfg: RLConfig,
     # the number of CDF entries <= u is searchsorted(u, side="right")
     actions = (cdf <= rng.random(steps)[:, None]).sum(axis=1)
     positions = np.asarray(cfg.actions)[actions]
-    for position in set(cfg.actions) - set(env.cfg.actions):
-        if (positions == position).any():
-            Action(position).require_in(env.cfg)
     profits = positions * env.edge[start:start + steps]
     r_sys = np.abs(positions) * env.stress[start:start + steps]
     if not (np.isfinite(profits).all() and np.isfinite(r_sys).all()):
         raise ContractError("reward inputs must be finite")
-    env.i = start + steps
     return Trajectory(states=states, actions=actions,
                       rewards=cfg.alpha * profits - cfg.beta * r_sys,
                       profits=profits, r_sys=r_sys)

@@ -316,6 +316,13 @@ def adamw_step(buf: ParamBuffer, names, state: AdamWState, lr: float,
 CHECKPOINT_MAGIC = b"FFCP"
 
 
+class _Leaves(dict):
+    """A checkpoint's parameters by name, read from ``path``."""
+
+    def __missing__(self, name):
+        raise SchemaError(f"{self.path}: checkpoint has no parameter {name}")
+
+
 def save_checkpoint(path: str, params: dict, meta: dict | None = None) -> None:
     """The parameters as float64 arrays in sorted-name order, plus ``meta``,
     in the shared binary container; byte-exact."""
@@ -328,7 +335,7 @@ def load_checkpoint(path: str):
 
     SchemaError, naming the file, unless it is exactly the version-2
     container its header describes, its header and arrays match their hash,
-    and every array is float64.
+    and every array is float64; reading a leaf the file lacks is one too.
     """
     arrays, meta = container.read(path, CHECKPOINT_MAGIC)
     for name, arr in arrays.items():
@@ -339,7 +346,9 @@ def load_checkpoint(path: str):
                           f"{path}: parameters")
     # the container's arrays are fresh copies, so the leaves can own them;
     # their gradients are views into one zeroed vector
-    grads, params, offset = np.zeros(sum(a.size for a in arrays.values())), {}, 0
+    grads, offset = np.zeros(sum(a.size for a in arrays.values())), 0
+    params = _Leaves()
+    params.path = path
     for name, arr in arrays.items():
         params[name] = Tensor.leaf(arr, grads[offset:offset + arr.size].reshape(arr.shape))
         offset += arr.size
@@ -386,8 +395,7 @@ class TrainingRun:
         self.forecast_cfg = forecast_cfg or ForecastLossConfig()
         self.align_cfg = align_cfg or fus.AlignConfig(
             pairs=(("price", "text"), ("price", "macro"), ("price", "graph")))
-        self.rl_cfg = rl_cfg or rl_mod.RLConfig(r_sys_source="model")
-        rl_mod.check_action_count(self.rl_cfg, model_cfg.n_actions, "model.n_actions")
+        self.rl_cfg = rl_cfg or rl_mod.RLConfig()
         # restricting the modality set turns the run into an ablation
         self.modalities = tuple(modalities) if modalities else tuple(fus.MODALITIES)
         bad = set(self.modalities) - set(fus.MODALITIES)
@@ -396,8 +404,10 @@ class TrainingRun:
         self.seed = int(seed)
         ss = np.random.SeedSequence(self.seed)
         children = ss.spawn(len(STAGES) + 1)
-        self.params = model_mod.init_model_params(
-            model_cfg, np.random.default_rng(children[0]))
+        rng = np.random.default_rng(children[0])
+        self.params = model_mod.init_model_params(model_cfg, rng)
+        self.params.update(rl_mod.init_policy_params(
+            model_cfg.d_model, len(self.rl_cfg.actions), rng))
         self.buffer = ParamBuffer(self.params)
         self._subsets: dict = {}
         self._stage_seed = dict(zip(STAGES, children[1:]))
@@ -600,11 +610,11 @@ class TrainingRun:
         Stage optimizers and RNG streams are fresh per stage, so resuming at
         a stage boundary reproduces the uninterrupted run bit for bit.
         """
-        params, meta = load_checkpoint(path)
+        params, mcfg, meta = load_params(path)
         if meta.get("seed") != self.seed:
             raise ContractError(
                 f"checkpoint seed {meta.get('seed')} != run seed {self.seed}")
-        if meta.get("model_config") != self.model_cfg.to_dict():
+        if mcfg != self.model_cfg:
             raise SchemaError("checkpoint model config does not match the run")
         if meta.get("stage_epochs") != dict(self.schedule.epochs):
             raise SchemaError("checkpoint stage schedule does not match the run")

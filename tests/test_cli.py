@@ -183,6 +183,24 @@ def test_train_resume_matches_uninterrupted(work, tmp_path, capsys):
     assert a == b
 
 
+def test_train_resumes_a_stage_checkpoint_with_retired_model_keys(work, tmp_path, capsys):
+    # stage checkpoints saved while the model config still carried the
+    # policy width and the direction band
+    seed_dir = tmp_path / "resumed" / "seed_0"
+    os.makedirs(seed_dir)
+    for i, stage in enumerate(("unimodal-pretrain", "multimodal-align")):
+        name = f"stage_{i}_{stage}.bin"
+        params, meta = tr.load_checkpoint(str(work["run"] / "seed_0" / name))
+        meta["model_config"].update(n_actions=3, flat_band=5e-4)
+        tr.save_checkpoint(str(seed_dir / name), params, meta=meta)
+    rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                   "--out", str(tmp_path / "resumed"), "--resume"])
+    assert rc == 0
+    assert "resumed after multimodal-align" in capsys.readouterr().out
+    assert ((seed_dir / "checkpoint.bin").read_bytes()
+            == (work["run"] / "seed_0" / "checkpoint.bin").read_bytes())
+
+
 def test_train_divergence_is_numerical_error(work, tmp_path, capsys):
     rc = cli.main(["train", "--config", work["cfg"],
                    "--set", "training.peak_lr=1e12",
@@ -750,10 +768,9 @@ def test_the_parser_is_built_once_and_keeps_no_state(work, tmp_path, monkeypatch
 _BAD_DIMS = ([(f, -2) for f in ("d_model", "n_heads", "n_layers", "d_ff", "vocab_size",
                                 "price_features", "macro_group_dim", "macro_hidden",
                                 "graph_features", "graph_layers", "mdn_components",
-                                "micro_layers", "risk_gat_layers", "n_actions")]
+                                "micro_layers", "risk_gat_layers")]
              + [(f, 0) for f in ("d_model", "price_features", "graph_features",
-                                 "macro_group_dim", "macro_hidden", "n_actions",
-                                 "graph_layers")]
+                                 "macro_group_dim", "macro_hidden", "graph_layers")]
              + [("d_model", 2.5), ("n_layers", True)])
 
 
@@ -865,7 +882,7 @@ _NUMBER_LIST_KEYS = _keys_holding(
 
 
 def test_the_field_walk_finds_every_kind_of_field():
-    assert {"synthetic.n_steps", "model.flat_band", "model.warning_threshold",
+    assert {"synthetic.n_steps", "model.d_model", "model.warning_threshold",
             "training.peak_lr", "rl.gamma", "align.temperature",
             "stages.rl_finetune"} <= set(_NUMERIC_KEYS)
     assert set(_NUMBER_LIST_KEYS) == {"training.seeds", "forecast_loss.quantile_levels",
@@ -902,25 +919,66 @@ def test_bad_structured_field_exits_2_naming_it(work, tmp_path, capsys, key, val
     _expect_named_config_error(work, tmp_path, capsys, key, value)
 
 
-# the policy's width and the positions it picks from are two settings
+# rl.actions sets the policy's width when a run trains one; rl-run reads the
+# policy from the checkpoint
 @pytest.mark.parametrize("command,setting,counts", [
-    ("train", "model.n_actions=5", (3, 5)), ("train", "model.n_actions=2", (3, 2)),
     ("rl-run", "rl.actions=[-1, 1]", (2, 3)), ("rl-run", "rl.actions=[-1, 0, 0.5, 1]", (4, 3))])
 def test_an_action_count_mismatch_exits_2_before_any_work(work, tmp_path, capsys, command,
                                                           setting, counts):
     out = tmp_path / "out"
-    inputs = {"train": ["--data", work["data"], "--seed", "0"],
-              "rl-run": ["--checkpoint", work["ckpt"], "--data", work["data"]]}[command]
-    rc = cli.main([command, "--config", work["cfg"], *inputs, "--out", str(out),
-                   "--set", setting])
+    rc = cli.main([command, "--config", work["cfg"], "--checkpoint", work["ckpt"],
+                   "--data", work["data"], "--out", str(out), "--set", setting])
     captured = capsys.readouterr()
-    lines = captured.err.strip().splitlines()
     assert rc == 2
-    assert len(lines) == 1
-    assert lines[0].startswith(f"error: rl.actions has {counts[0]} positions but ")
-    assert "model.n_actions" in lines[0] and f"is {counts[1]};" in lines[0]
+    assert captured.err.strip().splitlines() == [
+        f"error: rl.actions has {counts[0]} positions but the checkpoint's policy.w "
+        f"has {counts[1]} outputs"]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_rl_run_rejects_a_model_override(work, tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = cli.main(["rl-run", "--config", work["cfg"], "--checkpoint", work["ckpt"],
+                   "--data", work["data"], "--out", str(out),
+                   "--set", "rl.beta=0.2", "--set", "model.d_model=4"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.strip().splitlines() == [
+        "error: model.d_model: rl-run takes the model from the checkpoint"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+_COMMAND_ARGS = {
+    "eval": [],
+    "forecast": ["--asset", "0", "--date", "100"],
+    "report": ["--date", "100"],
+    "rl-run": ["--updates", "1", "--episodes", "1"],
+}
+
+
+# each command reads only the leaves of the heads it runs, so it fails on a
+# missing leaf exactly when it needs that leaf
+@pytest.mark.parametrize("leaf,readers", [("micro.out_mu.w", {"eval", "forecast", "report"}),
+                                          ("policy.w", {"rl-run"})])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_a_checkpoint_missing_a_leaf_exits_5_naming_it(work, tmp_path, capsys, command,
+                                                       leaf, readers):
+    params, meta = tr.load_checkpoint(work["ckpt"])
+    del params[leaf]
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    argv = [command, "--checkpoint", str(bad), "--data", work["data"],
+            *_COMMAND_ARGS[command]]
+    if command == "rl-run":
+        argv += ["--config", work["cfg"], "--out", str(tmp_path / "out")]
+    rc = cli.main(argv)
+    if command not in readers:
+        assert rc == 0
+        return
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line == f"error: {bad}: checkpoint has no parameter {leaf}"
 
 
 @pytest.mark.parametrize("command,flags", [

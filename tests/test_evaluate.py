@@ -83,7 +83,7 @@ def test_evaluate_split_hit_ratio_keeps_steps_the_model_calls(world, monkeypatch
     # actionable means |pred| >= band: step 1's realised move is large, but
     # the model called it flat, so only step 0 counts
     ds, mcfg, params = world
-    band = mcfg.flat_band
+    band = dp.FLAT_BAND
     micro = {"pred": np.array([10 * band, 0.1 * band]),
              "true": np.array([10 * band, -10 * band])}
     monkeypatch.setattr(ev, "predict_micro", lambda *a, **k: micro)

@@ -128,7 +128,7 @@ def test_forecast_is_in_raw_return_units(setup):
         assert fr.means.tobytes() == means.tobytes()
         assert fr.sigmas.tobytes() == sigmas.tobytes()
         expected = heads.mixture_direction_probs(fu.weights, means, sigmas,
-                                                 cfg.flat_band)
+                                                 dp.FLAT_BAND)
         assert fr.direction_probs.tobytes() == expected.tobytes()
 
 

@@ -26,6 +26,40 @@ def _policy_params(rng_or_values, d, n_actions):
             "policy.b": Tensor(np.asarray(b, dtype=np.float64), requires_grad=True)}
 
 
+def _pinned(d, index, n=3):
+    """A policy that picks action ``index``: in floats the others have
+    probability below 1e-43, which no uniform draw resolves."""
+    b = np.zeros(n)
+    b[index] = 100.0
+    return _policy_params((np.zeros((d, n)), b), d, n)
+
+
+class _SteppedEnv:
+    """``reset``, ``env_step`` and ``remaining`` over a ``DatasetEnv``'s
+    tables, so that ``rollout`` steps it one action at a time, offering the
+    positions of ``cfg``: the oracle for the array path."""
+
+    def __init__(self, env, cfg):
+        self.states, self.edge, self.stress = env.states, env.edge, env.stress
+        self.cfg = cfg
+        self.i = 0
+
+    @property
+    def remaining(self):
+        return len(self.states) - 1 - self.i
+
+    def reset(self, start=0):
+        self.i = start
+        return self.states[start]
+
+    def env_step(self, action):
+        action.require_in(self.cfg)
+        profit = action.position * float(self.edge[self.i])
+        r_sys = abs(action.position) * float(self.stress[self.i])
+        self.i += 1
+        return self.states[self.i], profit, r_sys
+
+
 # ---------------------------------------------------------------------------
 # policy distribution
 
@@ -52,6 +86,15 @@ def test_policy_logit_shift_invariance():
     p1 = rl.policy(z, _policy_params((w, b), 5, 3))
     p2 = rl.policy(z, _policy_params((w, b + 7.5), 5, 3))
     assert np.allclose(p1, p2, atol=1e-12)
+
+
+def test_init_policy_params_has_one_output_per_position():
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    params = rl.init_policy_params(6, 4, rng)
+    assert sorted(params) == ["policy.b", "policy.w"]
+    assert params["policy.w"].data.tobytes() == enc.xavier(ref, 6, 4).data.tobytes()
+    assert params["policy.b"].data.tolist() == [0.0] * 4
+    assert params["policy.w"].requires_grad and params["policy.b"].requires_grad
 
 
 def test_policy_dimension_mismatch():
@@ -130,29 +173,35 @@ def test_rl_config_validation():
         rl.RLConfig(beta=-0.1)
 
 
+def test_rl_config_charges_the_risk_head_by_default():
+    assert rl.RLConfig().r_sys_source == "model"
+
+
 # ---------------------------------------------------------------------------
 # environment semantics, on the dataset environment over tiny_world
 
+def _one_step(env, d, index, start):
+    """One step of ``env`` from ``start`` under a policy pinned to action
+    ``index`` of the default action set (-1, 0, 1)."""
+    return rl.rollout(env, _pinned(d, index), rl.RLConfig(episode_length=1),
+                      np.random.default_rng(0), start=start)
+
+
 def test_flat_position_earns_nothing(tiny_world):
     ds, mcfg, params = tiny_world
-    cfg = rl.RLConfig()
-    env = rl.DatasetEnv(ds, params, mcfg, cfg)
-    env.reset(0)
-    _, profit, r_sys = env.env_step(rl.Action(0.0))
-    assert profit == 0.0
-    assert r_sys == 0.0
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig())
+    tr = _one_step(env, mcfg.d_model, 1, 0)
+    assert tr.profits.tolist() == [0.0]
+    assert tr.r_sys.tolist() == [0.0]
 
 
 def test_long_position_tracks_next_return(tiny_world):
     ds, mcfg, params = tiny_world
-    cfg = rl.RLConfig()
-    env = rl.DatasetEnv(ds, params, mcfg, cfg)
-    env.reset(10)
-    _, profit, _ = env.env_step(rl.Action(1.0))
-    assert profit == ds.returns[0, env.dates[10] + 1]
-    env.reset(10)
-    _, profit_short, _ = env.env_step(rl.Action(-1.0))
-    assert profit_short == -ds.returns[0, env.dates[10] + 1]
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig())
+    long = _one_step(env, mcfg.d_model, 2, 10)
+    assert long.profits[0] == ds.returns[0, env.dates[10] + 1]
+    short = _one_step(env, mcfg.d_model, 0, 10)
+    assert short.profits[0] == -ds.returns[0, env.dates[10] + 1]
 
 
 def test_env_identical_seed_identical_trace(tiny_world):
@@ -199,13 +248,11 @@ def test_non_finite_action_distribution_rejected():
         rl.sample_action(np.array([0.5, np.nan, 0.5]), np.random.default_rng(0))
 
 
-def test_action_outside_set_rejected(tiny_world):
-    ds, mcfg, params = tiny_world
+def test_action_outside_set_rejected():
     cfg = rl.RLConfig()
-    env = rl.DatasetEnv(ds, params, mcfg, cfg)
-    env.reset(0)
-    with pytest.raises(ContractError):
-        env.env_step(rl.Action(2.0))
+    assert rl.Action(1.0).require_in(cfg).position == 1.0
+    with pytest.raises(ContractError, match="not in action set"):
+        rl.Action(2.0).require_in(cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +382,16 @@ def tiny_world():
     mcfg = tiny_cfg(price_features=12,
                     graph_features=len(dp.GRAPH_FEATURE_NAMES),
                     vocab_size=len(ds.vocab))
-    params = model_mod.init_model_params(mcfg, np.random.default_rng(0))
+    rng = np.random.default_rng(0)
+    params = model_mod.init_model_params(mcfg, rng)
+    params.update(rl.init_policy_params(mcfg.d_model, 3, rng))
     return ds, mcfg, params
 
 
 def test_dataset_env_profit_semantics(tiny_world):
     ds, mcfg, params = tiny_world
-    cfg = rl.RLConfig(episode_length=4)
-    env = rl.DatasetEnv(ds, params, mcfg, cfg, split="train")
-    env.reset(0)
-    date = env.dates[0]
-    _, profit, _ = env.env_step(rl.Action(1.0))
-    assert profit == ds.y_next(0, date)
+    env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(), split="train")
+    assert _one_step(env, mcfg.d_model, 2, 0).profits[0] == ds.y_next(0, env.dates[0])
 
 
 def test_dataset_env_modes_differ(tiny_world):
@@ -377,9 +422,10 @@ def test_dataset_env_table_matches_batch1_forwards(tiny_world):
         np.testing.assert_allclose(env.risk[i], out["risk_score"].data[0],
                                    rtol=0, atol=1e-12)
     assert np.array_equal(env.reset(3), env.states[3])
-    z_next, _, r_sys = env.env_step(rl.Action(-1.0))
-    assert np.array_equal(z_next, env.states[4])
-    assert r_sys == env.risk[3]
+    short = rl.rollout(env, _pinned(mcfg.d_model, 0), rl.RLConfig(episode_length=2),
+                       np.random.default_rng(0), start=3)
+    assert np.array_equal(short.states[1], env.states[4])
+    assert short.r_sys[0] == env.risk[3]
 
 
 def test_dataset_env_honours_modalities(tiny_world):
@@ -436,24 +482,6 @@ def test_trace_export_roundtrip(tiny_world, tmp_path):
     assert {"t", "position", "reward", "profit", "r_sys"} <= set(rec["steps"][0])
 
 
-class _SteppedOnly:
-    """Only ``reset``, ``env_step`` and ``remaining`` of an env, so that
-    ``rollout`` steps it one action at a time."""
-
-    def __init__(self, env):
-        self._env = env
-
-    def reset(self, start=0):
-        return self._env.reset(start)
-
-    def env_step(self, action):
-        return self._env.env_step(action)
-
-    @property
-    def remaining(self):
-        return self._env.remaining
-
-
 @pytest.mark.parametrize("source", ["truth", "model"])
 def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
     ds, mcfg, backbone = tiny_world
@@ -465,7 +493,7 @@ def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
                    else [ds.node_stress[t + 1].mean() for t in steppable])
     assert env.edge.tolist() == [ds.y_next(0, t) for t in steppable]
     assert env.stress.tolist() == list(want_stress)
-    stepped = _SteppedOnly(env)
+    stepped = _SteppedEnv(env, cfg)
     last = len(env.dates) - 1
     # starts capped by episode_length (0, 5) and by the horizon (last - 7, last - 1)
     starts = (0, 5, last - 7, last - 1)
@@ -481,9 +509,7 @@ def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
             start = starts[int(fast_rng.integers(0, len(starts)))]
             assert starts[int(slow_rng.integers(0, len(starts)))] == start
             fast = rl.rollout(env, params, cfg, fast_rng, start=start)
-            fast_i = env.i
             slow = rl.rollout(stepped, params, cfg, slow_rng, start=start)
-            assert env.i == fast_i == start + len(slow)
             assert len(slow) == min(12, last - start)
             for field in ("actions", "rewards", "profits", "r_sys", "states"):
                 a, b = getattr(fast, field), getattr(slow, field)
@@ -499,7 +525,7 @@ def test_dataset_rollout_rejects_a_non_finite_policy(tiny_world):
     env = rl.DatasetEnv(ds, params, mcfg, cfg)
     bad = _policy_params((np.zeros((mcfg.d_model, 3)), np.zeros(3)), mcfg.d_model, 3)
     bad["policy.w"].data[0, 1] = np.nan  # as diverged weights would be
-    for target in (env, _SteppedOnly(env)):
+    for target in (env, _SteppedEnv(env, cfg)):
         with pytest.raises(NumericalError, match="non-finite action distribution"):
             rl.rollout(target, bad, cfg, np.random.default_rng(0), start=0)
 
@@ -507,10 +533,9 @@ def test_dataset_rollout_rejects_a_non_finite_policy(tiny_world):
 def test_rollout_rejects_a_position_outside_the_env_action_set(tiny_world):
     ds, mcfg, params = tiny_world
     env = rl.DatasetEnv(ds, params, mcfg, rl.RLConfig(episode_length=6))
+    stepped = _SteppedEnv(env, rl.RLConfig(episode_length=6))
     cfg = rl.RLConfig(episode_length=6, actions=(-1.0, 0.0, 2.0))
     # a policy that always picks position 2.0, which the env does not offer
-    picks_last = _policy_params((np.zeros((mcfg.d_model, 3)), np.array([0.0, 0.0, 50.0])),
-                                mcfg.d_model, 3)
-    for target in (env, _SteppedOnly(env)):
-        with pytest.raises(ContractError, match="not in action set"):
-            rl.rollout(target, picks_last, cfg, np.random.default_rng(0), start=0)
+    with pytest.raises(ContractError, match="not in action set"):
+        rl.rollout(stepped, _pinned(mcfg.d_model, 2), cfg, np.random.default_rng(0),
+                   start=0)
