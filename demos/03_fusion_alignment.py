@@ -18,15 +18,14 @@ import finfusion.training as tr
 scfg = dp.SyntheticConfig(n_steps=260, n_assets=2, n_institutions=6, seed=5)
 ds = dp.build_dataset(scfg)
 mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
-                      vocab_size=len(ds.vocab), price_features=12,
-                      macro_group_dim=4, macro_hidden=32,
-                      graph_features=len(dp.GRAPH_FEATURE_NAMES),
-                      graph_layers=1, mdn_components=3, micro_layers=1,
-                      risk_gat_layers=1)
+                      macro_group_dim=4, macro_hidden=32, graph_layers=1,
+                      mdn_components=3, micro_layers=1, risk_gat_layers=1)
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 1, "multimodal-align": 20,
                                  "joint-multitask": 0, "rl-finetune": 0})
+# all three price-anchored pairs (a run aligns price with text alone by default)
+align = fus.AlignConfig(pairs=(("price", "text"), ("price", "macro"), ("price", "graph")))
 run = tr.TrainingRun(ds, mcfg, tr.TrainingConfig(peak_lr=5e-3, warmup_steps=5),
-                     schedule=sched, seed=0)
+                     schedule=sched, align_cfg=align, seed=0)
 
 pairs = [(0, t) for t in ds.splits["train"][:32]]
 batch = ds.batch_arrays(pairs)

@@ -19,11 +19,8 @@ scfg = dp.SyntheticConfig(n_steps=400, n_assets=2, n_institutions=8,
                           signal_strength=0.8, seed=0)
 ds = dp.build_dataset(scfg)
 mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
-                      vocab_size=len(ds.vocab), price_features=12,
-                      macro_group_dim=4, macro_hidden=32,
-                      graph_features=len(dp.GRAPH_FEATURE_NAMES),
-                      graph_layers=1, mdn_components=3, micro_layers=1,
-                      risk_gat_layers=1)
+                      macro_group_dim=4, macro_hidden=32, graph_layers=1,
+                      mdn_components=3, micro_layers=1, risk_gat_layers=1)
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 8, "rl-finetune": 0})
 print("training (2 pretrain + 1 align + 8 joint epochs)...")

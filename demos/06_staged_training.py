@@ -20,11 +20,8 @@ import finfusion.training as tr
 scfg = dp.SyntheticConfig(n_steps=260, n_assets=2, n_institutions=6, seed=7)
 ds = dp.build_dataset(scfg)
 mcfg = fm.ModelConfig(d_model=16, n_heads=2, n_layers=1, d_ff=32,
-                      vocab_size=len(ds.vocab), price_features=12,
-                      macro_group_dim=4, macro_hidden=32,
-                      graph_features=len(dp.GRAPH_FEATURE_NAMES),
-                      graph_layers=1, mdn_components=3, micro_layers=1,
-                      risk_gat_layers=1)
+                      macro_group_dim=4, macro_hidden=32, graph_layers=1,
+                      mdn_components=3, micro_layers=1, risk_gat_layers=1)
 tcfg = tr.TrainingConfig(peak_lr=3e-3, warmup_steps=5, episodes_per_epoch=2)
 sched = tr.StageSchedule(epochs={"unimodal-pretrain": 2, "multimodal-align": 1,
                                  "joint-multitask": 3, "rl-finetune": 2})

@@ -6,7 +6,9 @@ directory, with `OPENBLAS_NUM_THREADS=1`, against the package source given
 by `--src` (default: this checkout's `src/`), and prints one
 `<sha256>  <artifact>` line per artifact:
 
-- the `generate` dataset (`dataset.jsonl`, `dataset.bin`);
+- the `generate` dataset (`dataset.jsonl`, `dataset.bin`), its echoed
+  `config.json` and its `manifest.json`, so that a settings change which
+  moves the echo and its `config_hash` shows too;
 - the `train --seed 0` checkpoint and `reports.json`, and a digest of the
   checkpoint's arrays alone (each leaf's name, dtype, shape and bytes, as
   `container.read` returns them), so that a change which moves only the
@@ -107,8 +109,8 @@ def main(argv=None) -> int:
         data, ckpt = work / "dataset.jsonl", work / "seed_0" / "checkpoint.bin"
         common = ("--checkpoint", str(ckpt), "--data", str(data))
         run("generate", "--config", str(cfg), "--out", str(work))
-        show_file(data)
-        show_file(work / "dataset.bin")
+        for name in ("dataset.jsonl", "dataset.bin", "config.json", "manifest.json"):
+            show_file(work / name)
         run("train", "--config", str(cfg), "--data", str(data), "--out", str(work),
             "--seed", "0")
         show_file(ckpt)

@@ -7,6 +7,7 @@ command reads the clock or OS entropy.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -26,7 +27,8 @@ from . import rl as frl
 from . import training as tr
 from .autodiff import Tensor
 from .config import RunConfig
-from .errors import ConfigError, ContractError, NumericalError, SchemaError, check_number
+from .errors import (ConfigError, ContractError, DimensionError, NumericalError,
+                     SchemaError, check_number)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,18 +139,31 @@ def render_eval_tables(report: mx.EvalReport, split: str) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
+@contextlib.contextmanager
+def _checkpoint_model(path: str, ds):
+    """Load the checkpoint at ``path`` to run on the dataset ``ds``: yields
+    its parameters, model config, modalities and meta. Its vocabulary must
+    cover the dataset's. The caller validates the dataset and its flags
+    first and keeps in the body only steps that run checkpoint leaves, so a
+    DimensionError there comes from a leaf of the wrong shape: exit 5."""
+    params, mcfg, meta = tr.load_params(path)
+    if mcfg.vocab_size < len(ds.vocab):
+        raise SchemaError(
+            f"checkpoint vocabulary ({mcfg.vocab_size}) is smaller than "
+            f"the dataset's ({len(ds.vocab)})")
+    try:
+        yield params, mcfg, tuple(meta.get("modalities", fus.MODALITIES)), meta
+    except DimensionError as e:
+        raise SchemaError(f"{path}: checkpoint does not fit its model: {e}") from e
+
+
 def cmd_eval(args) -> int:
     ds = dp.load_dataset(args.data)
     per_seed = []
     for ck in args.checkpoint:
-        params, mcfg, meta = tr.load_params(ck)
-        if mcfg.vocab_size < len(ds.vocab):
-            raise SchemaError(
-                f"checkpoint vocabulary ({mcfg.vocab_size}) is smaller than "
-                f"the dataset's ({len(ds.vocab)})")
-        kinds = tuple(meta.get("modalities", fus.MODALITIES))
-        per_seed.append(ev.evaluate_split(ds, params, mcfg, args.split,
-                                          kinds=kinds))
+        with _checkpoint_model(ck, ds) as (params, mcfg, kinds, _):
+            per_seed.append(ev.evaluate_split(ds, params, mcfg, args.split,
+                                              kinds=kinds))
     report = mx.aggregate_seeds(per_seed)
     text = render_eval_tables(report, args.split)
     print(text, end="")
@@ -161,17 +176,15 @@ def cmd_eval(args) -> int:
 
 def cmd_forecast(args) -> int:
     _check_flags(args, horizon=1)
-    params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
     if not 0 <= args.asset < ds.n_assets:
         raise ConfigError(f"asset: {args.asset} outside 0..{ds.n_assets - 1}")
-    if not 0 <= args.date < ds.n_steps or not ds.usable[args.date]:
-        raise ConfigError(f"date: {args.date} is not a usable dataset date")
-    kinds = tuple(meta.get("modalities", fus.MODALITIES))
+    ds.check_date(args.date)
     batch = ds.batch_arrays([(args.asset, args.date)])
-    z = fm.forward_batch(batch, params, mcfg, kinds, heads=())["z"]
-    [fc] = heads.micro_forecast(Tensor(z.data[:, None, :]), args.horizon,
-                                params, mcfg, ds.norm)
+    with _checkpoint_model(args.checkpoint, ds) as (params, mcfg, kinds, _):
+        z = fm.forward_batch(batch, params, mcfg, kinds, heads=())["z"]
+        [fc] = heads.micro_forecast(Tensor(z.data[:, None, :]), args.horizon,
+                                    params, mcfg, ds.norm)
 
     taus = (0.1, 0.5, 0.9)
     qs = heads.mixture_quantile(Tensor(fc.weights[None]), Tensor(fc.means[None]),
@@ -203,15 +216,17 @@ def cmd_rl_run(args) -> int:
     if model_sets:
         raise ConfigError(f"{model_sets[0]}: rl-run takes the model from the checkpoint")
     cfg = RunConfig.load(args.config, args.set)
-    params, mcfg, meta = tr.load_params(args.checkpoint)
-    if len(cfg.rl.actions) != params["policy.w"].shape[1]:
-        raise ConfigError(f"rl.actions has {len(cfg.rl.actions)} positions but the "
-                          f"checkpoint's policy.w has {params['policy.w'].shape[1]} outputs")
     ds = dp.load_dataset(args.data)
+    with _checkpoint_model(args.checkpoint, ds) as (params, mcfg, kinds, meta):
+        rows, width = params["policy.w"].shape
+        if len(cfg.rl.actions) != width:
+            raise ConfigError(f"rl.actions has {len(cfg.rl.actions)} positions but the "
+                              f"checkpoint's policy.w has {width} outputs")
+        if rows != mcfg.d_model or params["policy.b"].shape != (width,):
+            raise DimensionError(f"policy leaves do not fit d_model {mcfg.d_model}")
+        env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split,
+                             kinds=kinds)
     seed = meta.get("seed", 0) if args.seed is None else args.seed
-    kinds = tuple(meta.get("modalities", fus.MODALITIES))
-    env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split,
-                         kinds=kinds)
     rng = np.random.default_rng(seed)
     curve, trajs = [], []
     for _ in range(args.updates):
@@ -240,14 +255,11 @@ def cmd_rl_run(args) -> int:
 
 def cmd_report(args) -> int:
     _check_flags(args, horizon=1)
-    params, mcfg, meta = tr.load_params(args.checkpoint)
     ds = dp.load_dataset(args.data)
-    kinds = tuple(meta.get("modalities", fus.MODALITIES))
-    try:
+    ds.check_date(args.date)
+    with _checkpoint_model(args.checkpoint, ds) as (params, mcfg, kinds, _):
         bulletin = ev.bulletin_for_date(ds, params, mcfg, args.date,
                                         horizon=args.horizon, kinds=kinds)
-    except ContractError as e:
-        raise ConfigError(str(e)) from e
     print(bulletin.text, end="")
     if args.out:
         _write(args.out, bulletin.text)
@@ -307,7 +319,7 @@ def gradient_battery(d_model: int = 8, seed: int = 0):
     price = rng.normal(size=(b, t_steps, cfg.price_features))
     tokens = rng.integers(1, cfg.vocab_size, size=(b, 6))
     tok_len = np.array([6, 4])
-    macro = rng.normal(size=(b, len(cfg.macro_slots)))
+    macro = rng.normal(size=(b, len(dp.MACRO_SLOTS)))
     gfeat = rng.normal(size=(b, n_nodes, cfg.graph_features))
     adj = np.abs(rng.normal(size=(b, n_nodes, n_nodes)))
     # unused draw: dropping it would shift y and the labels below

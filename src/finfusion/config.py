@@ -82,6 +82,9 @@ class RunConfig:
             name: {f.name for f in dataclasses.fields(c)}
             for name, c in SECTIONS.items()
         }
+        # ModelConfig.from_dict drops a retired key at its last default, so
+        # older echoes replay
+        known_fields["model"] |= fm._RETIRED.keys()
         for key in sorted(flat):
             value = _tupled(flat[key])
             if _nonfinite(value):
@@ -107,7 +110,8 @@ class RunConfig:
         built = {}
         for name, kwargs in groups.items():
             try:
-                built[name] = SECTIONS[name](**kwargs)
+                built[name] = (fm.ModelConfig.from_dict(kwargs) if name == "model"
+                               else SECTIONS[name](**kwargs))
             except (ValueError, TypeError) as e:
                 raise ConfigError(f"{name}: {e}") from e
         try:

@@ -596,6 +596,10 @@ class AlignedDataset:
     def n_institutions(self) -> int:
         return self.adjacency.shape[0]
 
+    def check_date(self, date: int) -> None:
+        if not 0 <= date < self.n_steps or not self.usable[date]:
+            raise ContractError(f"date: {date} is not a usable dataset date")
+
     # labels -----------------------------------------------------------
     def y_next(self, asset: int, t: int) -> float:
         return float(self.returns[asset, t + 1])

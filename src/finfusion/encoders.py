@@ -13,6 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .datapipe import MACRO_SLOTS
 from .errors import (
     DegenerateInputError,
     DimensionError,
@@ -20,7 +21,9 @@ from .errors import (
     VocabularyError,
 )
 
-MACRO_GROUPS = ("growth", "inflation", "credit", "market_stress")
+# the macro encoder's groups, each -> its indices into datapipe.MACRO_SLOTS
+MACRO_GROUPS = {"growth": (0, 2), "inflation": (1, 3), "credit": (4, 5),
+                "market_stress": (6, 7)}
 
 
 # ---------------------------------------------------------------------------
@@ -76,13 +79,11 @@ def init_text_params(cfg, rng: np.random.Generator) -> dict:
 
 def init_macro_params(cfg, rng: np.random.Generator) -> dict:
     p: dict = {}
-    m = len(cfg.macro_slots)
     g = len(MACRO_GROUPS)
-    p["macro.gate.w"] = xavier(rng, m, g)
+    p["macro.gate.w"] = xavier(rng, len(MACRO_SLOTS), g)
     p["macro.gate.b"] = _zeros(g)
-    for gi, group in enumerate(MACRO_GROUPS):
-        width = len(cfg.macro_groups[group])
-        p[f"macro.group{gi}.w"] = xavier(rng, width, cfg.macro_group_dim)
+    for gi, idx in enumerate(MACRO_GROUPS.values()):
+        p[f"macro.group{gi}.w"] = xavier(rng, len(idx), cfg.macro_group_dim)
         p[f"macro.group{gi}.b"] = _zeros(cfg.macro_group_dim)
     flat = g * cfg.macro_group_dim
     p["macro.mlp.w1"] = xavier(rng, flat, cfg.macro_hidden)
@@ -232,17 +233,16 @@ def encode_text_batch(token_ids: np.ndarray, lengths: np.ndarray, params: dict,
 def encode_macro_batch(values: np.ndarray, params: dict, cfg) -> Tensor:
     """(B, M) macro snapshots -> (B, d_model) via a softmax gate over groups."""
     vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 2 or vals.shape[1] != len(cfg.macro_slots):
-        raise DimensionError(f"expected (B, {len(cfg.macro_slots)}) macro values")
+    if vals.ndim != 2 or vals.shape[1] != len(MACRO_SLOTS):
+        raise DimensionError(f"expected (B, {len(MACRO_SLOTS)}) macro values")
     if np.any(np.isnan(vals)):
         raise ImputationRequiredError("macro vector contains missing values")
     x = Tensor(vals)
     gate_logits = ad.linear(x, params["macro.gate.w"], params["macro.gate.b"])
     weights = ad.softmax(gate_logits, axis=-1)  # (B, G)
     pieces = []
-    for gi, group in enumerate(MACRO_GROUPS):
-        idx = np.asarray(cfg.macro_groups[group], dtype=np.int64)
-        sub = Tensor(vals[:, idx])
+    for gi, idx in enumerate(MACRO_GROUPS.values()):
+        sub = Tensor(vals[:, list(idx)])
         emb = ad.linear(sub, params[f"macro.group{gi}.w"], params[f"macro.group{gi}.b"])
         w = ad.slice_axis(weights, 1, gi, gi + 1)  # (B, 1)
         pieces.append(emb * w)

@@ -123,9 +123,7 @@ def node_names(n: int) -> list:
 def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
                       kinds=fus.MODALITIES) -> heads.PolicyBulletin:
     """Run fusion and both heads for one date and render the bulletin."""
-    if not 0 <= date < dataset.n_steps or not dataset.usable[date]:
-        raise ContractError(
-            f"date {date} is outside the usable range of the dataset")
+    dataset.check_date(date)
     pairs = [(a, date) for a in range(dataset.n_assets)]
     batch = dataset.batch_arrays(pairs)
     out = fm.forward_batch(batch, params, cfg, kinds, heads=("risk",))

@@ -3,7 +3,8 @@ pass that training, evaluation, queries and the RL environment share."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,15 +13,8 @@ from . import encoders as enc
 from . import fusion as fus
 from . import heads as task_heads
 from .autodiff import Tensor
-from .datapipe import MACRO_SLOTS
-from .errors import ConfigError, check_number, check_numbers
-
-DEFAULT_MACRO_GROUPS = {
-    "growth": (0, 2),
-    "inflation": (1, 3),
-    "credit": (4, 5),
-    "market_stress": (6, 7),
-}
+from .datapipe import GRAPH_FEATURE_NAMES, MACRO_SLOTS, build_vocab
+from .errors import ConfigError, check_number
 
 # rows per chunk of a read-only backbone pass (evaluation, the RL env's state
 # table); fixed chunks bound the pass's peak memory and fix its rounding
@@ -33,26 +27,27 @@ _POSITIVE_DIMS = ("d_model", "n_heads", "vocab_size", "price_features",
                   "macro_group_dim", "macro_hidden", "graph_features",
                   "graph_layers", "mdn_components")
 _COUNTS = ("n_layers", "d_ff", "micro_layers", "risk_gat_layers")
-# keys of model configs saved before the policy width moved to rl.actions
-# and the direction band to datapipe.FLAT_BAND
-_RETIRED = ("n_actions", "flat_band")
+# retired keys of older model configs -> the last default each held: the
+# policy width moved to rl.actions, the direction band to datapipe.FLAT_BAND,
+# and the macro layout to datapipe.MACRO_SLOTS and encoders.MACRO_GROUPS
+_RETIRED = {"n_actions": 3, "flat_band": 5e-4, "macro_slots": MACRO_SLOTS,
+            "macro_groups": enc.MACRO_GROUPS}
 
 
 @dataclass
 class ModelConfig:
-    """Dimensions and knobs shared by every module."""
+    """Dimensions and knobs shared by every module; the input widths and the
+    vocabulary default to the data's."""
 
     d_model: int = 64
     n_heads: int = 2
     n_layers: int = 2
     d_ff: int = 0  # 0 means 4 * d_model
-    vocab_size: int = 512
+    vocab_size: int = len(build_vocab())
     price_features: int = 12
-    macro_slots: tuple = MACRO_SLOTS
-    macro_groups: dict = field(default_factory=lambda: dict(DEFAULT_MACRO_GROUPS))
     macro_group_dim: int = 16
     macro_hidden: int = 64
-    graph_features: int = 6
+    graph_features: int = len(GRAPH_FEATURE_NAMES)
     graph_layers: int = 2
     mdn_components: int = 3
     micro_layers: int = 1
@@ -65,38 +60,24 @@ class ModelConfig:
                          integral=True)
         if self.d_ff == 0:
             self.d_ff = 4 * self.d_model
-        if not (isinstance(self.macro_slots, (list, tuple))
-                and all(isinstance(s, str) for s in self.macro_slots)):
-            raise ConfigError(f"macro_slots must be a list of strings, got {self.macro_slots!r}")
-        if not isinstance(self.macro_groups, dict):
-            raise ConfigError("macro_groups must be an object of slot index lists, "
-                              f"got {self.macro_groups!r}")
-        for name, idx in self.macro_groups.items():
-            check_numbers(f"macro_groups.{name}", idx, 0, integral=True)
-        self.macro_slots = tuple(self.macro_slots)
-        self.macro_groups = {k: tuple(v) for k, v in self.macro_groups.items()}
         if self.d_model % self.n_heads != 0:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.d_model % 2 != 0:
             raise ConfigError("d_model must be even for the position table")
         if not 0 < self.vocab_size <= 512:
             raise ConfigError("vocab_size must be in (0, 512]")
-        if set(self.macro_groups) != set(enc.MACRO_GROUPS):
-            raise ConfigError(f"macro_groups must name exactly {enc.MACRO_GROUPS}")
-        covered = sorted(i for idx in self.macro_groups.values() for i in idx)
-        if covered != list(range(len(self.macro_slots))):
-            raise ConfigError("macro groups must partition the macro slots")
         check_number("warning_threshold", self.warning_threshold, 0, 1, strict=True)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["macro_slots"] = list(self.macro_slots)
-        d["macro_groups"] = {k: list(v) for k, v in self.macro_groups.items()}
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{k: v for k, v in dict(d).items() if k not in _RETIRED})
+        """A retired key is dropped at its last default, so older configs
+        load; any other value would now be ignored, so it is rejected."""
+        d = dict(d)
+        for key in sorted(_RETIRED.keys() & d.keys()):
+            value = json.dumps(d.pop(key), sort_keys=True)  # a list equals a tuple
+            if value != json.dumps(_RETIRED[key], sort_keys=True):
+                raise ConfigError(f"{key}: retired; only its last default is accepted")
+        return cls(**d)
 
 
 def init_model_params(cfg: ModelConfig, rng: np.random.Generator) -> dict:

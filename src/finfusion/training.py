@@ -9,7 +9,7 @@ own RNG stream so a seeded run is reproducible bit for bit.
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -393,8 +393,7 @@ class TrainingRun:
         self.schedule = schedule or StageSchedule()
         self.weights = loss_weights or LossWeights()
         self.forecast_cfg = forecast_cfg or ForecastLossConfig()
-        self.align_cfg = align_cfg or fus.AlignConfig(
-            pairs=(("price", "text"), ("price", "macro"), ("price", "graph")))
+        self.align_cfg = align_cfg or fus.AlignConfig()
         self.rl_cfg = rl_cfg or rl_mod.RLConfig()
         # restricting the modality set turns the run into an ablation
         self.modalities = tuple(modalities) if modalities else tuple(fus.MODALITIES)
@@ -596,7 +595,7 @@ class TrainingRun:
 
     def save(self, path: str) -> None:
         meta = {
-            "model_config": self.model_cfg.to_dict(),
+            "model_config": asdict(self.model_cfg),
             "seed": self.seed,
             "completed": list(self.completed),
             "stage_epochs": dict(self.schedule.epochs),
@@ -639,6 +638,6 @@ def load_params(path: str):
         mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
     except (KeyError, TypeError, ValueError) as e:
         raise SchemaError(
-            f"checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
+            f"{path}: checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
         ) from e
     return params, mcfg, meta

@@ -183,6 +183,35 @@ def test_train_resume_matches_uninterrupted(work, tmp_path, capsys):
     assert a == b
 
 
+# a macro partition other than the one the data now fixes: the leaves keep
+# their shapes, so only the retired key tells the checkpoint apart
+_CUSTOM_PARTITION = {"growth": [0, 1], "inflation": [2, 3], "credit": [4, 5],
+                     "market_stress": [6, 7]}
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast", "report", "rl-run", "train"])
+def test_a_checkpoint_with_another_macro_partition_exits_5(work, tmp_path, capsys,
+                                                          command):
+    seed_dir = tmp_path / "resumed" / "seed_0"
+    os.makedirs(seed_dir)
+    for name in ("checkpoint.bin", "stage_0_unimodal-pretrain.bin"):
+        params, meta = tr.load_checkpoint(str(work["run"] / "seed_0" / name))
+        meta["model_config"]["macro_groups"] = _CUSTOM_PARTITION
+        tr.save_checkpoint(str(seed_dir / name), params, meta=meta)
+    if command == "train":
+        os.remove(seed_dir / "checkpoint.bin")
+        rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                       "--out", str(tmp_path / "resumed"), "--resume"])
+        bad = seed_dir / "stage_0_unimodal-pretrain.bin"
+    else:
+        bad = seed_dir / "checkpoint.bin"
+        rc = _query(command, bad, work, tmp_path)
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line == (f"error: {bad}: checkpoint meta has no usable model_config "
+                    "(ConfigError: macro_groups: retired; only its last default is accepted)")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_resumes_a_stage_checkpoint_with_retired_model_keys(work, tmp_path, capsys):
     # stage checkpoints saved while the model config still carried the
     # policy width and the direction band
@@ -860,17 +889,23 @@ def _is_number(v):
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
-def _expect_named_config_error(work, tmp_path, capsys, key, value):
+def _config_error_line(work, tmp_path, capsys, key, value):
+    """The one error line of a `generate` that sets ``key`` to ``value``."""
     rc = cli.main(["generate", "--config", work["cfg"], "--out", str(tmp_path / "data"),
                    "--set", f"{key}={value}"])
     lines = capsys.readouterr().err.strip().splitlines()
     assert rc == 2
     assert len(lines) == 1
+    assert not (tmp_path / "data").exists()
+    return lines[0]
+
+
+def _expect_named_config_error(work, tmp_path, capsys, key, value):
     section, field = key.split(".")
     if section == "stages":
         field = field.replace("_", "-")
-    assert lines[0].startswith(f"error: {section}: {field}")
-    assert not (tmp_path / "data").exists()
+    line = _config_error_line(work, tmp_path, capsys, key, value)
+    assert line.startswith(f"error: {section}: {field}")
 
 
 # every numeric field of every section and every stage's epoch count, so
@@ -916,7 +951,54 @@ def test_every_number_list_rejects_a_scalar_or_a_bad_item(work, tmp_path, capsys
     ("align.pairs", '[["price", "text", "macro"]]'), ("align.pairs", '[["price", "price"]]'),
     ("align.pairs", '[["price", "bogus"]]')])
 def test_bad_structured_field_exits_2_naming_it(work, tmp_path, capsys, key, value):
-    _expect_named_config_error(work, tmp_path, capsys, key, value)
+    if key.startswith("model."):  # the macro layout is retired: the data fixes it
+        assert (_config_error_line(work, tmp_path, capsys, key, value)
+                == f"error: model: {key[6:]}: retired; only its last default is accepted")
+    else:
+        _expect_named_config_error(work, tmp_path, capsys, key, value)
+
+
+# the retired model keys at the last default each held, as older echoes carry them
+_RETIRED_ECHO = {
+    "model.n_actions": 3,
+    "model.flat_band": 0.0005,
+    "model.macro_slots": ["gdp_growth", "cpi_inflation", "m2_growth", "ppi_inflation",
+                          "credit_spread", "interbank_rate", "vix_proxy", "fx_volatility"],
+    "model.macro_groups": {"growth": [0, 2], "inflation": [1, 3], "credit": [4, 5],
+                           "market_stress": [6, 7]},
+}
+
+
+def _arrays(path):
+    params, _ = tr.load_checkpoint(str(path))
+    return {name: t.data.tobytes() for name, t in params.items()}
+
+
+def test_an_older_config_echo_replays(work, tmp_path, capsys):
+    # an echo written while the model config still carried the retired keys
+    echo = json.loads((work["data_dir"] / "config.json").read_text())
+    assert not set(_RETIRED_ECHO) & set(echo)
+    old = tmp_path / "old_config.json"
+    old.write_text(json.dumps({**echo, **_RETIRED_ECHO}, sort_keys=True, indent=2))
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert cli.main(["generate", "--config", str(old), "--out", str(data_dir)]) == 0
+    assert ((data_dir / "dataset.jsonl").read_bytes()
+            == (work["data_dir"] / "dataset.jsonl").read_bytes())
+    # the retired keys are dropped, so the run echoes and hashes as a new one
+    assert (data_dir / "config.json").read_bytes() == (
+        work["data_dir"] / "config.json").read_bytes()
+    assert cli.main(["train", "--config", str(old), "--data", str(data_dir / "dataset.jsonl"),
+                     "--out", str(run_dir), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert _arrays(run_dir / "seed_0" / "checkpoint.bin") == _arrays(work["ckpt"])
+
+
+# the macro keys' cases are among the structured fields above
+@pytest.mark.parametrize("key,value", [("model.n_actions", "5"), ("model.flat_band", "0.001")])
+def test_a_retired_key_at_another_value_exits_2_naming_it(work, tmp_path, capsys, key,
+                                                          value):
+    assert (_config_error_line(work, tmp_path, capsys, key, value)
+            == f"error: model: {key[6:]}: retired; only its last default is accepted")
 
 
 # rl.actions sets the policy's width when a run trains one; rl-run reads the
@@ -958,6 +1040,14 @@ _COMMAND_ARGS = {
 }
 
 
+def _query(command, checkpoint, work, tmp_path):
+    argv = [command, "--checkpoint", str(checkpoint), "--data", work["data"],
+            *_COMMAND_ARGS[command]]
+    if command == "rl-run":
+        argv += ["--config", work["cfg"], "--out", str(tmp_path / "out")]
+    return cli.main(argv)
+
+
 # each command reads only the leaves of the heads it runs, so it fails on a
 # missing leaf exactly when it needs that leaf
 @pytest.mark.parametrize("leaf,readers", [("micro.out_mu.w", {"eval", "forecast", "report"}),
@@ -969,16 +1059,49 @@ def test_a_checkpoint_missing_a_leaf_exits_5_naming_it(work, tmp_path, capsys, c
     del params[leaf]
     bad = tmp_path / "checkpoint.bin"
     tr.save_checkpoint(str(bad), params, meta=meta)
-    argv = [command, "--checkpoint", str(bad), "--data", work["data"],
-            *_COMMAND_ARGS[command]]
-    if command == "rl-run":
-        argv += ["--config", work["cfg"], "--out", str(tmp_path / "out")]
-    rc = cli.main(argv)
+    rc = _query(command, bad, work, tmp_path)
     if command not in readers:
         assert rc == 0
         return
     line = _assert_one_line_schema_error(rc, capsys)
     assert line == f"error: {bad}: checkpoint has no parameter {leaf}"
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_a_checkpoint_vocabulary_below_the_dataset_exits_5(work, tmp_path, capsys,
+                                                           command):
+    params, meta = tr.load_checkpoint(work["ckpt"])
+    params["text.embed"].data = params["text.embed"].data[:16]
+    meta["model_config"]["vocab_size"] = 16
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    rc = _query(command, bad, work, tmp_path)
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line == "error: checkpoint vocabulary (16) is smaller than the dataset's (132)"
+    assert not (tmp_path / "out").exists()
+
+
+# as with a missing leaf, a command fails on a leaf of the wrong shape exactly
+# when it runs that leaf
+@pytest.mark.parametrize("leaf,readers", [("micro.out_mu.w", {"eval", "forecast", "report"}),
+                                          ("policy.w", {"rl-run"}),
+                                          ("fusion.pool.q", set(_COMMAND_ARGS))])
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_a_checkpoint_leaf_of_the_wrong_shape_exits_5_naming_the_file(
+        work, tmp_path, capsys, command, leaf, readers):
+    params, meta = tr.load_checkpoint(work["ckpt"])
+    shape = params[leaf].shape
+    # one more row keeps policy.w's width, which rl-run checks against rl.actions
+    params[leaf].data = np.ones((shape[0] + 1,) + shape[1:])
+    bad = tmp_path / "checkpoint.bin"
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    rc = _query(command, bad, work, tmp_path)
+    if command not in readers:
+        assert rc == 0
+        capsys.readouterr()
+        return
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line.startswith(f"error: {bad}: checkpoint does not fit its model: ")
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -111,6 +111,20 @@ def test_bad_out_dir_rejected():
         cf.RunConfig.from_flat({"out_dir": ""})
 
 
+def test_retired_model_keys_at_their_last_default_are_dropped():
+    old = {"model.d_model": 16, "model.n_actions": 3, "model.flat_band": 5e-4,
+           "model.macro_slots": ["gdp_growth", "cpi_inflation", "m2_growth",
+                                 "ppi_inflation", "credit_spread", "interbank_rate",
+                                 "vix_proxy", "fx_volatility"],
+           "model.macro_groups": {"market_stress": [6, 7], "growth": [0, 2],
+                                  "inflation": [1, 3], "credit": [4, 5]}}
+    cfg = cf.RunConfig.from_flat(old)
+    assert cfg.echo() == cf.RunConfig.from_flat({"model.d_model": 16}).echo()
+    assert not any(k in cfg.to_flat() for k in old if k != "model.d_model")
+    with pytest.raises(ConfigError, match="model: flat_band: retired"):
+        cf.RunConfig.from_flat(dict(old, **{"model.flat_band": 1e-3}))
+
+
 @pytest.mark.parametrize("key,value", [
     ("training.epochs", 80), ("training.rl_in_joint", True)])
 def test_removed_training_keys_rejected(tmp_path, key, value):

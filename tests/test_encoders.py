@@ -6,6 +6,7 @@ import pytest
 from finfusion import autodiff as ad
 from finfusion import encoders as enc
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
+from finfusion.datapipe import MACRO_SLOTS
 from finfusion.errors import (
     DegenerateInputError,
     DimensionError,
@@ -163,14 +164,14 @@ def test_macro_equal_gate_logits_give_uniform_weights(setup, spy):
     params = init_model_params(cfg, np.random.default_rng(5))
     params["macro.gate.w"].data[...] = 0.0
     params["macro.gate.b"].data[...] = 0.0
-    vals = np.random.default_rng(6).normal(size=(3, len(cfg.macro_slots)))
+    vals = np.random.default_rng(6).normal(size=(3, len(MACRO_SLOTS)))
     assert np.allclose(_gate_weights(spy, vals, params, cfg), 0.25)
 
 
 def test_macro_zero_input_zero_preactivation(setup, spy):
     cfg, params = setup
     calls = spy(ad, "tanh")
-    enc.encode_macro_batch(np.zeros((2, len(cfg.macro_slots))), params, cfg)
+    enc.encode_macro_batch(np.zeros((2, len(MACRO_SLOTS))), params, cfg)
     [act] = calls
     pre = act.args[0]
     assert pre.shape == (2, cfg.macro_hidden)
@@ -180,14 +181,14 @@ def test_macro_zero_input_zero_preactivation(setup, spy):
 def test_macro_weights_sum_to_one_over_draws(setup, spy):
     cfg, params = setup
     rng = np.random.default_rng(7)
-    vals = rng.normal(size=(100, len(cfg.macro_slots))) * 3
+    vals = rng.normal(size=(100, len(MACRO_SLOTS))) * 3
     weights = _gate_weights(spy, vals, params, cfg)
     assert np.allclose(weights.sum(axis=1), 1.0, atol=1e-6)
 
 
 def test_macro_nan_requires_imputation(setup):
     cfg, params = setup
-    vals = np.zeros((1, len(cfg.macro_slots)))
+    vals = np.zeros((1, len(MACRO_SLOTS)))
     vals[0, 3] = np.nan
     with pytest.raises(ImputationRequiredError):
         enc.encode_macro_batch(vals, params, cfg)
@@ -257,7 +258,7 @@ def test_all_encoders_same_width(setup):
     rng = np.random.default_rng(10)
     p = enc.encode_price_batch(rng.normal(size=(1, 4, 3)), params, cfg)
     t = enc.encode_text_batch(np.array([[1, 2]]), np.array([2]), params, cfg)
-    m = enc.encode_macro_batch(rng.normal(size=(1, len(cfg.macro_slots))), params, cfg)
+    m = enc.encode_macro_batch(rng.normal(size=(1, len(MACRO_SLOTS))), params, cfg)
     g = enc.encode_graph_batch(rng.normal(size=(1, 3, 3)),
                                enc.graph_keep(np.ones((1, 3, 3))), params, cfg)
     stacked = ad.concat([p, t, m, g], axis=0)
@@ -275,7 +276,7 @@ def test_encoder_end_to_end_gradients(setup, target):
     price = rng.normal(size=(2, 3, 3))
     ids = np.array([[1, 2], [3, 4]])
     lens = np.array([2, 2])
-    macro = rng.normal(size=(2, len(cfg.macro_slots)))
+    macro = rng.normal(size=(2, len(MACRO_SLOTS)))
     gf = rng.normal(size=(2, 3, 3))
     adj = (rng.uniform(size=(2, 3, 3)) > 0.4).astype(float)
     weights = rng.normal(size=(2, cfg.d_model))

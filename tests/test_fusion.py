@@ -10,6 +10,7 @@ from finfusion import encoders as enc
 from finfusion import fusion as fus
 from finfusion import model as model_mod
 from finfusion.autodiff import Tensor, grad_check, reduce_sum
+from finfusion.datapipe import MACRO_SLOTS
 from finfusion.errors import ContractError, DegenerateInputError, DimensionError
 from finfusion.model import ModelConfig, init_model_params
 from tests.test_encoders import tiny_cfg
@@ -112,7 +113,7 @@ def test_fuse_typed_api(setup):
         "price": rng.normal(size=(2, 4, cfg.price_features)),
         "tokens": np.array([[1, 2, 3], [4, 5, 0]]),
         "tok_len": np.array([3, 2]),
-        "macro": np.zeros((2, len(cfg.macro_slots))),
+        "macro": np.zeros((2, len(MACRO_SLOTS))),
         "graph_feats": rng.normal(size=(2, 3, cfg.graph_features)),
         "graph_adj": np.ones((2, 3, 3)),
     }

@@ -8,7 +8,7 @@ from finfusion import encoders as enc
 from finfusion import fusion as fus
 from finfusion import model as fm
 from finfusion.autodiff import Tensor
-from finfusion.errors import NumericalError
+from finfusion.errors import ConfigError, NumericalError
 from tests.test_encoders import tiny_cfg
 
 HEAD_KEYS = {
@@ -104,3 +104,31 @@ def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
     for name, parts in want.items():
         assert got[name].dtype == parts[0].dtype, name
         assert got[name].tobytes() == np.concatenate(parts).tobytes(), name
+
+
+def test_model_config_defaults_come_from_the_data(world):
+    ds = world[3]
+    cfg = fm.ModelConfig()
+    assert cfg.price_features == ds.price_feature_matrix().shape[-1]
+    assert cfg.graph_features == len(dp.GRAPH_FEATURE_NAMES)
+    assert cfg.graph_features == ds.graph_feature_matrix().shape[-1]
+    assert cfg.vocab_size == len(dp.build_vocab()) == len(ds.vocab)
+
+
+def test_the_macro_groups_partition_the_macro_slots():
+    covered = sorted(i for idx in enc.MACRO_GROUPS.values() for i in idx)
+    assert covered == list(range(len(dp.MACRO_SLOTS)))
+
+
+def test_from_dict_drops_a_retired_key_only_at_its_last_default():
+    # checkpoint meta written before each key was retired, as JSON reads it
+    old = dict(vars(fm.ModelConfig(d_model=16)), n_actions=3, flat_band=5e-4,
+               macro_slots=list(dp.MACRO_SLOTS),
+               macro_groups={k: list(v) for k, v in enc.MACRO_GROUPS.items()})
+    assert fm.ModelConfig.from_dict(old) == fm.ModelConfig(d_model=16)
+    # any other value would be ignored now, so it is rejected
+    for key, value in [("n_actions", 5), ("flat_band", 1e-3), ("macro_slots", ["a"]),
+                       ("macro_groups", dict(old["macro_groups"], growth=[0, 1],
+                                             inflation=[2, 3]))]:
+        with pytest.raises(ConfigError, match=f"^{key}: retired"):
+            fm.ModelConfig.from_dict(dict(old, **{key: value}))

@@ -16,6 +16,7 @@ import finfusion.model as fm
 import finfusion.rl as frl
 import finfusion.training as tr
 from finfusion.autodiff import Tensor
+from finfusion.config import RunConfig
 from finfusion.errors import (ContractError, DimensionError, NumericalError, ScheduleError,
                               SchemaError)
 
@@ -604,14 +605,15 @@ def world():
     return ds, mcfg
 
 
-def _run(world, schedule, seed=0, **cfg_over):
+def _run(world, schedule, seed=0, align_cfg=None, **cfg_over):
     ds, mcfg = world
     base = dict(micro_batch_size=32, macro_batch_size=16, peak_lr=2e-3,
                 warmup_steps=2, episodes_per_epoch=2)
     base.update(cfg_over)
     cfg = tr.TrainingConfig(**base)
     rlc = frl.RLConfig(episode_length=8, r_sys_source="model")
-    return tr.TrainingRun(ds, mcfg, cfg, schedule=schedule, rl_cfg=rlc, seed=seed)
+    return tr.TrainingRun(ds, mcfg, cfg, schedule=schedule, align_cfg=align_cfg,
+                          rl_cfg=rlc, seed=seed)
 
 
 # the leaves no loss reaches: at h = 1 the micro decoder attends over one
@@ -851,6 +853,12 @@ def test_unknown_modality_rejected(world):
         tr.TrainingRun(ds, mcfg, tr.TrainingConfig(), modalities=("prices",))
 
 
+def test_a_run_without_an_align_config_uses_the_config_default(world):
+    ds, mcfg = world
+    run = tr.TrainingRun(ds, mcfg, tr.TrainingConfig())
+    assert run.align_cfg == fus.AlignConfig() == RunConfig().align
+
+
 def test_resume_at_stage_boundary_is_bit_exact(world, tmp_path):
     sched = _schedule(1, 1, 1, 1)
     full = _run(world, sched, seed=17)
@@ -932,8 +940,9 @@ def test_adamw_matches_the_per_leaf_reference_bit_for_bit(world, monkeypatch):
 def test_joint_step_tape_op_budget(world, monkeypatch):
     """The tape ops one joint-stage step records, so that a layer built from
     unfused ops fails here instead of slowing every step. The two counts are
-    a forecast step with the alignment term and a risk step; before
-    ``ad.linear`` and ``ad.attention`` they were 289 and 196."""
+    a forecast step with the alignment term over all three price-anchored
+    pairs and a risk step; before ``ad.linear`` and ``ad.attention`` they
+    were 289 and 196."""
     counts = []
     backward = ad.backward
 
@@ -942,7 +951,8 @@ def test_joint_step_tape_op_budget(world, monkeypatch):
         backward(loss, tape)
 
     monkeypatch.setattr(ad, "backward", counting)
-    run = _run(world, _schedule(0, 0, 1, 0))
+    pairs = (("price", "text"), ("price", "macro"), ("price", "graph"))
+    run = _run(world, _schedule(0, 0, 1, 0), align_cfg=fus.AlignConfig(pairs=pairs))
     run.run_stage("unimodal-pretrain")
     run.run_stage("multimodal-align")
     run.run_stage("joint-multitask")
