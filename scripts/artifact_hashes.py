@@ -2,8 +2,9 @@
 
 A refactor that claims to keep behaviour must leave these bytes unchanged.
 The script runs each CLI command in a fresh interpreter, in a temporary
-directory, with `OPENBLAS_NUM_THREADS=1`, against the package source given
-by `--src` (default: this checkout's `src/`), and prints one
+directory, with `OPENBLAS_NUM_THREADS=1` and `perfbench/small.json` as the
+config, against the package source given by `--src` (default: this
+checkout's `src/`), and prints one
 `<sha256>  <artifact>` line per artifact:
 
 - the `generate` dataset (`dataset.jsonl`, `dataset.bin`), its echoed
@@ -27,37 +28,15 @@ To compare two trees, run it once per tree and diff the output:
 
 import argparse
 import hashlib
-import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parents[1]
 # the README's small.json, key for key
-SMALL = {
-    "synthetic.n_steps": 400,
-    "synthetic.n_assets": 2,
-    "synthetic.n_institutions": 8,
-    "model.d_model": 16,
-    "model.n_heads": 2,
-    "model.n_layers": 1,
-    "model.d_ff": 32,
-    "model.vocab_size": 132,
-    "model.macro_group_dim": 4,
-    "model.macro_hidden": 32,
-    "model.graph_layers": 1,
-    "model.micro_layers": 1,
-    "model.risk_gat_layers": 1,
-    "training.peak_lr": 0.003,
-    "training.warmup_steps": 5,
-    "training.seeds": [0],
-    "stages.unimodal_pretrain": 2,
-    "stages.multimodal_align": 1,
-    "stages.joint_multitask": 8,
-    "stages.rl_finetune": 2,
-    "out_dir": "runs/small",
-}
+SMALL = str(ROOT / "perfbench" / "small.json")
 DATES = (300, 330, 350, 370, 390)
 HORIZONS = (1, 3)
 # run as `python -c` against --src: prints the sha256 of a checkpoint's arrays
@@ -78,7 +57,7 @@ def sha256(data: bytes) -> str:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
+    parser.add_argument("--src", default=str(ROOT / "src"),
                         help="directory holding the finfusion package")
     args = parser.parse_args(argv)
     env = dict(os.environ, PYTHONPATH=os.path.abspath(args.src),
@@ -86,8 +65,6 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        cfg = work / "small.json"
-        cfg.write_text(json.dumps(SMALL, indent=2) + "\n")
 
         def python(*argv) -> bytes:
             done = subprocess.run([sys.executable, *argv], cwd=work,
@@ -108,10 +85,10 @@ def main(argv=None) -> int:
 
         data, ckpt = work / "dataset.jsonl", work / "seed_0" / "checkpoint.bin"
         common = ("--checkpoint", str(ckpt), "--data", str(data))
-        run("generate", "--config", str(cfg), "--out", str(work))
+        run("generate", "--config", SMALL, "--out", str(work))
         for name in ("dataset.jsonl", "dataset.bin", "config.json", "manifest.json"):
             show_file(work / name)
-        run("train", "--config", str(cfg), "--data", str(data), "--out", str(work),
+        run("train", "--config", SMALL, "--data", str(data), "--out", str(work),
             "--seed", "0")
         show_file(ckpt)
         print(f"{python('-c', ARRAYS_DIGEST, str(ckpt)).decode().strip()}  "
@@ -133,7 +110,7 @@ def main(argv=None) -> int:
 
         for source in ("truth", "model"):
             out = work / f"rl_{source}"
-            run("rl-run", "--config", str(cfg), *common, "--out", str(out),
+            run("rl-run", "--config", SMALL, *common, "--out", str(out),
                 "--set", f"rl.r_sys_source={source}")
             show_file(out / "traces.jsonl")
         show("grad-check stdout", run("grad-check"))

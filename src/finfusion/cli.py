@@ -152,7 +152,7 @@ def _checkpoint_model(path: str, ds):
             f"checkpoint vocabulary ({mcfg.vocab_size}) is smaller than "
             f"the dataset's ({len(ds.vocab)})")
     try:
-        yield params, mcfg, tuple(meta.get("modalities", fus.MODALITIES)), meta
+        yield params, mcfg, meta["modalities"], meta
     except DimensionError as e:
         raise SchemaError(f"{path}: checkpoint does not fit its model: {e}") from e
 
@@ -226,7 +226,7 @@ def cmd_rl_run(args) -> int:
             raise DimensionError(f"policy leaves do not fit d_model {mcfg.d_model}")
         env = frl.DatasetEnv(ds, params, mcfg, cfg.rl, split=args.split,
                              kinds=kinds)
-    seed = meta.get("seed", 0) if args.seed is None else args.seed
+    seed = meta["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     curve, trajs = [], []
     for _ in range(args.updates):

@@ -605,12 +605,10 @@ class AlignedDataset:
         return float(self.returns[asset, t + 1])
 
     # features -----------------------------------------------------------
-    def price_feature_matrix(self, asset: int | None = None) -> np.ndarray:
-        """(T, 12) transformed price columns of ``asset`` before z-scoring,
-        or (A, T, 12) for every asset when ``asset`` is None: log OHLC, log
-        volume, log SMAs, RSI/100, MACD pair, return stdev, turnover."""
-        o = self.ohlcv if asset is None else self.ohlcv[asset]
-        ind = self.indicators if asset is None else self.indicators[asset]
+    def price_feature_matrix(self) -> np.ndarray:
+        """(A, T, 12) transformed price columns before z-scoring: log OHLC,
+        log volume, log SMAs, RSI/100, MACD pair, return stdev, turnover."""
+        o, ind = self.ohlcv, self.indicators
         with np.errstate(invalid="ignore"):
             return np.concatenate([np.log(o), np.log(ind[..., :2]), ind[..., 2:3] / 100.0,
                                    ind[..., 3:7]], axis=-1)

@@ -129,9 +129,11 @@ def sample_action(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(cdf.searchsorted(rng.random(), side="right"))
 
 
-def reward(profit: float, r_sys: float, cfg: RLConfig) -> float:
-    """alpha * profit - beta * r_sys, exactly."""
-    if not (math.isfinite(profit) and math.isfinite(r_sys)):
+def reward(profit, r_sys, cfg: RLConfig):
+    """alpha * profit - beta * r_sys, exactly, of numbers or of arrays
+    (elementwise)."""
+    profit, r_sys = np.asarray(profit, dtype=np.float64), np.asarray(r_sys, dtype=np.float64)
+    if not (np.isfinite(profit).all() and np.isfinite(r_sys).all()):
         raise ContractError("reward inputs must be finite")
     return cfg.alpha * profit - cfg.beta * r_sys
 
@@ -157,12 +159,13 @@ def returns_to_go(rewards: np.ndarray, gamma: float) -> np.ndarray:
 # environments
 
 class DatasetEnv:
-    """Rollout environment over an aligned dataset through a trained model.
+    """Rollout environment over an aligned dataset through a trained model:
+    read-only tables of asset 0's dates in one split.
 
     States are the fused representations the backbone produces for each
-    (asset, date); profit uses the raw next-step return. Stress comes from
-    the dataset's ``stress_next`` label or the risk head's current
-    assessment, as ``rl_cfg.r_sys_source`` says, scaled by position exposure.
+    date; profit uses the raw next-step return. Stress comes from the
+    dataset's ``stress_next`` label or the risk head's current assessment,
+    as ``rl_cfg.r_sys_source`` says, scaled by position exposure.
 
     The env snapshots the backbone when it is built: one
     ``model.forward_chunks`` pass computes the z and risk score of every date
@@ -173,17 +176,17 @@ class DatasetEnv:
 
     Nor does a state depend on the actions taken: step i always moves to
     ``states[i + 1]``, earns ``position * edge[i]`` and is charged
-    ``|position| * stress[i]``, so ``rollout`` samples a whole episode of
-    this env as arrays; it has no one-step ``env_step``.
+    ``|position| * stress[i]``, so ``rollout`` reads a whole episode of
+    this env from the tables; it has no cursor to step.
     """
 
     def __init__(self, dataset, params: dict, model_cfg, rl_cfg: RLConfig,
-                 split: str = "train", asset: int = 0, kinds=fus.MODALITIES):
+                 split: str = "train", kinds=fus.MODALITIES):
         self.dates = list(dataset.splits[split])
         if len(self.dates) < 2:
             raise ContractError(f"split '{split}' too short for an episode")
         out = model_mod.forward_chunks(
-            dataset, [(asset, t) for t in self.dates], params, model_cfg,
+            dataset, [(0, t) for t in self.dates], params, model_cfg,
             kinds=kinds, heads=("risk",), labels=("y_raw", "stress_next"))
         self.states, self.risk = out["z"], out["risk_score"]
         # per steppable date (all but the last): the next return, and the
@@ -191,17 +194,6 @@ class DatasetEnv:
         self.edge = out["y_raw"][:-1]
         self.stress = out["risk_score" if rl_cfg.r_sys_source == "model"
                           else "stress_next"][:-1]
-        self.i = 0
-
-    @property
-    def remaining(self) -> int:
-        return len(self.dates) - 1 - self.i
-
-    def reset(self, start: int = 0) -> np.ndarray:
-        if not 0 <= start < len(self.dates) - 1:
-            raise ContractError("episode start out of range")
-        self.i = start
-        return self.states[self.i]
 
 
 def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
@@ -209,62 +201,52 @@ def rollout(env, params: dict, cfg: RLConfig, rng: np.random.Generator,
     """Sample one episode from the policy; length is capped by both the
     configured episode length and the environment horizon.
 
-    A ``DatasetEnv`` is rolled out as arrays: its states do not depend on
-    the actions, so the whole episode's policy is one product and its
-    rewards are vectors. Any other env with ``reset``, ``env_step`` and
-    ``remaining`` is stepped one action at a time. Both draw the same
-    uniforms; the product's logits can differ from one-row ones in the last
-    bit, which moves an action only if a uniform lands that close to a CDF
-    edge.
+    A ``DatasetEnv`` episode is read from its tables: its states do not
+    depend on the actions, so the whole episode's policy is one product,
+    each array computed in the order ``policy`` and ``sample_action`` use
+    per row. Any other env with ``reset``, ``env_step`` and ``remaining`` is
+    stepped one action at a time. Both draw the same uniforms and charge
+    one ``reward`` over the episode's arrays; the product's logits can
+    differ from one-row ones in the last bit, which moves an action only if
+    a uniform lands that close to a CDF edge.
     """
-    state = env.reset(start)
-    steps = min(cfg.episode_length, env.remaining)
-    if steps < 1:
-        raise ContractError("no room left for a single step")
     if isinstance(env, DatasetEnv):
-        return _dataset_rollout(env, params, cfg, rng, start, steps)
-    states, actions, rewards, profits, stresses = [], [], [], [], []
-    for _ in range(steps):
-        a_idx = sample_action(policy(state, params), rng)
-        act = Action(cfg.actions[a_idx])
-        next_state, profit, r_sys = env.env_step(act)
-        states.append(state)
-        actions.append(a_idx)
-        rewards.append(reward(profit, r_sys, cfg))
-        profits.append(profit)
-        stresses.append(r_sys)
-        state = next_state
-    return Trajectory(
-        states=np.asarray(states), actions=np.asarray(actions),
-        rewards=np.asarray(rewards), profits=np.asarray(profits),
-        r_sys=np.asarray(stresses))
-
-
-def _dataset_rollout(env: DatasetEnv, params: dict, cfg: RLConfig,
-                     rng: np.random.Generator, start: int, steps: int) -> Trajectory:
-    """``steps`` steps of ``env`` from ``start``, each array computed in the
-    order ``policy``, ``sample_action`` and ``reward`` use per step."""
-    states = env.states[start:start + steps]
-    w, b = params["policy.w"].data, params["policy.b"].data
-    if states.shape[1] != w.shape[0]:
-        raise DimensionError(f"state dim {states.shape[1]} vs policy dim {w.shape[0]}")
-    logits = states @ w + b
-    logits -= logits.max(axis=1, keepdims=True)
-    e = np.exp(logits)
-    cdf = (e / e.sum(axis=1, keepdims=True)).cumsum(axis=1)
-    if not np.isfinite(cdf[:, -1]).all():
-        raise NumericalError("non-finite action distribution")
-    cdf /= cdf[:, -1:]
-    # the number of CDF entries <= u is searchsorted(u, side="right")
-    actions = (cdf <= rng.random(steps)[:, None]).sum(axis=1)
-    positions = np.asarray(cfg.actions)[actions]
-    profits = positions * env.edge[start:start + steps]
-    r_sys = np.abs(positions) * env.stress[start:start + steps]
-    if not (np.isfinite(profits).all() and np.isfinite(r_sys).all()):
-        raise ContractError("reward inputs must be finite")
+        if not 0 <= start < len(env.edge):
+            raise ContractError("episode start out of range")
+        steps = min(cfg.episode_length, len(env.edge) - start)
+        states = env.states[start:start + steps]
+        w, b = params["policy.w"].data, params["policy.b"].data
+        if states.shape[1] != w.shape[0]:
+            raise DimensionError(f"state dim {states.shape[1]} vs policy dim {w.shape[0]}")
+        logits = states @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        e = np.exp(logits)
+        cdf = (e / e.sum(axis=1, keepdims=True)).cumsum(axis=1)
+        if not np.isfinite(cdf[:, -1]).all():
+            raise NumericalError("non-finite action distribution")
+        cdf /= cdf[:, -1:]
+        # the number of CDF entries <= u is searchsorted(u, side="right")
+        actions = (cdf <= rng.random(steps)[:, None]).sum(axis=1)
+        positions = np.asarray(cfg.actions)[actions]
+        profits = positions * env.edge[start:start + steps]
+        r_sys = np.abs(positions) * env.stress[start:start + steps]
+    else:
+        state = env.reset(start)
+        steps = min(cfg.episode_length, env.remaining)
+        if steps < 1:
+            raise ContractError("no room left for a single step")
+        states, actions, profits, r_sys = [], [], [], []
+        for _ in range(steps):
+            a_idx = sample_action(policy(state, params), rng)
+            next_state, profit, stress = env.env_step(Action(cfg.actions[a_idx]))
+            states.append(state)
+            actions.append(a_idx)
+            profits.append(profit)
+            r_sys.append(stress)
+            state = next_state
+        profits, r_sys = np.asarray(profits), np.asarray(r_sys)
     return Trajectory(states=states, actions=actions,
-                      rewards=cfg.alpha * profits - cfg.beta * r_sys,
-                      profits=profits, r_sys=r_sys)
+                      rewards=reward(profits, r_sys, cfg), profits=profits, r_sys=r_sys)
 
 
 # ---------------------------------------------------------------------------

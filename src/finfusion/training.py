@@ -243,16 +243,6 @@ class ParamBuffer:
             leaf.data = self.data[lo:hi].reshape(leaf.shape)
             leaf.grad = self.grad[lo:hi].reshape(leaf.shape)
 
-    def runs(self, names) -> list:
-        """Contiguous [lo, hi) spans that together cover the named leaves."""
-        out = []
-        for lo, hi in sorted(self.spans[n] for n in names):
-            if out and out[-1][1] == lo:
-                out[-1] = (out[-1][0], hi)
-            else:
-                out.append((lo, hi))
-        return out
-
 
 @dataclass
 class AdamWState:
@@ -270,25 +260,30 @@ def adamw_step(buf: ParamBuffer, names, state: AdamWState, lr: float,
     ``names`` from the gradients in ``buf.grad``, in place.
 
     Only the named leaves move; weight decay is applied to exactly those,
-    keeping untouched pathways untouched. Each contiguous run of named
-    leaves is updated with a few vector ops. A leaf's bias correction
-    follows its own step count, so a leaf that joins late starts fresh.
+    keeping untouched pathways untouched. The named leaves are walked as
+    spans: each run of adjacent leaves that share a step count is updated
+    with a few vector ops. A leaf's bias correction follows its own step
+    count, so a leaf that joins late starts fresh. NumericalError, before
+    any leaf, moment or step count moves, unless every named gradient is
+    finite.
     """
     if state.m is None:
         state.m, state.v = np.zeros_like(buf.data), np.zeros_like(buf.data)
     elif state.m.shape != buf.data.shape:
         raise DimensionError(
             f"optimizer state holds {state.m.size} values, the buffer {buf.data.size}")
-    # [lo, hi, t]: adjacent leaves that share a step count share a correction
-    pieces = []
-    for name in sorted(names):
-        t = state.t[name] = state.t.get(name, 0) + 1
+    counts = {name: state.t.get(name, 0) + 1 for name in sorted(names)}
+    spans = []  # [lo, hi, t]
+    for name, t in counts.items():
         lo, hi = buf.spans[name]
-        if pieces and pieces[-1][1] == lo and pieces[-1][2] == t:
-            pieces[-1][1] = hi
+        if spans and spans[-1][1] == lo and spans[-1][2] == t:
+            spans[-1][1] = hi
         else:
-            pieces.append([lo, hi, t])
-    for lo, hi in buf.runs(names):
+            spans.append([lo, hi, t])
+    for lo, hi, _ in spans:
+        ad.require_finite(buf.grad[lo:hi], "gradients")
+    state.t.update(counts)
+    for lo, hi, t in spans:
         p, g = buf.data[lo:hi], buf.grad[lo:hi]
         m, v = state.m[lo:hi], state.v[lo:hi]
         step, denom = np.empty(hi - lo), np.empty(hi - lo)
@@ -297,11 +292,9 @@ def adamw_step(buf: ParamBuffer, names, state: AdamWState, lr: float,
         v *= _ADAM_BETA2
         np.multiply(g, 1.0 - _ADAM_BETA2, out=step)
         v += np.multiply(step, g, out=step)
-        for a, b, t in pieces:
-            if lo <= a < hi:
-                np.divide(m[a - lo:b - lo], 1.0 - _ADAM_BETA1 ** t, out=step[a - lo:b - lo])
-                np.divide(v[a - lo:b - lo], 1.0 - _ADAM_BETA2 ** t, out=denom[a - lo:b - lo])
         # p -= lr * (mhat / (sqrt(vhat) + eps) + weight_decay * p)
+        np.divide(m, 1.0 - _ADAM_BETA1 ** t, out=step)
+        np.divide(v, 1.0 - _ADAM_BETA2 ** t, out=denom)
         np.sqrt(denom, out=denom)
         denom += _ADAM_EPS
         step /= denom
@@ -408,7 +401,6 @@ class TrainingRun:
         self.params.update(rl_mod.init_policy_params(
             model_cfg.d_model, len(self.rl_cfg.actions), rng))
         self.buffer = ParamBuffer(self.params)
-        self._subsets: dict = {}
         self._stage_seed = dict(zip(STAGES, children[1:]))
         self.completed: list = []
         self.reports: list = []
@@ -417,13 +409,9 @@ class TrainingRun:
     # single optimization steps
 
     def _subset(self, kinds, extra):
-        """Names of the leaves a step moves, and their buffer runs."""
-        key = (tuple(kinds), tuple(extra))
-        if key not in self._subsets:
-            prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
-            names = sorted(model_mod.param_subset(self.params, prefixes))
-            self._subsets[key] = (names, self.buffer.runs(names))
-        return self._subsets[key]
+        """Names of the leaves a step moves."""
+        prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
+        return sorted(model_mod.param_subset(self.params, prefixes))
 
     def _align_term(self, embs):
         """Mean alignment loss over the configured pairs present in ``embs``;
@@ -442,7 +430,7 @@ class TrainingRun:
         """
         batch = self.dataset.batch_arrays(pairs)
         head = _TASK_HEAD[task]
-        names, runs = self._subset(kinds, ("fusion.", f"{head}.") if head else ())
+        names = self._subset(kinds, ("fusion.", f"{head}.") if head else ())
         with ad.Tape() as tape:
             comps = {}
             if head is None:
@@ -469,8 +457,6 @@ class TrainingRun:
             ad.require_finite(loss.data, "loss")
             self.buffer.grad.fill(0.0)
             ad.backward(loss, tape)
-            for lo, hi in runs:
-                ad.require_finite(self.buffer.grad[lo:hi], "gradients")
             adamw_step(self.buffer, names, opt, lr, self.cfg.weight_decay)
         return {k: float(v.data) for k, v in comps.items()} | {"total": float(loss.data)}
 
@@ -610,14 +596,14 @@ class TrainingRun:
         a stage boundary reproduces the uninterrupted run bit for bit.
         """
         params, mcfg, meta = load_params(path)
-        if meta.get("seed") != self.seed:
+        if meta["seed"] != self.seed:
             raise ContractError(
-                f"checkpoint seed {meta.get('seed')} != run seed {self.seed}")
+                f"checkpoint seed {meta['seed']} != run seed {self.seed}")
         if mcfg != self.model_cfg:
             raise SchemaError("checkpoint model config does not match the run")
         if meta.get("stage_epochs") != dict(self.schedule.epochs):
             raise SchemaError("checkpoint stage schedule does not match the run")
-        if list(meta.get("modalities", [])) != list(self.modalities):
+        if meta["modalities"] != self.modalities:
             raise SchemaError("checkpoint modality set does not match the run")
         completed = list(meta.get("completed", []))
         if completed != list(STAGES[:len(completed)]):
@@ -632,7 +618,13 @@ class TrainingRun:
 
 
 def load_params(path: str):
-    """Checkpoint -> (params, ModelConfig, meta)."""
+    """Checkpoint -> (params, ModelConfig, meta).
+
+    SchemaError, naming the file, unless the meta holds a usable
+    ``model_config``, ``modalities`` as a nonempty list of distinct names
+    from ``fusion.MODALITIES`` and ``seed`` as an integer >= 0; the returned
+    meta holds the modalities as a tuple.
+    """
     params, meta = load_checkpoint(path)
     try:
         mcfg = model_mod.ModelConfig.from_dict(meta["model_config"])
@@ -640,4 +632,13 @@ def load_params(path: str):
         raise SchemaError(
             f"{path}: checkpoint meta has no usable model_config ({type(e).__name__}: {e})"
         ) from e
-    return params, mcfg, meta
+    kinds = meta.get("modalities")
+    if not (isinstance(kinds, list) and kinds
+            and all(k in fus.MODALITIES for k in kinds) and len(set(kinds)) == len(kinds)):
+        raise SchemaError(f"{path}: checkpoint meta modalities must be a nonempty list of "
+                          f"distinct names from {list(fus.MODALITIES)}, got {kinds!r}")
+    try:
+        check_number("seed", meta.get("seed"), 0, integral=True)
+    except ContractError as e:
+        raise SchemaError(f"{path}: checkpoint meta {e}") from e
+    return params, mcfg, dict(meta, modalities=tuple(kinds))

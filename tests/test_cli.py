@@ -212,6 +212,38 @@ def test_a_checkpoint_with_another_macro_partition_exits_5(work, tmp_path, capsy
     assert not (tmp_path / "out").exists()
 
 
+_MISSING = object()
+# meta fields every checkpoint writes, each at a value it never writes
+_BAD_META = [("modalities", ["price", "bogus"]), ("modalities", []),
+             ("modalities", "price"), ("modalities", ["price", "price"]),
+             ("modalities", _MISSING), ("seed", "x"), ("seed", -1), ("seed", 1.5),
+             ("seed", None), ("seed", _MISSING)]
+
+
+@pytest.mark.parametrize("command", ["eval", "forecast", "report", "rl-run", "train"])
+@pytest.mark.parametrize("key,value", _BAD_META)
+def test_a_checkpoint_with_bad_meta_modalities_or_seed_exits_5_naming_the_file(
+        work, tmp_path, capsys, command, key, value):
+    seed_dir = tmp_path / "resumed" / "seed_0"
+    os.makedirs(seed_dir)
+    name = "stage_0_unimodal-pretrain.bin" if command == "train" else "checkpoint.bin"
+    params, meta = tr.load_checkpoint(str(work["run"] / "seed_0" / name))
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    bad = seed_dir / name
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    if command == "train":
+        rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                       "--out", str(tmp_path / "resumed"), "--resume"])
+    else:
+        rc = _query(command, bad, work, tmp_path)
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line.startswith(f"error: {bad}: checkpoint meta {key} must be ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_train_resumes_a_stage_checkpoint_with_retired_model_keys(work, tmp_path, capsys):
     # stage checkpoints saved while the model config still carried the
     # policy width and the direction band

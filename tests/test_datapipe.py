@@ -415,9 +415,9 @@ def _batch_reference(ds, pairs):
     crisis = np.empty(len(pairs), dtype=np.int64)
     stress = np.empty(len(pairs))
     node_distress = np.empty((len(pairs), ds.n_institutions), dtype=np.int64)
-    cache = {a: ds.price_feature_matrix(a) for a in {a for a, _ in pairs}}
+    every = ds.price_feature_matrix()
     for i, (a, t) in enumerate(pairs):
-        price[i] = pstats.apply(cache[a][t - w + 1:t + 1])
+        price[i] = pstats.apply(every[a, t - w + 1:t + 1])
         tok.append(ds.tokens[a, t])
         tlen[i] = ds.tok_len[a, t]
         macro[i] = mstats.apply(ds.macro[t])
@@ -634,13 +634,6 @@ def test_sidecar_arrays_pass_the_same_value_checks(tmp_path, small_ds, defect):
     with pytest.raises(SchemaError) as e:
         dp.load_dataset(str(path))
     assert _SIDECAR_DEFECTS[defect] in str(e.value)
-
-
-def test_price_features_of_every_asset_stack_the_per_asset_ones(small_ds):
-    every = small_ds.price_feature_matrix()
-    assert every.shape == (small_ds.n_assets, small_ds.n_steps, 12)
-    per_asset = np.stack([small_ds.price_feature_matrix(a) for a in range(small_ds.n_assets)])
-    assert np.array_equal(every, per_asset, equal_nan=True)
 
 
 def test_container_arrays_are_aligned_writable_and_apart_from_the_file(tmp_path):

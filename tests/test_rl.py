@@ -421,7 +421,6 @@ def test_dataset_env_table_matches_batch1_forwards(tiny_world):
         np.testing.assert_allclose(env.states[i], out["z"].data[0], rtol=0, atol=1e-12)
         np.testing.assert_allclose(env.risk[i], out["risk_score"].data[0],
                                    rtol=0, atol=1e-12)
-    assert np.array_equal(env.reset(3), env.states[3])
     short = rl.rollout(env, _pinned(mcfg.d_model, 0), rl.RLConfig(episode_length=2),
                        np.random.default_rng(0), start=3)
     assert np.array_equal(short.states[1], env.states[4])
@@ -517,6 +516,19 @@ def test_dataset_rollout_equals_the_stepping_loop(tiny_world, source):
             seen.update(fast.actions.tolist())
         assert fast_rng.random() == slow_rng.random()
     assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("where", ["before the first date", "at the last date"])
+def test_dataset_rollout_rejects_a_start_with_no_step(tiny_world, where):
+    ds, mcfg, params = tiny_world
+    cfg = rl.RLConfig(episode_length=6)
+    env = rl.DatasetEnv(ds, params, mcfg, cfg)
+    start = -1 if where == "before the first date" else len(env.dates) - 1
+    with pytest.raises(ContractError, match="episode start out of range"):
+        rl.rollout(env, params, cfg, np.random.default_rng(0), start=start)
+    # the last steppable date still rolls one step
+    assert len(rl.rollout(env, params, cfg, np.random.default_rng(0),
+                          start=len(env.dates) - 2)) == 1
 
 
 def test_dataset_rollout_rejects_a_non_finite_policy(tiny_world):
