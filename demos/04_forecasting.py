@@ -7,7 +7,6 @@ same trained head serves point, interval, and direction forecasts.
 
 import numpy as np
 
-import finfusion.autodiff as ad
 import finfusion.datapipe as dp
 import finfusion.evaluate as ev
 import finfusion.heads as heads
@@ -31,22 +30,29 @@ run.run_all()
 print("\n== one-step forecast for asset 0 at the first test date ==")
 date = int(ds.splits["test"][0])
 batch = ds.batch_arrays([(0, date)])
-z = fm.forward_batch(batch, run.params, mcfg, heads=())["z"]
-hist = ad.Tensor(z.data[:, None, :])  # (1 row, length-1 history, d_model)
-[fc] = heads.micro_forecast(hist, 1, run.params, mcfg, ds.norm)
+
+
+def forecast(k):
+    """The raw-unit mixture for the return k steps past ``date``."""
+    out = fm.forward_batch(batch, run.params, mcfg, heads=("micro",), horizon=k)
+    return heads.micro_forecast(out["mdn_weights"].data, out["mdn_means"].data,
+                                out["mdn_sigmas"].data, ds.norm)
+
+
+fc = forecast(1)
 print(f"mixture ({mcfg.mdn_components} components, raw return units):")
 for k in range(mcfg.mdn_components):
-    print(f"  w={fc.weights[k]:.3f}  mu={fc.means[k]:+.5f}  "
-          f"sigma={fc.sigmas[k]:.5f}")
-down, flat, up = fc.direction_probs
-print(f"point {fc.point:+.5f}   P(down)={down:.3f} P(flat)={flat:.3f} "
+    print(f"  w={fc['weights'][0, k]:.3f}  mu={fc['means'][0, k]:+.5f}  "
+          f"sigma={fc['sigmas'][0, k]:.5f}")
+down, flat, up = fc["direction_probs"][0]
+print(f"point {fc['point'][0]:+.5f}   P(down)={down:.3f} P(flat)={flat:.3f} "
       f"P(up)={up:.3f}")
 print(f"realized next return    {ds.y_next(0, date):+.5f}")
 
 print("\n== multi-horizon rollout (point forecast fed back in) ==")
 for k in (1, 3, 5):
-    [f_k] = heads.micro_forecast(hist, k, run.params, mcfg, ds.norm)
-    print(f"k={k}: point {f_k.point:+.5f}  P(up)={f_k.direction_probs[2]:.3f}")
+    f_k = forecast(k)
+    print(f"k={k}: point {f_k['point'][0]:+.5f}  P(up)={f_k['direction_probs'][0, 2]:.3f}")
 
 print("\n== quantile calibration on the test split ==")
 pairs = ds.sample_pairs("test")

@@ -69,8 +69,8 @@ assert da == db
 run_c = tr.TrainingRun(ds, mcfg, tcfg, schedule=sched, seed=1)
 try:
     run_c.resume_from(ckpt)
-except tr.ContractError as e:
-    print("\nseed mismatch rejected:", e)
+except tr.SchemaError as e:  # the message names the temporary file first
+    print("\nseed mismatch rejected:", str(e).removeprefix(f"{ckpt}: "))
 try:
     tr.TrainingRun(ds, mcfg, tcfg, schedule=sched, seed=0).run_stage("rl-finetune")
 except tr.ScheduleError as e:

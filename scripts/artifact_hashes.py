@@ -18,7 +18,9 @@ checkout's `src/`), and prints one
 - the 30 `forecast`/`report` stdouts, concatenated (dates 300, 330, 350,
   370, 390; horizons 1 and 3; asset 0, asset 1, then `report`);
 - the `rl-run` traces with `rl.r_sys_source` `truth` and `model`;
-- the `grad-check` stdout.
+- the `grad-check` stdout;
+- the stdout of each demo in the `demos/` directory next to `--src`, so
+  that a tree given by `--src` runs its own demos.
 
 To compare two trees, run it once per tree and diff the output:
 
@@ -114,6 +116,8 @@ def main(argv=None) -> int:
                 "--set", f"rl.r_sys_source={source}")
             show_file(out / "traces.jsonl")
         show("grad-check stdout", run("grad-check"))
+        for demo in sorted((Path(args.src).resolve().parent / "demos").glob("*.py")):
+            show(f"demos/{demo.name} stdout", python(str(demo)))
     return 0
 
 

@@ -98,18 +98,19 @@ def cmd_train(args) -> int:
             align_cfg=cfg.align, rl_cfg=cfg.rl, seed=seed)
         seed_dir = os.path.join(args.out, f"seed_{seed}")
         os.makedirs(seed_dir, exist_ok=True)
-        first = 0
         if args.resume:
             for i in reversed(range(len(tr.STAGES))):
                 path = _stage_path(seed_dir, i)
                 if os.path.exists(path):
                     run.resume_from(path)
-                    first = i + 1
+                    if len(run.completed) != i + 1:
+                        raise SchemaError(
+                            f"{path}: checkpoint meta lists {len(run.completed)} "
+                            f"completed stages, its file name {i + 1}")
                     print(f"seed {seed}: resumed after {tr.STAGES[i]}")
                     break
-        for i, stage in enumerate(tr.STAGES):
-            if i < first:
-                continue
+        first = len(run.completed)
+        for i, stage in enumerate(tr.STAGES[first:], start=first):
             rep = run.run_stage(stage)
             run.save(_stage_path(seed_dir, i))
             totals = rep.losses.get("total", [])
@@ -182,24 +183,25 @@ def cmd_forecast(args) -> int:
     ds.check_date(args.date)
     batch = ds.batch_arrays([(args.asset, args.date)])
     with _checkpoint_model(args.checkpoint, ds) as (params, mcfg, kinds, _):
-        z = fm.forward_batch(batch, params, mcfg, kinds, heads=())["z"]
-        [fc] = heads.micro_forecast(Tensor(z.data[:, None, :]), args.horizon,
-                                    params, mcfg, ds.norm)
+        out = fm.forward_batch(batch, params, mcfg, kinds, heads=("micro",),
+                               horizon=args.horizon)
+    fc = heads.micro_forecast(out["mdn_weights"].data, out["mdn_means"].data,
+                              out["mdn_sigmas"].data, ds.norm)
 
     taus = (0.1, 0.5, 0.9)
-    qs = heads.mixture_quantile(Tensor(fc.weights[None]), Tensor(fc.means[None]),
-                                Tensor(fc.sigmas[None]), taus)
+    qs = heads.mixture_quantile(Tensor(fc["weights"]), Tensor(fc["means"]),
+                                Tensor(fc["sigmas"]), taus)
     quantiles = {f"{tau:.1f}": float(q) for tau, q in zip(taus, qs.data[0])}
-    probs = fc.direction_probs
+    down, flat, up = fc["direction_probs"][0]
     payload = {
         "asset": args.asset,
         "date": args.date,
         "horizon": args.horizon,
-        "point": fc.point,
-        "direction_probs": {"down": probs[0], "flat": probs[1], "up": probs[2]},
+        "point": float(fc["point"][0]),
+        "direction_probs": {"down": down, "flat": flat, "up": up},
         "mixture": [
             {"weight": float(w), "mean": float(m), "sigma": float(s)}
-            for w, m, s in zip(fc.weights, fc.means, fc.sigmas)
+            for w, m, s in zip(fc["weights"][0], fc["means"][0], fc["sigmas"][0])
         ],
         "quantiles": quantiles,
     }

@@ -67,6 +67,7 @@ _SIGMA_IDIO = (0.010, 0.020)  # per-asset idiosyncratic vol
 
 NODE_DISTRESS_THRESHOLD = 0.6
 FLAT_BAND = 5e-4  # |return| below this counts as flat for direction labels
+TOKEN_LEN = 5  # event token ids per asset and date
 
 # time-ordered splits over the usable dates; test takes what train and val leave
 TRAIN_FRAC = 0.7
@@ -141,8 +142,9 @@ class SyntheticConfig:
                      "macro_gap_rate"):
             check_number(name, getattr(self, name), 0, 1)
         check_number("crisis_rate", self.crisis_rate, 0, 1, strict=True)
-        for name in ("n_steps", "n_institutions", "window"):
+        for name in ("n_steps", "n_institutions"):
             check_number(name, getattr(self, name), 1, integral=True)
+        check_number("window", self.window, 1, self.n_steps, integral=True)
         check_number("n_assets", self.n_assets, 1, 16, integral=True)  # fixed vocabulary
         check_number("seed", self.seed, 0, integral=True)
 
@@ -220,9 +222,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[dict, dict]:
 
     # event tokens revealing next-step direction with probability = strength
     rng_t = streams["tokens"]
-    seq_len = 5
-    tokens = np.zeros((a, t_all, seq_len), dtype=np.int64)
-    tok_len = np.full((a, t_all), seq_len, dtype=np.int64)
+    tokens = np.zeros((a, t_all, TOKEN_LEN), dtype=np.int64)
+    tok_len = np.full((a, t_all), TOKEN_LEN, dtype=np.int64)
     reveal = rng_t.uniform(size=(a, t_all)) < cfg.signal_strength
     coin = rng_t.integers(0, 2, size=(a, t_all))
     event_pick = rng_t.integers(0, 3, size=(a, t_all))
@@ -851,10 +852,12 @@ def load_dataset(path: str) -> AlignedDataset:
 
     The meta header comes from line 1. The record arrays come from the
     sidecar when it was written from exactly these bytes and holds exactly
-    the arrays the header implies; otherwise the records are parsed.
+    the arrays the header implies; otherwise the records are parsed, once
+    the file is known to hold as many as the header declares. No array is
+    sized from a header number before the file is known to hold its values.
     Either way, SchemaError names the line and the field unless record k
     holds date k, each field has its shape and finite values (``null`` only
-    in indicators and macro), flags are 0/1, each asset has 1..seq_len
+    in indicators and macro), flags are 0/1, each asset has 1..TOKEN_LEN
     token ids from the vocabulary, price bars are well formed, ``finalize``
     accepts the data, and the header's usable dates and splits are the ones
     it derives."""
@@ -864,21 +867,23 @@ def load_dataset(path: str) -> AlignedDataset:
     end = len(raw) if end < 0 else end
     try:
         meta = json.loads(raw[:end])
-        ds = _read_meta(meta)
+        cfg, vocab, adjacency = _read_meta(meta)
         header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
         for name in ("train", "val", "test"):
             header_dates[f"split {name!r} dates"] = np.asarray(
                 meta["splits"][name], dtype=np.int64)
     except _MALFORMED as e:
         raise _at_line(path, 1, e) from e
-    arrays = _read_sidecar(path, raw, ds)
+    layout = _record_layout(cfg)
+    arrays = _read_sidecar(path, raw, layout)
     if arrays is None:
-        arrays = _parse_records(path, raw[end + 1:], ds)
-    problem = _check_records(arrays, ds.tokens.shape[2], len(ds.vocab))
+        arrays = _parse_records(path, raw[end + 1:], layout)
+    problem = _check_records(arrays, len(vocab))
     if problem is not None:
         raise SchemaError(f"{path}, line {problem[0] + 2}: {problem[1]}")
-    for name in RECORD_ARRAYS:
-        setattr(ds, name, arrays[name].astype(getattr(ds, name).dtype, copy=False))
+    ds = AlignedDataset(config=cfg, vocab=vocab, adjacency=adjacency,
+                        **{name: arrays[name].astype(dtype, copy=False)
+                           for name, (dtype, _) in layout.items()})
     try:
         ds.finalize()
     except ContractError as e:  # too few usable dates, constant training returns
@@ -893,52 +898,56 @@ def load_dataset(path: str) -> AlignedDataset:
     return ds
 
 
-def _parse_records(path: str, body: bytes, ds: AlignedDataset) -> dict:
-    """The record arrays from the JSONL lines after the header, checked only
-    as far as parsing needs: date order, list lengths and integer token ids.
-    The flags stay float, as written, for ``_check_records`` to judge."""
-    arrays = {name: getattr(ds, name) for name in RECORD_ARRAYS}
-    arrays["regime"] = np.empty(ds.regime.shape)
-    arrays["macro_present"] = np.empty(ds.macro_present.shape)
+def _parse_records(path: str, body: bytes, layout: dict) -> dict:
+    """The record arrays of ``_record_layout`` shapes from the JSONL lines
+    after the header, checked only as far as parsing needs: the record
+    count (before anything is allocated), date order, list lengths and
+    integer token ids. The flags stay float, as written, for
+    ``_check_records`` to judge."""
+    lines = body.splitlines()
+    n_assets, n_steps, _ = layout["ohlcv"][1]
+    if len(lines) != n_steps:
+        raise SchemaError(f"{path}: {len(lines)} date records, the header "
+                          f"declares n_steps {n_steps}")
+    arrays = {name: np.zeros(shape, np.float64 if name in ("regime", "macro_present")
+                             else dtype)
+              for name, (dtype, shape) in layout.items()}
     by_date = {key: arrays[key].swapaxes(0, 1) if key in _PER_ASSET else arrays[key]
                for key in _DATED}
-    seq_len = ds.tokens.shape[2]
+    tokens, tok_len = arrays["tokens"], arrays["tok_len"]
     lineno = 1
     try:
-        for lineno, line in enumerate(body.splitlines(), start=2):
+        for lineno, line in enumerate(lines, start=2):
             t = lineno - 2
             rec = json.loads(line)
             if rec["date"] != t:
                 raise SchemaError(f"date {rec['date']} where date {t} belongs")
             for key, values in by_date.items():
                 values[t] = _field(rec, key, values.shape[1:])
-            if len(rec["tokens"]) != ds.n_assets:
-                raise SchemaError(f"tokens has {len(rec['tokens'])} lists, not {ds.n_assets}")
+            if len(rec["tokens"]) != n_assets:
+                raise SchemaError(f"tokens has {len(rec['tokens'])} lists, not {n_assets}")
             for a, ids in enumerate(rec["tokens"]):
                 if not all(type(i) is int for i in ids):
                     raise SchemaError(f"tokens[{a}] holds an id that is not an integer")
-                # a list longer than seq_len keeps its length for the check
-                ds.tokens[a, t, :len(ids)] = ids[:seq_len]
-                ds.tok_len[a, t] = len(ids)
-        if lineno - 1 != ds.n_steps:
-            raise SchemaError(f"only {lineno - 1} of {ds.n_steps} date records")
+                # a list longer than TOKEN_LEN keeps its length for the check
+                tokens[a, t, :len(ids)] = ids[:TOKEN_LEN]
+                tok_len[a, t] = len(ids)
     except _MALFORMED as e:
         raise _at_line(path, lineno, e) from e
     return arrays
 
 
-def _read_sidecar(path: str, raw: bytes, ds: AlignedDataset):
+def _read_sidecar(path: str, raw: bytes, layout: dict):
     """The record arrays from ``path``'s sidecar, or None unless it is an
     intact container written from exactly the bytes ``raw`` whose arrays
-    are ``RECORD_ARRAYS`` with the dtypes and shapes ``ds`` was given."""
+    are ``RECORD_ARRAYS`` with the dtypes and shapes of ``layout``."""
     try:
         arrays, meta = container.read(sidecar_path(path), SIDECAR_MAGIC)
     except (OSError, SchemaError):
         return None
-    layout = [(name, a.dtype, a.shape) for name, a in arrays.items()]
+    found = [(name, a.dtype, a.shape) for name, a in arrays.items()]
     if (meta.get("source_sha256") != hashlib.sha256(raw).hexdigest()
-            or layout != [(name, getattr(ds, name).dtype, getattr(ds, name).shape)
-                          for name in RECORD_ARRAYS]):
+            or found != [(name, dtype, shape) for name, (dtype, shape) in layout.items()]):
         return None
     return arrays
 
@@ -949,10 +958,10 @@ def _first(bad: np.ndarray):
     return hits[0] if len(hits) else None
 
 
-def _check_records(arrays: dict, seq_len: int, n_vocab: int):
+def _check_records(arrays: dict, n_vocab: int):
     """(date, problem) for the first value rule the record arrays break, or
     None. Flags are 0/1; values are finite, except NaN (``null``) in
-    indicators and macro; each asset has 1..seq_len ids from the vocabulary
+    indicators and macro; each asset has 1..TOKEN_LEN ids from the vocabulary
     and zero padding after them; price bars are well formed. The same check
     serves parsed records and the sidecar."""
     by_date = {key: a.swapaxes(0, 1) if key in _PER_ASSET else a
@@ -975,11 +984,11 @@ def _check_records(arrays: dict, seq_len: int, n_vocab: int):
             return hit[0], f"{key} holds a non-finite value"
     tokens, tok_len = by_date["tokens"], by_date["tok_len"]
     listed = np.arange(tokens.shape[-1]) < tok_len[..., None]
-    bad = (tok_len < 1) | (tok_len > seq_len) | np.where(
+    bad = (tok_len < 1) | (tok_len > TOKEN_LEN) | np.where(
         listed, (tokens < 0) | (tokens >= n_vocab), tokens != 0).any(axis=-1)
     hit = _first(bad)
     if hit is not None:
-        return hit[0], f"tokens[{hit[1]}] is not 1..{seq_len} ids from 0..{n_vocab - 1}"
+        return hit[0], f"tokens[{hit[1]}] is not 1..{TOKEN_LEN} ids from 0..{n_vocab - 1}"
     o, h, l, c, v = np.moveaxis(by_date["ohlcv"], -1, 0)
     for bad, what in ((h < np.maximum(o, c), "high is below max(open, close)"),
                       (l > np.minimum(o, c), "low is above min(open, close)"),
@@ -990,8 +999,10 @@ def _check_records(arrays: dict, seq_len: int, n_vocab: int):
     return None
 
 
-def _read_meta(meta: dict) -> AlignedDataset:
-    """An AlignedDataset shaped by the meta header, awaiting its records."""
+def _read_meta(meta: dict) -> tuple:
+    """(config, vocab, adjacency) of the meta header. Its ``seq_len`` must
+    be ``TOKEN_LEN`` and its ``macro_slots`` ``MACRO_SLOTS``: the model
+    reads that layout."""
     if meta.get("type") != "meta":
         raise SchemaError("first record must be the meta header")
     if meta.get("schema_version") != SCHEMA_VERSION:
@@ -1000,8 +1011,9 @@ def _read_meta(meta: dict) -> AlignedDataset:
     if meta.get("macro_slots") != list(MACRO_SLOTS):
         raise SchemaError(
             f"macro_slots {meta.get('macro_slots')} != {list(MACRO_SLOTS)}")
+    if meta.get("seq_len") != TOKEN_LEN:
+        raise SchemaError(f"seq_len {meta.get('seq_len')} != {TOKEN_LEN}")
     cfg = SyntheticConfig(**meta["config"])
-    t_all, a = cfg.n_steps, cfg.n_assets
     n = cfg.n_institutions
     adjacency = np.asarray(meta["adjacency"], dtype=np.float64)
     if adjacency.shape != (n, n):
@@ -1009,22 +1021,25 @@ def _read_meta(meta: dict) -> AlignedDataset:
     if np.any(adjacency < 0):
         i, j = np.argwhere(adjacency < 0)[0]
         raise SchemaError(f"adjacency weight [{i}, {j}] is negative")
-    j = len(INDICATOR_NAMES)
-    m = len(MACRO_SLOTS)
-    seq_len = int(meta["seq_len"])
-    return AlignedDataset(
-        config=cfg,
-        vocab=meta["vocab"],
-        ohlcv=np.empty((a, t_all, 5)),
-        indicators=np.full((a, t_all, j), np.nan),
-        tokens=np.zeros((a, t_all, seq_len), dtype=np.int64),
-        tok_len=np.zeros((a, t_all), dtype=np.int64),
-        macro=np.empty((t_all, m)),
-        macro_present=np.zeros((t_all, m), dtype=bool),
-        adjacency=adjacency,
-        node_stress=np.empty((t_all, n)),
-        node_returns=np.empty((t_all, n)),
-        market_return=np.empty(t_all),
-        regime=np.empty(t_all, dtype=np.int64),
-        returns=np.empty((a, t_all)),
-    )
+    return cfg, meta["vocab"], adjacency
+
+
+def _record_layout(cfg: SyntheticConfig) -> dict:
+    """name -> (dtype, shape) of each of ``RECORD_ARRAYS``, in order, for a
+    dataset of ``cfg``. Nothing is allocated."""
+    a, t, n, m = cfg.n_assets, cfg.n_steps, cfg.n_institutions, len(MACRO_SLOTS)
+    f8, i8 = np.dtype(np.float64), np.dtype(np.int64)
+    spec = {
+        "ohlcv": (f8, (a, t, 5)),
+        "indicators": (f8, (a, t, len(INDICATOR_NAMES))),
+        "tokens": (i8, (a, t, TOKEN_LEN)),
+        "tok_len": (i8, (a, t)),
+        "macro": (f8, (t, m)),
+        "macro_present": (np.dtype(bool), (t, m)),
+        "node_stress": (f8, (t, n)),
+        "node_returns": (f8, (t, n)),
+        "market_return": (f8, (t,)),
+        "regime": (i8, (t,)),
+        "returns": (f8, (a, t)),
+    }
+    return {name: spec[name] for name in RECORD_ARRAYS}

@@ -10,7 +10,6 @@ import dataclasses
 
 import numpy as np
 
-from . import autodiff as ad
 from . import datapipe as dp
 from . import fusion as fus
 from . import heads
@@ -28,9 +27,9 @@ def predict_micro(dataset, params, cfg, split: str,
         raise ContractError(f"split {split!r} has no usable pairs")
     out = fm.forward_chunks(dataset, pairs, params, cfg, kinds=kinds,
                             heads=("micro",), labels=("y_raw",))
-    point_z = (out["mdn_weights"] * out["mdn_means"]).sum(axis=-1)
-    return {"pred": point_z * dataset.norm["y_std"] + dataset.norm["y_mean"],
-            "true": out["y_raw"]}
+    forecast = heads.micro_forecast(out["mdn_weights"], out["mdn_means"],
+                                    out["mdn_sigmas"], dataset.norm)
+    return {"pred": forecast["point"], "true": out["y_raw"]}
 
 
 def predict_risk(dataset, params, cfg, split: str,
@@ -122,18 +121,17 @@ def node_names(n: int) -> list:
 
 def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
                       kinds=fus.MODALITIES) -> heads.PolicyBulletin:
-    """Run fusion and both heads for one date and render the bulletin."""
+    """Render the bulletin for one date from one ``forward_batch`` call over
+    every asset, with both heads: the date's risk score and node
+    contributions, and each asset's raw-unit forecast ``horizon`` steps
+    ahead."""
     dataset.check_date(date)
-    pairs = [(a, date) for a in range(dataset.n_assets)]
-    batch = dataset.batch_arrays(pairs)
-    out = fm.forward_batch(batch, params, cfg, kinds, heads=("risk",))
+    batch = dataset.batch_arrays([(a, date) for a in range(dataset.n_assets)])
+    out = fm.forward_batch(batch, params, cfg, kinds, horizon=horizon)
+    forecasts = heads.micro_forecast(out["mdn_weights"].data, out["mdn_means"].data,
+                                     out["mdn_sigmas"].data, dataset.norm)
     # every row shares the date's graph; row 0 carries the market-wide score
     score = float(out["risk_score"].data[0])
-    risk = heads.SystemicRiskOutput(
-        score=score, warning=bool(score >= cfg.warning_threshold),
-        contributions=out["contributions"].data[0].copy())
-    # bulletins are read-only: z becomes a constant length-1 history per asset
-    forecasts = heads.micro_forecast(ad.Tensor(out["z"].data[:, None, :]), horizon,
-                                     params, cfg, dataset.norm)
-    return heads.generate_bulletin(risk, forecasts,
+    return heads.generate_bulletin(score, score >= cfg.warning_threshold,
+                                   out["contributions"].data[0], forecasts,
                                    node_names(dataset.n_institutions))

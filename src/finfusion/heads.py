@@ -34,46 +34,6 @@ def _ndtr(x) -> np.ndarray:
 # domain types
 
 @dataclass
-class MicroForecast:
-    """Distributional return forecast k steps ahead."""
-
-    horizon: int
-    point: float
-    direction_probs: np.ndarray  # (3,) down, flat, up
-    weights: np.ndarray          # (K,)
-    means: np.ndarray            # (K,)
-    sigmas: np.ndarray           # (K,)
-
-    def __post_init__(self):
-        self.direction_probs = np.asarray(self.direction_probs, dtype=np.float64)
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.means = np.asarray(self.means, dtype=np.float64)
-        self.sigmas = np.asarray(self.sigmas, dtype=np.float64)
-        if self.horizon < 1:
-            raise ContractError("horizon must be >= 1")
-        if abs(self.direction_probs.sum() - 1.0) > 1e-6:
-            raise ContractError("direction probabilities must sum to 1")
-        if abs(self.weights.sum() - 1.0) > 1e-6:
-            raise ContractError("mixture weights must sum to 1")
-        if np.any(self.sigmas <= 0):
-            raise ContractError("mixture stdevs must be positive")
-
-
-@dataclass
-class SystemicRiskOutput:
-    """Market-wide risk score plus per-node contributions."""
-
-    score: float
-    warning: bool
-    contributions: np.ndarray
-
-    def __post_init__(self):
-        self.contributions = np.asarray(self.contributions, dtype=np.float64)
-        if not 0.0 <= self.score <= 1.0:
-            raise ContractError("risk score must lie in [0, 1]")
-
-
-@dataclass
 class PolicyBulletin:
     """Deterministic templated report; ``text`` is the rendered artifact."""
 
@@ -175,27 +135,27 @@ def mixture_direction_probs(weights: np.ndarray, means: np.ndarray,
     return np.stack([lo, hi - lo, 1.0 - hi], axis=-1)
 
 
-def micro_forecast(z_seq: Tensor, k: int, params: dict, cfg, norm: dict) -> list:
-    """One raw-unit ``MicroForecast`` per row of the (B, T, d) fused
-    histories ``z_seq``, k steps ahead.
+def micro_forecast(weights: np.ndarray, means: np.ndarray, sigmas: np.ndarray,
+                   norm: dict) -> dict:
+    """The (B, K) z-scored mixtures ``weights``, ``means`` and ``sigmas``
+    (the values of ``model.forward_batch``'s ``mdn_*``) in raw return units.
 
-    The decoder rolls every row at once (``micro_head_batch``). ``norm``
-    holds the label statistics ``y_mean`` and ``y_std``; the affine map back
-    to raw returns keeps the mixture's structure, and direction
-    probabilities are taken against the labels' band ``FLAT_BAND``.
+    ``norm`` holds the label statistics ``y_mean`` and ``y_std``; the affine
+    map back to raw returns keeps the mixture's structure. Returns ``point``
+    (B,), ``direction_probs`` (B, 3) (down, flat, up) against the labels'
+    band ``FLAT_BAND``, and the raw-unit ``weights``, ``means`` and
+    ``sigmas`` (B, K).
     """
-    weights, means, sigmas = micro_head_batch(z_seq, params, cfg, k)
-    # a forward-only path: its ops do not check, so check what it returns
-    ad.require_finite(np.stack((weights.data, means.data, sigmas.data)),
-                      "forecast mixture")
     y_std, y_mean = norm["y_std"], norm["y_mean"]
-    w = weights.data.copy()
-    raw_means, raw_sigmas = means.data * y_std + y_mean, sigmas.data * y_std
-    points = np.sum(w * means.data, axis=-1) * y_std + y_mean
-    probs = mixture_direction_probs(w, raw_means, raw_sigmas, FLAT_BAND)
-    return [MicroForecast(horizon=k, point=float(p), direction_probs=d,
-                          weights=wi, means=mi, sigmas=si)
-            for p, d, wi, mi, si in zip(points, probs, w, raw_means, raw_sigmas)]
+    raw_means, raw_sigmas = means * y_std + y_mean, sigmas * y_std
+    return {
+        "point": np.sum(weights * means, axis=-1) * y_std + y_mean,
+        "direction_probs": mixture_direction_probs(weights, raw_means, raw_sigmas,
+                                                   FLAT_BAND),
+        "weights": weights,
+        "means": raw_means,
+        "sigmas": raw_sigmas,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -357,40 +317,42 @@ def risk_band(score: float) -> str:
     return RISK_BANDS[2]
 
 
-def generate_bulletin(risk: SystemicRiskOutput, forecasts, node_names) -> PolicyBulletin:
-    """Render the fixed-template early-warning bulletin.
+def generate_bulletin(score: float, warning: bool, contributions: np.ndarray,
+                      forecasts: dict, node_names) -> PolicyBulletin:
+    """Render the fixed-template early-warning bulletin from the market-wide
+    risk ``score``, its ``warning`` flag, the (N,) per-node
+    ``contributions`` and the ``point`` (B,) and ``direction_probs`` (B, 3)
+    arrays of ``micro_forecast`` for B assets (B may be 0).
 
     Every number in the text is formatted from the model outputs with no
     rounding beyond the printed precision, so claims can be checked against
     the sources exactly.
     """
     names = list(node_names)
+    contributions = np.asarray(contributions, dtype=np.float64)
     if not names:
         raise ContractError("node name list is empty")
-    if len(names) != risk.contributions.size:
+    if len(names) != contributions.size:
         raise DimensionError("node names do not match contribution vector")
-    band = risk_band(risk.score)
-    order = sorted(range(len(names)),
-                   key=lambda i: (-risk.contributions[i], names[i]))
-    top = tuple((names[i], float(risk.contributions[i])) for i in order[:3])
-    dirs = [int(np.argmax(f.direction_probs)) for f in forecasts]
-    n_up = sum(1 for d in dirs if d == 2)
-    n_down = sum(1 for d in dirs if d == 0)
+    band = risk_band(score)
+    order = sorted(range(len(names)), key=lambda i: (-contributions[i], names[i]))
+    top = tuple((names[i], float(contributions[i])) for i in order[:3])
+    dirs = np.argmax(forecasts["direction_probs"], axis=-1)
+    n_up, n_down = int(np.sum(dirs == 2)), int(np.sum(dirs == 0))
     lines = [
         f"SYSTEMIC RISK BULLETIN - {band}",
-        f"risk score: {risk.score:.6f} (warning={'yes' if risk.warning else 'no'})",
+        f"risk score: {score:.6f} (warning={'yes' if warning else 'no'})",
         "top contributing institutions:",
     ]
     for rank, (name, c) in enumerate(top, start=1):
         lines.append(f"  {rank}. {name}: {c:.6f}")
     lines.append(f"micro outlook: {n_up} up / {n_down} down of {len(dirs)} assets")
-    if forecasts:
-        mean_point = float(np.mean([f.point for f in forecasts]))
-        lines.append(f"mean expected return: {mean_point:.6f}")
+    if len(dirs):
+        lines.append(f"mean expected return: {float(np.mean(forecasts['point'])):.6f}")
     return PolicyBulletin(
         text="\n".join(lines) + "\n",
         band=band,
-        score=risk.score,
+        score=float(score),
         top_nodes=top,
         n_up=n_up,
         n_down=n_down,

@@ -123,17 +123,20 @@ def embed_batch(batch: dict, params: dict, cfg, kinds, keep: np.ndarray) -> dict
 
 
 def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
-                  kinds=fus.MODALITIES, heads=("micro", "risk")) -> dict:
+                  kinds=fus.MODALITIES, heads=("micro", "risk"), horizon: int = 1) -> dict:
     """Run the encoders named in ``kinds``, fusion, and the task heads named in
     ``heads`` on one fully aligned batch; modalities outside ``kinds`` are
-    fused as absent from every row.
+    fused as absent from every row. This is the only way into the micro
+    head: its mixture is for the return ``horizon`` steps past each row's
+    date, rolled by ``heads.micro_head_batch`` from the fused state.
 
     ``batch`` carries numpy arrays: price (B, T, F), tokens (B, L) with
     tok_len (B,), macro (B, M), graph node features (B, N, Fg) and adjacency
     (B, N, N). Returns tensors keyed by stage for the loss functions: ``z``,
     ``embs`` (kind -> embedding of each encoded modality) and
-    ``fuse_weights`` always; ``mdn_*`` with the micro head, ``risk_score``
-    and ``contributions`` with the risk head.
+    ``fuse_weights`` always; the z-scored (B, K) mixture ``mdn_weights``,
+    ``mdn_means`` and ``mdn_sigmas`` with the micro head; ``risk_score`` and
+    ``contributions`` with the risk head.
 
     The ops inside do not check finiteness; the returned tensors are checked
     once here, so every caller gets finite outputs or a NumericalError.
@@ -145,7 +148,7 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
     out = {"z": z, "embs": embs, "fuse_weights": fuse_weights}
     if "micro" in heads:
         mixture = task_heads.micro_head_batch(
-            ad.reshape(z, (b, 1, cfg.d_model)), params, cfg, k=1)
+            ad.reshape(z, (b, 1, cfg.d_model)), params, cfg, k=horizon)
         out.update(zip(("mdn_weights", "mdn_means", "mdn_sigmas"), mixture))
     if "risk" in heads:
         out["risk_score"], out["contributions"] = task_heads.macro_risk_batch(

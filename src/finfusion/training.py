@@ -594,25 +594,34 @@ class TrainingRun:
 
         Stage optimizers and RNG streams are fresh per stage, so resuming at
         a stage boundary reproduces the uninterrupted run bit for bit.
+        SchemaError, naming the file, unless the checkpoint's seed, model
+        config, ``stage_epochs``, modalities and parameter shapes are the
+        run's and its ``completed`` is a list of the first stages in order.
         """
         params, mcfg, meta = load_params(path)
+
+        def reject(problem: str) -> SchemaError:
+            return SchemaError(f"{path}: {problem}")
+
+        for key in ("completed", "stage_epochs"):
+            if key not in meta:
+                raise reject(f"checkpoint meta has no {key}")
         if meta["seed"] != self.seed:
-            raise ContractError(
-                f"checkpoint seed {meta['seed']} != run seed {self.seed}")
+            raise reject(f"checkpoint seed {meta['seed']} != run seed {self.seed}")
         if mcfg != self.model_cfg:
-            raise SchemaError("checkpoint model config does not match the run")
-        if meta.get("stage_epochs") != dict(self.schedule.epochs):
-            raise SchemaError("checkpoint stage schedule does not match the run")
+            raise reject("checkpoint model config does not match the run")
+        if meta["stage_epochs"] != dict(self.schedule.epochs):
+            raise reject("checkpoint stage schedule does not match the run")
         if meta["modalities"] != self.modalities:
-            raise SchemaError("checkpoint modality set does not match the run")
-        completed = list(meta.get("completed", []))
-        if completed != list(STAGES[:len(completed)]):
-            raise ScheduleError(f"checkpoint stage history {completed} is invalid")
+            raise reject("checkpoint modality set does not match the run")
+        completed = meta["completed"]
+        if not isinstance(completed, list) or completed != list(STAGES[:len(completed)]):
+            raise reject(f"checkpoint stage history {completed!r} is invalid")
         if set(params) != set(self.params):
-            raise SchemaError("checkpoint parameter names do not match the model")
+            raise reject("checkpoint parameter names do not match the model")
         for n, t in params.items():
             if t.shape != self.params[n].shape:
-                raise SchemaError(f"checkpoint shape mismatch at {n}")
+                raise reject(f"checkpoint shape mismatch at {n}")
             self.params[n].data[...] = t.data
         self.completed = completed
 

@@ -244,6 +244,37 @@ def test_a_checkpoint_with_bad_meta_modalities_or_seed_exits_5_naming_the_file(
     assert not (tmp_path / "out").exists()
 
 
+# stage-checkpoint metas that disagree with the run or with their file name
+_BAD_RESUME_META = {
+    "completed-missing": ("completed", _MISSING),
+    "completed-one-stage": ("completed", ["unimodal-pretrain"]),
+    "completed-string": ("completed", "x"),
+    "seed-other": ("seed", 1),
+    "stage_epochs-missing": ("stage_epochs", _MISSING),
+}
+
+
+@pytest.mark.parametrize("defect", list(_BAD_RESUME_META))
+def test_train_resume_with_bad_stage_meta_exits_5_naming_the_file(work, tmp_path,
+                                                                  capsys, defect):
+    key, value = _BAD_RESUME_META[defect]
+    seed_dir = tmp_path / "resumed" / "seed_0"
+    os.makedirs(seed_dir)
+    name = "stage_1_multimodal-align.bin"
+    params, meta = tr.load_checkpoint(str(work["run"] / "seed_0" / name))
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    bad = seed_dir / name
+    tr.save_checkpoint(str(bad), params, meta=meta)
+    rc = cli.main(["train", "--config", work["cfg"], "--data", work["data"],
+                   "--out", str(tmp_path / "resumed"), "--resume"])
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line.startswith(f"error: {bad}: ")
+    assert not (seed_dir / "checkpoint.bin").exists()
+
+
 def test_train_resumes_a_stage_checkpoint_with_retired_model_keys(work, tmp_path, capsys):
     # stage checkpoints saved while the model config still carried the
     # policy width and the direction band
@@ -454,6 +485,37 @@ def _break_dataset(src, dst, defect):
     dst.write_text("".join(lines), encoding="utf-8")
 
 
+# header sizes far beyond what any file holds: the loader must reject each
+# before it allocates an array of that size
+_HUGE = 10 ** 12
+_HUGE_HEADERS = {
+    "n_steps": (("config", "n_steps"),
+                f"170 date records, the header declares n_steps {_HUGE}"),
+    "window": (("config", "window"), "window must be an integer in [1, 170]"),
+    "seq_len": (("seq_len",), f"seq_len {_HUGE} != {dp.TOKEN_LEN}"),
+}
+
+
+@pytest.mark.parametrize("field", list(_HUGE_HEADERS))
+def test_a_dataset_header_size_beyond_the_file_exits_5(work, tmp_path, capsys, field):
+    path, message = _HUGE_HEADERS[field]
+    lines = (work["data_dir"] / "dataset.jsonl").read_text(
+        encoding="utf-8").splitlines(keepends=True)
+    meta = json.loads(lines[0])
+    target = meta
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = _HUGE
+    lines[0] = json.dumps(meta, sort_keys=True) + "\n"
+    bad = tmp_path / "dataset.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    (tmp_path / "dataset.bin").write_bytes((work["data_dir"] / "dataset.bin").read_bytes())
+    rc = cli.main(["eval", "--checkpoint", work["ckpt"], "--data", str(bad)])
+    line = _assert_one_line_schema_error(rc, capsys)
+    assert line.startswith(f"error: {bad}")
+    assert message in line
+
+
 @pytest.mark.parametrize("command", ["forecast", "report"])
 @pytest.mark.parametrize("defect", list(_DATASET_DEFECTS))
 def test_dataset_breaking_an_invariant_is_schema_error(work, tmp_path, capsys,
@@ -611,13 +673,13 @@ def test_report_deterministic_text(work, capsys):
 @pytest.mark.parametrize("command", ["forecast", "report"])
 def test_a_query_rolls_the_decoder_once(work, capsys, monkeypatch, command):
     calls = []
-    original = heads.micro_forecast
+    original = heads.micro_head_batch
 
-    def counted(z_seq, *args, **kwargs):
-        calls.append(z_seq.shape)
-        return original(z_seq, *args, **kwargs)
+    def counted(z_seq, params, cfg, k):
+        calls.append((z_seq.shape, k))
+        return original(z_seq, params, cfg, k)
 
-    monkeypatch.setattr(heads, "micro_forecast", counted)
+    monkeypatch.setattr(heads, "micro_head_batch", counted)
     argv = [command, "--checkpoint", work["ckpt"], "--data", work["data"],
             "--date", "100", "--horizon", "3"]
     if command == "forecast":
@@ -626,7 +688,7 @@ def test_a_query_rolls_the_decoder_once(work, capsys, monkeypatch, command):
     capsys.readouterr()
     # report forecasts every asset in one call; TINY has 2 assets
     rows = 2 if command == "report" else 1
-    assert calls == [(rows, 1, TINY["model.d_model"])]
+    assert calls == [((rows, 1, TINY["model.d_model"]), 3)]
 
 
 def test_forecast_bisects_its_quantiles_once(work, capsys, monkeypatch):

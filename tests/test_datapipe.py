@@ -93,6 +93,8 @@ def test_ohlcv_consistent_by_construction():
 def test_config_validation():
     with pytest.raises(ContractError):
         dp.SyntheticConfig(crisis_rate=1.5)
+    with pytest.raises(ContractError, match="window"):
+        dp.SyntheticConfig(n_steps=50, window=51)
     with pytest.raises(ContractError):
         dp.SyntheticConfig(n_assets=0)
     with pytest.raises(ContractError):

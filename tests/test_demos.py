@@ -15,9 +15,11 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# 07 is the one program that rolls out both kinds of env: its toy world is
-# stepped, and its DatasetEnv is rolled out as arrays
+# 04 and 05 are the programs that run the forecast and bulletin queries; 07
+# is the one that rolls out both kinds of env: its toy world is stepped, and
+# its DatasetEnv is rolled out as arrays
 @pytest.mark.parametrize("name", ["01_synthetic_world", "02_autodiff",
+                                  "04_forecasting", "05_systemic_risk",
                                   "06_staged_training", "07_risk_aware_rl"])
 def test_demo_exits_0(name, tmp_path):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",

@@ -33,21 +33,29 @@ def setup():
 UNIT_NORM = {"y_mean": 0.0, "y_std": 1.0}
 
 
+def _forecast(hist, k, params, cfg, norm) -> dict:
+    """``micro_forecast`` of the decoder's k-step mixture for the (B, T, d)
+    histories ``hist``."""
+    w, m, s = heads.micro_head_batch(Tensor(hist), params, cfg, k)
+    return heads.micro_forecast(w.data, m.data, s.data, norm)
+
+
 def test_single_component_point_equals_mean():
     cfg = tiny_cfg(mdn_components=1)
     params = init_model_params(cfg, np.random.default_rng(0))
-    hist = Tensor(np.random.default_rng(1).normal(size=(1, 2, cfg.d_model)))
-    [f] = heads.micro_forecast(hist, 1, params, cfg, UNIT_NORM)
-    assert f.weights.shape == (1,)
-    assert f.point == pytest.approx(f.means[0], abs=1e-12)
+    hist = np.random.default_rng(1).normal(size=(1, 2, cfg.d_model))
+    f = _forecast(hist, 1, params, cfg, UNIT_NORM)
+    assert f["weights"].shape == (1, 1)
+    assert f["point"][0] == pytest.approx(f["means"][0, 0], abs=1e-12)
 
 
 def test_direction_probs_sum_to_one(setup):
     cfg, params = setup
-    hist = Tensor(np.random.default_rng(2).normal(size=(1, 3, cfg.d_model)))
-    [f] = heads.micro_forecast(hist, 1, params, cfg, UNIT_NORM)
-    assert f.direction_probs.sum() == pytest.approx(1.0, abs=1e-9)
-    assert np.all(f.direction_probs >= 0)
+    hist = np.random.default_rng(2).normal(size=(1, 3, cfg.d_model))
+    f = _forecast(hist, 1, params, cfg, UNIT_NORM)
+    assert f["direction_probs"].shape == (1, 3)
+    assert f["direction_probs"][0].sum() == pytest.approx(1.0, abs=1e-9)
+    assert np.all(f["direction_probs"] >= 0)
 
 
 def test_direction_probs_of_a_batch_equal_each_row():
@@ -73,26 +81,25 @@ def test_two_step_roll_equals_manual_feedback(setup):
     cfg, params = setup
     rng = np.random.default_rng(3)
     hist = rng.normal(size=(1, 2, cfg.d_model))
-    [f2] = heads.micro_forecast(Tensor(hist), 2, params, cfg, UNIT_NORM)
+    f2 = _forecast(hist, 2, params, cfg, UNIT_NORM)
     # manual roll: forecast once, embed the point value, append, forecast again
-    [f1] = heads.micro_forecast(Tensor(hist), 1, params, cfg, UNIT_NORM)
+    f1 = _forecast(hist, 1, params, cfg, UNIT_NORM)
     fb_w = params["micro.feedback.w"].data
     fb_b = params["micro.feedback.b"].data
-    pseudo = np.array([f1.point]) @ fb_w + fb_b
+    pseudo = f1["point"] @ fb_w + fb_b
     extended = np.concatenate([hist, pseudo[None, None, :]], axis=1)
-    [f2_manual] = heads.micro_forecast(Tensor(extended), 1, params, cfg, UNIT_NORM)
-    assert f2.point == pytest.approx(f2_manual.point, abs=1e-12)
-    assert np.allclose(f2.means, f2_manual.means, atol=1e-12)
+    f2_manual = _forecast(extended, 1, params, cfg, UNIT_NORM)
+    assert f2["point"][0] == pytest.approx(f2_manual["point"][0], abs=1e-12)
+    assert np.allclose(f2["means"], f2_manual["means"], atol=1e-12)
 
 
 def test_horizon_validation(setup):
     cfg, params = setup
-    hist = Tensor(np.zeros((1, 1, cfg.d_model)))
+    hist = np.zeros((1, 1, cfg.d_model))
     with pytest.raises(ContractError):
-        heads.micro_forecast(hist, 0, params, cfg, UNIT_NORM)
+        _forecast(hist, 0, params, cfg, UNIT_NORM)
     with pytest.raises(DegenerateInputError):
-        heads.micro_forecast(Tensor(np.zeros((1, 0, cfg.d_model))), 1, params, cfg,
-                             UNIT_NORM)
+        _forecast(np.zeros((1, 0, cfg.d_model)), 1, params, cfg, UNIT_NORM)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -100,14 +107,12 @@ def test_batched_forecast_equals_one_row_calls(setup, k):
     cfg, params = setup
     hist = np.random.default_rng(10 + k).normal(size=(4, 3, cfg.d_model))
     norm = {"y_mean": 0.002, "y_std": 0.013}
-    batched = heads.micro_forecast(Tensor(hist), k, params, cfg, norm)
-    assert len(batched) == len(hist)
-    for row, fb in zip(hist, batched):
-        [fr] = heads.micro_forecast(Tensor(row[None]), k, params, cfg, norm)
-        assert fb.horizon == fr.horizon == k
-        assert fb.point == pytest.approx(fr.point, rel=1e-12, abs=1e-15)
-        for name in ("direction_probs", "weights", "means", "sigmas"):
-            np.testing.assert_allclose(getattr(fb, name), getattr(fr, name),
+    batched = _forecast(hist, k, params, cfg, norm)
+    assert batched["point"].shape == (len(hist),)
+    for i, row in enumerate(hist):
+        fr = _forecast(row[None], k, params, cfg, norm)
+        for name in ("point", "direction_probs", "weights", "means", "sigmas"):
+            np.testing.assert_allclose(batched[name][i], fr[name][0],
                                        rtol=1e-12, atol=1e-15)
 
 
@@ -116,20 +121,20 @@ def test_forecast_is_in_raw_return_units(setup):
     # mixture: it keeps the weights and recomputes direction probabilities
     # against the raw-unit flat band
     cfg, params = setup
-    hist = Tensor(np.random.default_rng(6).normal(size=(2, 2, cfg.d_model)))
+    hist = np.random.default_rng(6).normal(size=(2, 2, cfg.d_model))
     norm = {"y_mean": 0.002, "y_std": 0.013}
-    unit = heads.micro_forecast(hist, 3, params, cfg, UNIT_NORM)
-    raw = heads.micro_forecast(hist, 3, params, cfg, norm)
-    for fu, fr in zip(unit, raw):
-        means = fu.means * norm["y_std"] + norm["y_mean"]
-        sigmas = fu.sigmas * norm["y_std"]
-        assert fr.point == fu.point * norm["y_std"] + norm["y_mean"]
-        assert fr.weights.tobytes() == fu.weights.tobytes()
-        assert fr.means.tobytes() == means.tobytes()
-        assert fr.sigmas.tobytes() == sigmas.tobytes()
-        expected = heads.mixture_direction_probs(fu.weights, means, sigmas,
-                                                 dp.FLAT_BAND)
-        assert fr.direction_probs.tobytes() == expected.tobytes()
+    unit = _forecast(hist, 3, params, cfg, UNIT_NORM)
+    raw = _forecast(hist, 3, params, cfg, norm)
+    means = unit["means"] * norm["y_std"] + norm["y_mean"]
+    sigmas = unit["sigmas"] * norm["y_std"]
+    assert raw["point"].tobytes() == (unit["point"] * norm["y_std"]
+                                      + norm["y_mean"]).tobytes()
+    assert raw["weights"].tobytes() == unit["weights"].tobytes()
+    assert raw["means"].tobytes() == means.tobytes()
+    assert raw["sigmas"].tobytes() == sigmas.tobytes()
+    expected = heads.mixture_direction_probs(unit["weights"], means, sigmas,
+                                             dp.FLAT_BAND)
+    assert raw["direction_probs"].tobytes() == expected.tobytes()
 
 
 def test_micro_head_batch_gradients(setup):
@@ -441,8 +446,6 @@ def test_risk_score_range_and_warning(setup):
 
 
 def test_risk_warning_thresholding():
-    out = heads.SystemicRiskOutput(score=0.7, warning=True, contributions=np.zeros(3))
-    assert out.warning
     ds = dp.build_dataset(dp.SyntheticConfig(
         n_steps=170, n_assets=1, n_institutions=3, seed=5))
     cfg = tiny_cfg(price_features=12, graph_features=len(dp.GRAPH_FEATURE_NAMES),
@@ -514,16 +517,16 @@ def test_risk_gradients(setup):
 # ---------------------------------------------------------------------------
 # bulletins
 
-def _forecast(point, up=True):
-    probs = [0.1, 0.2, 0.7] if up else [0.7, 0.2, 0.1]
-    return heads.MicroForecast(
-        horizon=1, point=point, direction_probs=probs,
-        weights=[1.0], means=[point], sigmas=[0.1])
+def _forecasts(*rows) -> dict:
+    """``micro_forecast``-shaped arrays with one asset per (point, up) row."""
+    probs = [[0.1, 0.2, 0.7] if up else [0.7, 0.2, 0.1] for _, up in rows]
+    return {"point": np.array([point for point, _ in rows], dtype=np.float64),
+            "direction_probs": np.array(probs, dtype=np.float64).reshape(-1, 3)}
 
 
 def test_bulletin_high_band():
-    risk = heads.SystemicRiskOutput(0.9, True, np.array([0.5, 0.6]))
-    b = heads.generate_bulletin(risk, [_forecast(0.01)], ["bank_a", "bank_b"])
+    b = heads.generate_bulletin(0.9, True, np.array([0.5, 0.6]),
+                                _forecasts((0.01, True)), ["bank_a", "bank_b"])
     assert "HIGH" in b.text.splitlines()[0]
     assert b.band == "HIGH"
 
@@ -535,20 +538,19 @@ def test_bulletin_band_terciles():
 
 
 def test_bulletin_deterministic():
-    risk = heads.SystemicRiskOutput(0.42, False, np.array([0.1, 0.9, 0.5]))
-    fs = [_forecast(0.01), _forecast(-0.02, up=False)]
+    contribs = np.array([0.1, 0.9, 0.5])
+    fs = _forecasts((0.01, True), (-0.02, False))
     names = ["a", "b", "c"]
-    t1 = heads.generate_bulletin(risk, fs, names).text
-    t2 = heads.generate_bulletin(risk, fs, names).text
+    t1 = heads.generate_bulletin(0.42, False, contribs, fs, names).text
+    t2 = heads.generate_bulletin(0.42, False, contribs, fs, names).text
     assert t1 == t2
 
 
 def test_bulletin_top3_descending():
     rng = np.random.default_rng(13)
     contribs = rng.uniform(size=6)
-    risk = heads.SystemicRiskOutput(0.5, False, contribs)
     names = [f"inst_{i}" for i in range(6)]
-    b = heads.generate_bulletin(risk, [], names)
+    b = heads.generate_bulletin(0.5, False, contribs, _forecasts(), names)
     expect = sorted(zip(names, contribs), key=lambda p: -p[1])[:3]
     assert [n for n, _ in b.top_nodes] == [n for n, _ in expect]
     vals = [v for _, v in b.top_nodes]
@@ -556,24 +558,21 @@ def test_bulletin_top3_descending():
 
 
 def test_bulletin_numbers_roundtrip():
-    risk = heads.SystemicRiskOutput(0.654321, True, np.array([0.25, 0.75]))
-    fs = [_forecast(0.0123)]
-    b = heads.generate_bulletin(risk, fs, ["x", "y"])
-    assert f"{risk.score:.6f}" in b.text
+    b = heads.generate_bulletin(0.654321, True, np.array([0.25, 0.75]),
+                                _forecasts((0.0123, True)), ["x", "y"])
+    assert f"{0.654321:.6f}" in b.text
     assert f"{0.75:.6f}" in b.text
     assert f"{0.0123:.6f}" in b.text
 
 
 def test_bulletin_outlook_counts():
-    risk = heads.SystemicRiskOutput(0.2, False, np.array([0.5]))
-    fs = [_forecast(0.01), _forecast(0.02), _forecast(-0.01, up=False)]
-    b = heads.generate_bulletin(risk, fs, ["n"])
+    fs = _forecasts((0.01, True), (0.02, True), (-0.01, False))
+    b = heads.generate_bulletin(0.2, False, np.array([0.5]), fs, ["n"])
     assert b.n_up == 2
     assert b.n_down == 1
     assert "2 up / 1 down of 3 assets" in b.text
 
 
 def test_bulletin_empty_nodes_rejected():
-    risk = heads.SystemicRiskOutput(0.2, False, np.array([]))
     with pytest.raises(ContractError):
-        heads.generate_bulletin(risk, [], [])
+        heads.generate_bulletin(0.2, False, np.array([]), _forecasts(), [])

@@ -6,6 +6,7 @@ import pytest
 from finfusion import datapipe as dp
 from finfusion import encoders as enc
 from finfusion import fusion as fus
+from finfusion import heads as task_heads
 from finfusion import model as fm
 from finfusion.autodiff import Tensor
 from finfusion.errors import ConfigError, NumericalError
@@ -62,6 +63,22 @@ def test_forward_batch_head_subset_matches_default(world, heads):
     assert list(part["embs"]) == list(fus.MODALITIES)
     for kind, emb in part["embs"].items():
         assert _bytes(emb) == _bytes(full["embs"][kind]), kind
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 4, 5])
+def test_forward_batch_horizon_rolls_the_micro_head_from_z(world, horizon):
+    # the mixture for the return `horizon` steps ahead is the decoder rolled
+    # from each row's fused state as a length-1 history
+    batch, mcfg, params, _ = world
+    out = fm.forward_batch(batch, params, mcfg, heads=("micro",), horizon=horizon)
+    z = out["z"].data
+    want = task_heads.micro_head_batch(Tensor(z[:, None, :]), params, mcfg, horizon)
+    for key, w in zip(HEAD_KEYS["micro"], want):
+        assert out[key].data.tobytes() == w.data.tobytes(), key
+    if horizon == 1:
+        default = fm.forward_batch(batch, params, mcfg, heads=("micro",))
+        for key in HEAD_KEYS["micro"]:
+            assert out[key].data.tobytes() == default[key].data.tobytes(), key
 
 
 def test_adjacency_view_gives_the_same_bits_as_a_copy(world):

@@ -899,12 +899,15 @@ def test_resume_rejects_mismatched_run(world, tmp_path):
     run = _run(world, _schedule(1, 0, 0, 0), seed=5)
     path = str(tmp_path / "ck.bin")
     run.save(path)
+    # each rejection is a SchemaError that names the file
     other_seed = _run(world, _schedule(1, 0, 0, 0), seed=6)
-    with pytest.raises(ContractError):
+    with pytest.raises(SchemaError, match="checkpoint seed 5 != run seed 6") as seed_err:
         other_seed.resume_from(path)
     other_sched = _run(world, _schedule(2, 0, 0, 0), seed=5)
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="stage schedule") as sched_err:
         other_sched.resume_from(path)
+    for err in (seed_err, sched_err):
+        assert str(err.value).startswith(f"{path}: ")
 
 
 @pytest.mark.parametrize("stage, prefix", [
