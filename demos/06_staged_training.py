@@ -32,7 +32,8 @@ print("steps 0/3/5/20/39/60:", " ".join(f"{v:.2e}" for v in lrs))
 
 print("\n== run A: all four stages ==")
 run_a = tr.TrainingRun(ds, mcfg, tcfg, schedule=sched, seed=0)
-ckpt = os.path.join(tempfile.mkdtemp(), "boundary.bin")
+tmp = tempfile.TemporaryDirectory()
+ckpt = os.path.join(tmp.name, "boundary.bin")
 for stage in tr.STAGES:
     rep = run_a.run_stage(stage)
     tot = rep.losses["total"]
@@ -71,6 +72,7 @@ try:
     run_c.resume_from(ckpt)
 except tr.SchemaError as e:  # the message names the temporary file first
     print("\nseed mismatch rejected:", str(e).removeprefix(f"{ckpt}: "))
+tmp.cleanup()
 try:
     tr.TrainingRun(ds, mcfg, tcfg, schedule=sched, seed=0).run_stage("rl-finetune")
 except tr.ScheduleError as e:

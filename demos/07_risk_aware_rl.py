@@ -125,9 +125,10 @@ for source in ("truth", "model"):
     print(f"r_sys_source={source:5s}: mean stress charge/step {pen:.4f}  "
           f"profit/episode {prof:+.4f}")
 
-path = os.path.join(tempfile.mkdtemp(), "traces.jsonl")
-rl.export_traces(trajs, path, cfg)
-with open(path) as fh:
-    first = json.loads(fh.readline())
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "traces.jsonl")
+    rl.export_traces(trajs, path, cfg)
+    with open(path) as fh:
+        first = json.loads(fh.readline())
 print(f"\nexported {len(trajs)} episodes to JSONL; record keys {sorted(first)}")
 print("first step of episode 0:", first["steps"][0])

@@ -19,6 +19,13 @@ training step its loss and gradients, forward-only passes their outputs.
 Two fused ops, each one tape op with a hand-written backward, cover what
 every layer repeats: ``linear`` (``x @ w + b``) and ``attention`` (head
 split, scaled scores, mask, softmax, ``attn @ v`` and head merge).
+
+The fused kernels (``linear``, ``attention``, ``layer_norm``, ``softmax``)
+build their temporaries in place, but only in arrays they have just
+allocated. No kernel writes into its inputs or into the adjoint ``g`` its
+backward receives: ``add`` hands one ``g`` to both parents. Each performs
+the same float operations in the same order as the plain expression it
+replaces, so the in-place form changes no bit.
 """
 
 from __future__ import annotations
@@ -430,7 +437,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     n = w.shape[1] if w.ndim == 2 else 1
     if w.ndim not in (1, 2) or x.shape[-1:] != w.shape[:1] or b.ndim > 1 or b.size != n:
         raise DimensionError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
-    out = np.matmul(x.data, w.data) + b.data
+    # keep the stacked matmul: one flattened 2-D gemm takes another BLAS
+    # path for T = 1 rows and moves their bits
+    out = np.matmul(x.data, w.data)
+    out += b.data
 
     def bwd(g):
         g2, w2 = g.reshape(-1, n), w.data.reshape(-1, n)
@@ -474,7 +484,7 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gg = g
         if not keepdims:
             gg = np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.shape).copy() / count,)
+        return (np.divide(np.broadcast_to(gg, a.shape), count),)
 
     return custom_op(out, (a,), bwd)
 
@@ -499,13 +509,14 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax along ``axis``; slices sum to 1."""
     ax = axis % a.ndim
-    shifted = a.data - a.data.max(axis=ax, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=ax, keepdims=True)
+    out = a.data - a.data.max(axis=ax, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=ax, keepdims=True)
 
     def bwd(g):
-        inner = (g * out).sum(axis=ax, keepdims=True)
-        return (out * (g - inner),)
+        ga = g - (g * out).sum(axis=ax, keepdims=True)
+        ga *= out
+        return (ga,)
 
     return custom_op(out, (a,), bwd)
 
@@ -532,16 +543,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         return a.transpose(0, 2, 1, 3).reshape(b, t, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    # the scores buffer becomes the softmax weights in place
+    attn = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    attn *= scale
     if keep is not None:
-        scores = scores + np.where(np.broadcast_to(keep, scores.shape), 0.0, _EPS_MASK)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+        attn += np.where(keep, 0.0, _EPS_MASK)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
 
     def bwd(g):
         gh = split(g)
-        ga = np.matmul(gh, vh.transpose(0, 1, 3, 2))
-        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
+        # gs = attn * (ga - sum(ga * attn)) * scale, built in the ga buffer
+        gs = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= scale
         gk = np.matmul(qh.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
         gv = np.matmul(attn.transpose(0, 1, 3, 2), gh)
         return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
@@ -555,20 +572,25 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     d = x.shape[-1]
     if d < 1:
         raise DimensionError("layer_norm needs a nonempty last dimension")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = xhat * gain.data + bias.data
+    # var is np.var's own sequence (centre, square, sum, divide), run on the
+    # one centred array that then becomes xhat
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = np.square(xhat)
+    inv = 1.0 / np.sqrt(out.sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def bwd(g):
-        gg = g * gain.data
-        m1 = gg.mean(axis=-1, keepdims=True)
-        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
-        gx = inv * (gg - m1 - xhat * m2)
-        ggain = _unbroadcast(g * xhat, gain.shape)
-        gbias = _unbroadcast(g, bias.shape)
-        return gx, ggain, gbias
+        # gx = inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gain
+        gx = g * gain.data
+        tmp = gx * xhat
+        m2 = tmp.mean(axis=-1, keepdims=True)
+        gx -= gx.mean(axis=-1, keepdims=True)
+        gx -= np.multiply(xhat, m2, out=tmp)
+        gx *= inv
+        ggain = _unbroadcast(np.multiply(g, xhat, out=tmp), gain.shape)
+        return gx, ggain, _unbroadcast(g, bias.shape)
 
     return custom_op(out, (x, gain, bias), bwd)
 

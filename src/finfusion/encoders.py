@@ -9,6 +9,8 @@ decoder, and the graph-attention layer by the systemic-risk head.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -106,8 +108,10 @@ def init_graph_params(cfg, rng: np.random.Generator) -> dict:
 # ---------------------------------------------------------------------------
 # transformer building blocks
 
+@functools.lru_cache(maxsize=64)
 def sinusoidal_positions(t: int, d: int) -> np.ndarray:
-    """Classic sin/cos position table, shape (t, d)."""
+    """Classic sin/cos position table, shape (t, d). Built once per (t, d)
+    and shared by every caller, so it is returned read-only."""
     pos = np.arange(t)[:, None]
     half = (d + 1) // 2
     freq = np.exp(-np.log(10000.0) * (2 * np.arange(half)) / d)
@@ -115,6 +119,7 @@ def sinusoidal_positions(t: int, d: int) -> np.ndarray:
     pe = np.zeros((t, d))
     pe[:, 0::2] = np.sin(angles)
     pe[:, 1::2] = np.cos(angles)[:, : d // 2]
+    pe.flags.writeable = False
     return pe
 
 

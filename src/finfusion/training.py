@@ -404,14 +404,20 @@ class TrainingRun:
         self._stage_seed = dict(zip(STAGES, children[1:]))
         self.completed: list = []
         self.reports: list = []
+        self._subsets: dict = {}
 
     # ------------------------------------------------------------------
     # single optimization steps
 
     def _subset(self, kinds, extra):
-        """Names of the leaves a step moves."""
-        prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + tuple(extra)
-        return sorted(model_mod.param_subset(self.params, prefixes))
+        """Sorted names of the leaves a step moves, worked out once per run
+        for each ``(kinds, extra)``: the leaf names never change."""
+        names = self._subsets.get((kinds, extra))
+        if names is None:
+            prefixes = tuple(_KIND_PREFIX[k] for k in kinds) + extra
+            names = tuple(sorted(model_mod.param_subset(self.params, prefixes)))
+            self._subsets[kinds, extra] = names
+        return names
 
     def _align_term(self, embs):
         """Mean alignment loss over the configured pairs present in ``embs``;

@@ -616,3 +616,186 @@ def test_attention_rejects_bad_shapes():
         ad.attention(x, x, x, 4)
     with pytest.raises(DimensionError):
         ad.attention(x, Tensor(np.ones((2, 4, 6))), x, 2)
+
+
+# ---------------------------------------------------------------------------
+# the in-place kernels against their out-of-place reference forms
+#
+# Each reference computes its kernel out of place, with a fresh array for
+# every intermediate and the same float operations in the same order. The
+# in-place kernels must match them bit for bit.
+
+def _ref_linear(x, w, b):
+    n = w.shape[1] if w.ndim == 2 else 1
+    out = np.matmul(x.data, w.data) + b.data
+
+    def bwd(g):
+        g2, w2 = g.reshape(-1, n), w.data.reshape(-1, n)
+        gx = (g2 @ w2.T).reshape(x.shape) if x.requires_grad else None
+        gw = x.data.reshape(-1, w2.shape[0]).T @ g2
+        return gx, gw.reshape(w.shape), g2.sum(axis=0).reshape(b.shape)
+
+    return ad.custom_op(out, (x, w, b), bwd)
+
+
+def _ref_attention(q, k, v, n_heads, keep):
+    b, t, d = q.shape
+    scale = 1.0 / np.sqrt(d // n_heads)
+
+    def split(a):
+        return a.reshape(b, t, n_heads, -1).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale
+    if keep is not None:
+        scores = scores + np.where(np.broadcast_to(keep, scores.shape), 0.0, -1e9)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = split(g)
+        ga = np.matmul(gh, vh.transpose(0, 1, 3, 2))
+        gs = attn * (ga - (ga * attn).sum(axis=-1, keepdims=True)) * scale
+        gk = np.matmul(qh.transpose(0, 1, 3, 2), gs).transpose(0, 1, 3, 2)
+        gv = np.matmul(attn.transpose(0, 1, 3, 2), gh)
+        return merge(np.matmul(gs, kh)), merge(gk), merge(gv)
+
+    return ad.custom_op(merge(np.matmul(attn, vh)), (q, k, v), bwd)
+
+
+def _ref_layer_norm(x, gain, bias, eps=1e-5):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    var = x.data.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x.data - mu) * inv
+    out = xhat * gain.data + bias.data
+
+    def bwd(g):
+        gg = g * gain.data
+        m1 = gg.mean(axis=-1, keepdims=True)
+        m2 = (gg * xhat).mean(axis=-1, keepdims=True)
+        gx = inv * (gg - m1 - xhat * m2)
+        ggain = ad._unbroadcast(g * xhat, gain.shape)
+        gbias = ad._unbroadcast(g, bias.shape)
+        return gx, ggain, gbias
+
+    return ad.custom_op(out, (x, gain, bias), bwd)
+
+
+def _ref_softmax(a, axis=-1):
+    ax = axis % a.ndim
+    shifted = a.data - a.data.max(axis=ax, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=ax, keepdims=True)
+
+    def bwd(g):
+        inner = (g * out).sum(axis=ax, keepdims=True)
+        return (out * (g - inner),)
+
+    return ad.custom_op(out, (a,), bwd)
+
+
+def _ref_reduce_mean(a, axis=None, keepdims=False):
+    axes = tuple(range(a.ndim)) if axis is None else \
+        tuple(ax % a.ndim for ax in np.atleast_1d(axis))
+    count = int(np.prod([a.shape[ax] for ax in axes]))
+    out = a.data.mean(axis=axes, keepdims=keepdims)
+
+    def bwd(g):
+        gg = g if keepdims else np.expand_dims(g, axes)
+        return (np.broadcast_to(gg, a.shape).copy() / count,)
+
+    return ad.custom_op(out, (a,), bwd)
+
+
+def _kernel_cases():
+    """(id, kernel, reference, input shapes) for every rewritten kernel."""
+    cases = [(f"linear-{x}x{w}", ad.linear, _ref_linear, (x, w, b))
+             for x, w, b in [((3, 4, 5), (5, 6), (6,)), ((3, 1, 5), (5, 6), (6,)),
+                             ((4, 5), (5, 6), (6,)), ((3, 4, 5), (5,), (1,))]]
+    for mask in sorted(_MASKS):
+        for t in (1, 5):
+            keep = _MASKS[mask](3, t)
+            if keep is not None and t == 1:
+                keep = np.ones_like(keep)
+            cases.append((f"attention-{mask}-t{t}",
+                          lambda q, k, v, keep=keep: ad.attention(q, k, v, 2, keep),
+                          lambda q, k, v, keep=keep: _ref_attention(q, k, v, 2, keep),
+                          ((3, t, 8),) * 3))
+    for x in [(3, 5, 8), (4, 6), (7,)]:
+        cases.append((f"layer_norm-{x}", layer_norm, _ref_layer_norm,
+                      (x, x[-1:], x[-1:])))
+    for axis in (-1, 0, 1):
+        cases.append((f"softmax-axis{axis}", lambda a, axis=axis: softmax(a, axis),
+                      lambda a, axis=axis: _ref_softmax(a, axis), ((3, 4, 5),)))
+    for axis, keepdims in [(None, False), (1, False), (-1, True), ((0, 2), False)]:
+        cases.append((f"reduce_mean-{axis}-{keepdims}",
+                      lambda a, axis=axis, kd=keepdims: reduce_mean(a, axis, kd),
+                      lambda a, axis=axis, kd=keepdims: _ref_reduce_mean(a, axis, kd),
+                      ((3, 4, 5),)))
+    return cases
+
+
+_KERNELS = {name: case for name, *case in _kernel_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_equals_its_out_of_place_reference_bit_for_bit(name):
+    kernel, reference, shapes = _KERNELS[name]
+    rng = np.random.default_rng(24)
+    arrays = [rng.normal(size=s) for s in shapes]
+    coeffs = rng.normal(size=reference(*map(Tensor, arrays)).shape)
+    got = _value_and_grads(kernel, arrays, coeffs)
+    want = _value_and_grads(reference, arrays, coeffs)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_kernel_writes_into_neither_its_inputs_nor_its_adjoint(name):
+    kernel, _, shapes = _KERNELS[name]
+    rng = np.random.default_rng(25)
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    inputs = [t.data.copy() for t in leaves]
+    with Tape() as tape:
+        out = kernel(*leaves)
+    value = out.data.copy()
+    g = rng.normal(size=out.shape)
+    g_before = g.copy()
+    first = tape.ops[-1].backward_fn(g)
+    # a second backward from the same saved state gives the same bytes, so
+    # the first wrote into nothing the op keeps
+    second = tape.ops[-1].backward_fn(g)
+    assert g.tobytes() == g_before.tobytes()
+    assert out.data.tobytes() == value.tobytes()
+    for t, before in zip(leaves, inputs):
+        assert t.data.tobytes() == before.tobytes()
+    for a, b in zip(first, second):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+def test_residual_graph_with_shared_adjoints_matches_finite_differences():
+    # each add hands one adjoint array to both parents, and the parent made
+    # last runs its backward first: a kernel that wrote into that array
+    # would corrupt its sibling's gradient
+    rng = np.random.default_rng(26)
+    x = Tensor(rng.normal(size=(2, 4, 8)), requires_grad=True)
+    gain = Tensor(rng.normal(size=8) + 1.0)
+    bias = Tensor(rng.normal(size=8))
+    coeffs = Tensor(rng.normal(size=(2, 4, 8)))
+    causal = np.tril(np.ones((4, 4), dtype=bool))
+
+    def f(t):
+        h = layer_norm(t, gain, bias)
+        h = ad.add(h, ad.attention(h, h, h, 2, causal))
+        h = ad.add(ad.attention(h, h, h, 2), layer_norm(h, gain, bias))
+        h = ad.add(layer_norm(h, gain, bias), ad.attention(h, h, h, 2, causal))
+        h = ad.add(h, softmax(h, axis=-1))
+        return reduce_sum(reduce_mean(ad.add(h, h) * coeffs, axis=1))
+
+    assert grad_check(f, x) < 1e-6

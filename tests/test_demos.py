@@ -22,10 +22,15 @@ ROOT = Path(__file__).resolve().parents[1]
                                   "04_forecasting", "05_systemic_risk",
                                   "06_staged_training", "07_risk_aware_rl"])
 def test_demo_exits_0(name, tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    # the demo's temporary files go to a directory of the test's own, which
+    # it must leave empty
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", TMPDIR=str(scratch),
                PYTHONPATH=os.pathsep.join(
                    filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / f"{name}.py")],
                           cwd=tmp_path, env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    assert list(scratch.iterdir()) == []

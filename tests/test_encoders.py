@@ -90,6 +90,20 @@ def test_price_position_encoding_breaks_permutation_symmetry(setup):
     assert not np.allclose(base, flipped)
 
 
+@pytest.mark.parametrize("t,d", [(1, 4), (6, 8), (30, 16), (5, 7)])
+def test_sinusoidal_positions_is_the_formula_and_read_only(t, d):
+    pe = enc.sinusoidal_positions(t, d)
+    pos, col = np.arange(t)[:, None], np.arange(d)[None, :]
+    angle = pos / 10000.0 ** (2 * (col // 2) / d)
+    want = np.where(col % 2 == 0, np.sin(angle), np.cos(angle))
+    assert pe.shape == (t, d)
+    assert np.allclose(pe, want, rtol=0.0, atol=1e-12)
+    # one table per (t, d), shared by every caller, so none may write it
+    assert enc.sinusoidal_positions(t, d) is pe
+    with pytest.raises(ValueError):
+        pe[0, 0] = 1.0
+
+
 def test_price_width_and_errors(setup):
     cfg, params = setup
     out = enc.encode_price_batch(np.zeros((2, 4, 3)), params, cfg)

@@ -653,6 +653,23 @@ def test_every_leaf_but_the_known_dead_gets_a_gradient(world, spy):
     assert set(run.params) - reached == DEAD_LEAVES
 
 
+def test_the_subset_memo_names_the_uncached_leaves_at_every_step(world, monkeypatch, spy):
+    subset, asked = tr.TrainingRun._subset, []
+
+    def checked(self, kinds, extra):
+        names = subset(self, kinds, extra)
+        prefixes = tuple(f"{k}." for k in kinds) + tuple(extra)
+        assert list(names) == sorted(fm.param_subset(self.params, prefixes))
+        assert subset(self, kinds, extra) is names
+        asked.append((kinds, extra))
+        return names
+
+    monkeypatch.setattr(tr.TrainingRun, "_subset", checked)
+    steps = spy(tr, "adamw_step")
+    _run(world, _schedule(2, 2, 2, 1)).run_all()
+    assert len(asked) == len(steps) > len(set(asked))
+
+
 def test_stage_order_enforced(world):
     run = _run(world, _schedule(1, 1, 1, 1))
     with pytest.raises(ScheduleError):
