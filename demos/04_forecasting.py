@@ -1,8 +1,8 @@
 """Distributional return forecasting with a mixture-density head.
 
 Fused per-date states feed a causal decoder that emits a Gaussian mixture
-per horizon step. Quantiles come from the mixture CDF by bisection, so the
-same trained head serves point, interval, and direction forecasts.
+per horizon step. Quantiles solve the mixture CDF by safeguarded Newton, so
+the same trained head serves point, interval, and direction forecasts.
 """
 
 import numpy as np

@@ -14,7 +14,9 @@ checkout's `src/`), and prints one
   checkpoint's arrays alone (each leaf's name, dtype, shape and bytes, as
   `container.read` returns them), so that a change which moves only the
   checkpoint's meta shows as one changed line;
-- `eval --split test`'s `report.json` and `report.txt`;
+- `eval --split test`'s `report.json` and `report.txt`, and the
+  `report.json` of `eval --split train` and `eval --split val`, so that
+  an eval-path change is bit-checked on every split;
 - the 30 `forecast`/`report` stdouts, concatenated (dates 300, 330, 350,
   370, 390; horizons 1 and 3; asset 0, asset 1, then `report`);
 - the `rl-run` traces with `rl.r_sys_source` `truth` and `model`;
@@ -99,6 +101,10 @@ def main(argv=None) -> int:
         run("eval", *common, "--split", "test", "--out", str(work / "eval"))
         show_file(work / "eval" / "report.json")
         show_file(work / "eval" / "report.txt")
+        for split in ("train", "val"):
+            out = work / f"eval_{split}"
+            run("eval", *common, "--split", split, "--out", str(out))
+            show_file(out / "report.json")
 
         queries = b""
         for date in DATES:

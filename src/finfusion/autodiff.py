@@ -198,8 +198,9 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
     """Create an op result with a hand-written backward rule.
 
     ``backward_fn`` maps the output adjoint to one adjoint per parent (None
-    for non-differentiable slots). Extension point for fused primitives that
-    live outside this module.
+    for non-differentiable slots, and for parents that do not require grad,
+    whose adjoint ``backward`` would drop). Extension point for fused
+    primitives that live outside this module.
     """
     arr = np.asarray(data, dtype=np.float64)
     out = Tensor.__new__(Tensor)
@@ -309,7 +310,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return custom_op(out, (a, b), bwd)
 
@@ -320,7 +322,8 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(-g, b.shape) if b.requires_grad else None)
 
     return custom_op(out, (a, b), bwd)
 
@@ -331,7 +334,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
+                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
 
     return custom_op(out, (a, b), bwd)
 
@@ -420,12 +424,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             # (gemv) with no per-batch (k, n) stack to sum
             rows = a.data.reshape(-1, a.shape[-1])
             if b.ndim == 1:
-                return g[..., None] * b.data, rows.T @ g.reshape(-1)
+                ga = g[..., None] * b.data if a.requires_grad else None
+                return ga, rows.T @ g.reshape(-1) if b.requires_grad else None
             g2 = g.reshape(-1, b.shape[1])
-            return (g2 @ b.data.T).reshape(a.shape), rows.T @ g2
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
+            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            return ga, rows.T @ g2 if b.requires_grad else None
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
+        return (None if ga is None else _unbroadcast(ga, a.shape),
+                None if gb is None else _unbroadcast(gb, b.shape))
 
     return custom_op(out, (a, b), bwd)
 
@@ -644,7 +651,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     splits = np.cumsum(sizes)[:-1]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, splits, axis=ax))
+        return tuple(np.ascontiguousarray(piece) if t.requires_grad else None
+                     for t, piece in zip(ts, np.split(g, splits, axis=ax)))
 
     return custom_op(out, tuple(ts), bwd)
 

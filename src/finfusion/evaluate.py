@@ -2,8 +2,11 @@
 
 Three views mirror the evaluation tables: micro forecasting (directional
 accuracy, MAPE, hit ratio), per-institution distress classification, and
-macro early warning. The multi-seed protocol retrains from scratch per seed
-and aggregates with mean and sample std.
+macro early warning. One ``forward_chunks`` pass over a split's (asset,
+date) pairs, with both heads, serves all three: the micro table reads every
+row, and the distress and warning tables read asset 0's row of each date.
+The multi-seed protocol retrains from scratch per seed and aggregates with
+mean and sample std.
 """
 
 import dataclasses
@@ -19,28 +22,44 @@ from . import training as tr
 from .errors import ContractError, DegenerateInputError, UndefinedMetricError
 
 
-def predict_micro(dataset, params, cfg, split: str,
-                  kinds=fus.MODALITIES) -> dict:
-    """Point forecasts in raw return units, with realized values."""
+# the batch_arrays entries each table reads
+_MICRO_LABELS = ("y_raw",)
+_RISK_LABELS = ("crisis_next", "stress_next", "node_distress")
+
+
+def _split_pairs(dataset, split: str) -> list:
     pairs = dataset.sample_pairs(split)
     if not pairs:
         raise ContractError(f"split {split!r} has no usable pairs")
-    out = fm.forward_chunks(dataset, pairs, params, cfg, kinds=kinds,
-                            heads=("micro",), labels=("y_raw",))
+    return pairs
+
+
+def predict_micro(dataset, params, cfg, split: str,
+                  kinds=fus.MODALITIES, out=None) -> dict:
+    """Point forecasts in raw return units, with realized values, for every
+    pair of ``dataset.sample_pairs(split)``. ``out`` is a ``forward_chunks``
+    pass over those pairs with the micro head and the ``y_raw`` label, if
+    the caller has run one; else this runs it."""
+    if out is None:
+        out = fm.forward_chunks(dataset, _split_pairs(dataset, split), params, cfg,
+                                kinds=kinds, heads=("micro",), labels=_MICRO_LABELS)
     forecast = heads.micro_forecast(out["mdn_weights"], out["mdn_means"],
                                     out["mdn_sigmas"], dataset.norm)
     return {"pred": forecast["point"], "true": out["y_raw"]}
 
 
 def predict_risk(dataset, params, cfg, split: str,
-                 kinds=fus.MODALITIES) -> dict:
-    """Per-date risk score, warning flag, node contributions, and labels."""
-    dates = dataset.splits[split]
-    if not dates:
-        raise ContractError(f"split {split!r} has no dates")
-    out = fm.forward_chunks(dataset, [(0, t) for t in dates], params, cfg,
-                            kinds=kinds, heads=("risk",),
-                            labels=("crisis_next", "stress_next", "node_distress"))
+                 kinds=fus.MODALITIES, out=None) -> dict:
+    """Per-date risk score, warning flag, node contributions, and labels,
+    from asset 0's row of each date of ``split``. ``out`` is a
+    ``forward_chunks`` pass over those rows with the risk head and the
+    next-date labels, if the caller has run one; else this runs it."""
+    if out is None:
+        dates = dataset.splits[split]
+        if not dates:
+            raise ContractError(f"split {split!r} has no dates")
+        out = fm.forward_chunks(dataset, [(0, t) for t in dates], params, cfg,
+                                kinds=kinds, heads=("risk",), labels=_RISK_LABELS)
     scores = out["risk_score"]
     return {
         "score": scores,
@@ -61,17 +80,25 @@ def _maybe(fn, *args):
 
 def evaluate_split(dataset, params, cfg, split: str,
                    kinds=fus.MODALITIES) -> dict:
-    """Flat dotted-key metric dict covering all three tables."""
+    """Flat dotted-key metric dict covering all three tables, from one
+    ``forward_chunks`` pass over ``dataset.sample_pairs(split)`` with both
+    heads. The micro table reads every row; ``sample_pairs`` is date-major,
+    so every ``n_assets``-th row, from the first, is asset 0's row of the
+    next date, which the distress and warning tables read."""
+    rows = fm.forward_chunks(dataset, _split_pairs(dataset, split), params, cfg,
+                             kinds=kinds, heads=("micro", "risk"),
+                             labels=_MICRO_LABELS + _RISK_LABELS)
     out = {}
 
-    micro = predict_micro(dataset, params, cfg, split, kinds)
+    micro = predict_micro(dataset, params, cfg, split, kinds, out=rows)
     pred, true = micro["pred"], micro["true"]
     out["micro.directional_accuracy"] = _maybe(mx.directional_accuracy, pred, true)
     mape = _maybe(mx.mape_with_exclusions, true, pred)
     out["micro.mape"] = mape[0] if mape is not None else None
     out["micro.hit_ratio"] = mx.hit_ratio(true, pred)
 
-    risk = predict_risk(dataset, params, cfg, split, kinds)
+    risk = predict_risk(dataset, params, cfg, split, kinds,
+                        out={name: arr[::dataset.n_assets] for name, arr in rows.items()})
     node_scores = risk["contributions"].reshape(-1)
     node_labels = risk["node_distress"].reshape(-1)
     node_preds = (node_scores >= cfg.warning_threshold).astype(np.int64)

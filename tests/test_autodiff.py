@@ -309,6 +309,21 @@ def test_backward_detached_leaf_untouched():
     assert y.grad[0] == pytest.approx(6.0)
 
 
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.matmul,
+                                lambda a, b: concat([a, b], axis=0)])
+@pytest.mark.parametrize("trained", [0, 1])
+def test_binary_ops_give_no_adjoint_to_a_constant_parent(op, trained):
+    # a position table, mask or scalar weight gets no adjoint to drop
+    rng = np.random.default_rng(3)
+    parents = [Tensor(rng.normal(size=(2, 2))) for _ in range(2)]
+    parents[trained] = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    with Tape() as tape:
+        out = op(*parents)
+    grads = tape.ops[-1].backward_fn(np.ones_like(out.data))
+    assert grads[1 - trained] is None
+    assert grads[trained].shape == (2, 2)
+
+
 def test_backward_accumulates_across_calls():
     x = Tensor(2.0, requires_grad=True)
     with Tape() as tape:

@@ -7,6 +7,7 @@ import pytest
 
 import finfusion.datapipe as dp
 import finfusion.evaluate as ev
+import finfusion.fusion as fus
 import finfusion.model as fm
 import finfusion.training as tr
 from finfusion.errors import ContractError
@@ -90,6 +91,48 @@ def test_evaluate_split_hit_ratio_keeps_steps_the_model_calls(world, monkeypatch
     out = ev.evaluate_split(ds, params, mcfg, "test")
     assert out["micro.hit_ratio"] == 1.0
     assert out["micro.directional_accuracy"] == 0.5
+
+
+@pytest.fixture(scope="module")
+def world3():
+    ds = dp.build_dataset(dp.SyntheticConfig(
+        n_steps=150, n_assets=3, n_institutions=4, seed=45))
+    mcfg = tiny_cfg(price_features=12,
+                    graph_features=len(dp.GRAPH_FEATURE_NAMES),
+                    vocab_size=len(ds.vocab))
+    params = fm.init_model_params(mcfg, np.random.default_rng(9))
+    return ds, mcfg, params
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+@pytest.mark.parametrize("kinds", [fus.MODALITIES, ("price",)])
+@pytest.mark.parametrize("which", ["world", "world3"])
+def test_evaluate_split_one_pass_gives_the_standalone_arrays(which, kinds, split,
+                                                             request, spy):
+    # the one pass over every (asset, date) row serves both tables, and
+    # asset 0's rows carry the same risk bits as predict_risk's own pass
+    ds, mcfg, params = request.getfixturevalue(which)
+    passes = spy(fm, "forward_chunks")
+    micro_calls, risk_calls = spy(ev, "predict_micro"), spy(ev, "predict_risk")
+    ev.evaluate_split(ds, params, mcfg, split, kinds=kinds)
+    assert len(passes) == 1
+    assert len(micro_calls) == len(risk_calls) == 1
+    for got, alone in ((micro_calls[0].result,
+                        ev.predict_micro(ds, params, mcfg, split, kinds)),
+                       (risk_calls[0].result,
+                        ev.predict_risk(ds, params, mcfg, split, kinds))):
+        assert got.keys() == alone.keys()
+        for key in got:
+            assert got[key].dtype == alone[key].dtype, key
+            assert got[key].shape == alone[key].shape, key
+            assert got[key].tobytes() == alone[key].tobytes(), key
+
+
+def test_evaluate_split_rejects_an_empty_split(world, monkeypatch):
+    ds, mcfg, params = world
+    monkeypatch.setitem(ds.splits, "val", [])
+    with pytest.raises(ContractError, match="'val'"):
+        ev.evaluate_split(ds, params, mcfg, "val")
 
 
 def test_evaluate_split_price_only_runs(world):
