@@ -8,11 +8,18 @@ It also holds a sha256 over the rest of the header (as sorted-key JSON)
 followed by the array bytes, so that a changed array name, shape or meta
 value fails the check as a changed array byte does. Only version 2 is
 read.
+
+A read checks the sizes that the preamble and the header declare against
+the open file's size before it allocates anything of that size, then
+reads the array bytes once, into one buffer that the hash runs over and
+the arrays are views of. A write hashes and writes each array's own
+buffer, copying only an array that is not contiguous little-endian.
 """
 
 import hashlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -32,7 +39,7 @@ def write(path: str, magic: bytes, arrays, meta: dict) -> None:
         dtype = arr.dtype.newbyteorder("<")
         if dtype.str not in DTYPES:
             raise ContractError(f"array {name} has unsupported dtype {arr.dtype}")
-        blobs.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+        blobs.append(np.ascontiguousarray(arr, dtype=dtype))
         entries.append({"name": name, "dtype": dtype.str, "shape": list(arr.shape)})
     header = {"arrays": entries, "meta": meta}
     header["sha256"] = _digest(header, blobs)
@@ -58,28 +65,32 @@ def read(path: str, magic: bytes) -> tuple:
     SchemaError names ``path`` unless the file has ``magic``, version 2, a
     well-formed header, exactly the array bytes the header describes, and a
     header and arrays that match their sha256.
+
+    The arrays are writable views (their ``base``) of one buffer of float64
+    words, apart from the file; only an array that an earlier bool array
+    left off its alignment is a copy.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return _parse(blob, magic)
-    except SchemaError as e:
-        raise SchemaError(f"{path}: {e}") from e
+        try:
+            return _read(fh, os.fstat(fh.fileno()).st_size, magic)
+        except SchemaError as e:
+            raise SchemaError(f"{path}: {e}") from e
 
 
-def _parse(blob: bytes, magic: bytes) -> tuple:
-    if blob[:4] != magic:
-        raise SchemaError(f"bad magic {blob[:4]!r}, expected {magic!r}")
-    if len(blob) < 16:
-        raise SchemaError(f"truncated in its {len(blob)}-byte preamble")
-    version, hlen = struct.unpack("<IQ", blob[4:16])
+def _read(fh, size: int, magic: bytes) -> tuple:
+    preamble = fh.read(16)
+    if preamble[:4] != magic:
+        raise SchemaError(f"bad magic {preamble[:4]!r}, expected {magic!r}")
+    if size < 16:
+        raise SchemaError(f"truncated in its {size}-byte preamble")
+    version, hlen = struct.unpack("<IQ", preamble[4:16])
     if version != VERSION:
         raise SchemaError(f"unsupported container version {version}")
     start = 16 + hlen
-    if len(blob) < start:
-        raise SchemaError(f"truncated: {len(blob)} bytes, header alone needs {start}")
+    if size < start:
+        raise SchemaError(f"truncated: {size} bytes, header alone needs {start}")
     try:
-        header = json.loads(blob[16:start])
+        header = json.loads(fh.read(hlen))
         entries = [(e["name"], e["dtype"], tuple(int(d) for d in e["shape"]))
                    for e in header["arrays"]]
         meta = header["meta"]
@@ -93,19 +104,18 @@ def _parse(blob: bytes, magic: bytes) -> tuple:
             raise SchemaError(f"array {name!r} has dtype {dtype!r} and shape {shape}")
     if len({name for name, _, _ in entries}) != len(entries):
         raise SchemaError("header names an array twice")
-    counts = [math.prod(shape) for _, _, shape in entries]
-    expected = start + sum(np.dtype(dtype).itemsize * n
-                           for (_, dtype, _), n in zip(entries, counts))
-    if len(blob) != expected:
-        raise SchemaError(f"{len(blob)} bytes, its header describes {expected}")
-    if _digest(header, [memoryview(blob)[start:]]) != digest:
+    nbytes = [np.dtype(dtype).itemsize * math.prod(shape) for _, dtype, shape in entries]
+    if size != start + sum(nbytes):
+        raise SchemaError(f"{size} bytes, its header describes {start + sum(nbytes)}")
+    # float64 words keep the buffer aligned for every dtype
+    body = np.empty((size - start + 7) // 8, np.float64).view(np.uint8)[:size - start]
+    if fh.readinto(body) != body.size:
+        raise SchemaError(f"truncated while its {body.size} array bytes were read")
+    if _digest(header, [body]) != digest:
         raise SchemaError("header or arrays fail their sha256 check")
-    # one copy of the array bytes, writable and independent of the file's;
-    # each array is a view into it, copied again only where it is unaligned
-    body = np.frombuffer(blob, dtype=np.uint8, offset=start).copy()
     arrays, offset = {}, 0
-    for (name, dtype, shape), n in zip(entries, counts):
-        arr = np.frombuffer(body, dtype=dtype, count=n, offset=offset).reshape(shape)
+    for (name, dtype, shape), n in zip(entries, nbytes):
+        arr = body[offset:offset + n].view(dtype).reshape(shape)
         arrays[name] = arr if arr.flags.aligned else arr.copy()
-        offset += np.dtype(dtype).itemsize * n
+        offset += n
     return arrays, meta

@@ -674,8 +674,11 @@ class AlignedDataset:
 
     def batch_arrays(self, pairs) -> dict:
         """Normalised model inputs and next-date labels for (asset, date)
-        pairs on usable dates, indexed from the tables ``finalize`` built."""
+        pairs on usable dates, indexed from the tables ``finalize`` built.
+        DegenerateInputError if ``pairs`` is empty."""
         a, t = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+        if not t.size:
+            raise DegenerateInputError("batch_arrays got an empty batch of (asset, date) pairs")
         if np.any((t < 0) | (t >= self.n_steps)) or not self.usable[t].all():
             raise ContractError("batch_arrays takes usable dates only")
         window = t[:, None] + np.arange(1 - self.config.window, 1)
@@ -763,6 +766,7 @@ _FLOATS = ("market_return", "node_stress", "node_returns", "macro", "ohlcv",
            "indicators", "returns")
 _DATED = ("regime", "macro_present") + _FLOATS  # one JSON field each
 SIDECAR_MAGIC = b"FFDS"
+HASH_CHUNK = 1 << 16  # bytes of the JSONL that ``load_dataset`` hashes per read
 
 
 def sidecar_path(path: str) -> str:
@@ -860,24 +864,31 @@ def load_dataset(path: str) -> AlignedDataset:
     in indicators and macro), flags are 0/1, each asset has 1..TOKEN_LEN
     token ids from the vocabulary, price bars are well formed, ``finalize``
     accepts the data, and the header's usable dates and splits are the ones
-    it derives."""
+    it derives.
+
+    Only the header line is held whole at first: the rest of the file is
+    fed to the sidecar's sha256 check in ``HASH_CHUNK``-byte pieces, and is
+    read whole only when the sidecar is missing or rejected and the records
+    must be parsed."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    end = raw.find(b"\n")
-    end = len(raw) if end < 0 else end
-    try:
-        meta = json.loads(raw[:end])
-        cfg, vocab, adjacency = _read_meta(meta)
-        header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
-        for name in ("train", "val", "test"):
-            header_dates[f"split {name!r} dates"] = np.asarray(
-                meta["splits"][name], dtype=np.int64)
-    except _MALFORMED as e:
-        raise _at_line(path, 1, e) from e
-    layout = _record_layout(cfg)
-    arrays = _read_sidecar(path, raw, layout)
-    if arrays is None:
-        arrays = _parse_records(path, raw[end + 1:], layout)
+        head = fh.readline()
+        try:
+            meta = json.loads(head.removesuffix(b"\n"))
+            cfg, vocab, adjacency = _read_meta(meta)
+            header_dates = {"usable dates": np.asarray(meta["usable"], dtype=np.int64)}
+            for name in ("train", "val", "test"):
+                header_dates[f"split {name!r} dates"] = np.asarray(
+                    meta["splits"][name], dtype=np.int64)
+        except _MALFORMED as e:
+            raise _at_line(path, 1, e) from e
+        layout = _record_layout(cfg)
+        digest = hashlib.sha256(head)
+        for chunk in iter(lambda: fh.read(HASH_CHUNK), b""):
+            digest.update(chunk)
+        arrays = _read_sidecar(path, digest.hexdigest(), layout)
+        if arrays is None:
+            fh.seek(len(head))
+            arrays = _parse_records(path, fh.read(), layout)
     problem = _check_records(arrays, len(vocab))
     if problem is not None:
         raise SchemaError(f"{path}, line {problem[0] + 2}: {problem[1]}")
@@ -937,16 +948,17 @@ def _parse_records(path: str, body: bytes, layout: dict) -> dict:
     return arrays
 
 
-def _read_sidecar(path: str, raw: bytes, layout: dict):
+def _read_sidecar(path: str, source_sha256: str, layout: dict):
     """The record arrays from ``path``'s sidecar, or None unless it is an
-    intact container written from exactly the bytes ``raw`` whose arrays
-    are ``RECORD_ARRAYS`` with the dtypes and shapes of ``layout``."""
+    intact container written from the JSONL bytes whose sha256 hex digest,
+    streamed by ``load_dataset``, is ``source_sha256``, and its arrays are
+    ``RECORD_ARRAYS`` with the dtypes and shapes of ``layout``."""
     try:
         arrays, meta = container.read(sidecar_path(path), SIDECAR_MAGIC)
     except (OSError, SchemaError):
         return None
     found = [(name, a.dtype, a.shape) for name, a in arrays.items()]
-    if (meta.get("source_sha256") != hashlib.sha256(raw).hexdigest()
+    if (meta.get("source_sha256") != source_sha256
             or found != [(name, dtype, shape) for name, (dtype, shape) in layout.items()]):
         return None
     return arrays
@@ -954,8 +966,9 @@ def _read_sidecar(path: str, raw: bytes, layout: dict):
 
 def _first(bad: np.ndarray):
     """Index of the first True entry in date order (date axis first)."""
-    hits = np.argwhere(bad)
-    return hits[0] if len(hits) else None
+    if not bad.any():
+        return None
+    return np.argwhere(bad)[0]
 
 
 def _check_records(arrays: dict, n_vocab: int):

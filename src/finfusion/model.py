@@ -14,7 +14,7 @@ from . import fusion as fus
 from . import heads as task_heads
 from .autodiff import Tensor
 from .datapipe import GRAPH_FEATURE_NAMES, MACRO_SLOTS, build_vocab
-from .errors import ConfigError, check_number
+from .errors import ConfigError, DegenerateInputError, check_number
 
 # rows per chunk of a read-only backbone pass (evaluation, the RL env's state
 # table); fixed chunks bound the pass's peak memory and fix its rounding
@@ -164,7 +164,10 @@ def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
     """One read-only ``forward_batch`` pass over the (asset, date) ``pairs``
     of ``dataset`` in chunks of ``EVAL_BATCH`` rows. Returns the values of
     every output tensor and the ``batch_arrays`` entries named in ``labels``,
-    each concatenated over the chunks."""
+    each concatenated over the chunks. DegenerateInputError if ``pairs`` is
+    empty."""
+    if not len(pairs):
+        raise DegenerateInputError("forward_chunks got an empty batch of (asset, date) pairs")
     parts: dict = {}
     for i in range(0, len(pairs), EVAL_BATCH):
         batch = dataset.batch_arrays(pairs[i:i + EVAL_BATCH])

@@ -335,10 +335,11 @@ def load_checkpoint(path: str):
         if arr.dtype != np.float64:
             raise SchemaError(f"{path}: parameter {name} is {arr.dtype}, not float64")
     if arrays:
-        ad.require_finite(np.concatenate([a.ravel() for a in arrays.values()]),
-                          f"{path}: parameters")
-    # the container's arrays are fresh copies, so the leaves can own them;
-    # their gradients are views into one zeroed vector
+        # all float64, so every array is a view of the container's one
+        # buffer of float64 words, and the check reads that buffer in place
+        ad.require_finite(next(iter(arrays.values())).base, f"{path}: parameters")
+    # the container's arrays are apart from the file, so the leaves can own
+    # them; their gradients are views into one zeroed vector
     grads, offset = np.zeros(sum(a.size for a in arrays.values())), 0
     params = _Leaves()
     params.path = path

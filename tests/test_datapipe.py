@@ -5,6 +5,8 @@ import copy
 import dataclasses
 import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,6 +480,11 @@ def test_batch_arrays_rejects_dates_that_are_not_usable(small_ds, date):
         ds.batch_arrays([(0, ds.splits["train"][0]), (0, t)])
 
 
+def test_batch_arrays_rejects_an_empty_batch(small_ds):
+    with pytest.raises(DegenerateInputError, match="batch_arrays got an empty batch"):
+        small_ds.batch_arrays([])
+
+
 def test_no_test_range_leakage_into_train_batches(small_ds):
     ds = small_ds
     cfg = ds.config
@@ -587,6 +594,43 @@ def test_a_stale_sidecar_is_not_used(tmp_path, small_ds, stale):
     assert dp.load_dataset(str(path)).returns.tobytes() == want.tobytes()
 
 
+def test_the_sidecar_check_streams_the_jsonl(tmp_path, small_ds, monkeypatch):
+    path = tmp_path / "ds.jsonl"
+    dp.save_dataset(small_ds, str(path))
+    peaks = []
+    read_sidecar = dp._read_sidecar
+
+    def traced(*args):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        return read_sidecar(*args)
+
+    monkeypatch.setattr(dp, "_read_sidecar", traced)
+    tracemalloc.start()
+    try:
+        back = dp.load_dataset(str(path))
+    finally:
+        tracemalloc.stop()
+    # the hash that accepts the sidecar never held the JSONL whole
+    assert len(peaks) == 1 and peaks[0] < path.stat().st_size // 2
+    assert back.returns.tobytes() == small_ds.returns.tobytes()
+
+
+@pytest.mark.parametrize("sidecar", ["stale", "missing"])
+def test_a_record_defect_without_a_usable_sidecar_names_its_line(tmp_path, small_ds,
+                                                                  sidecar):
+    path = tmp_path / "ds.jsonl"
+    dp.save_dataset(small_ds, str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[101])
+    rec["regime"] = 7
+    lines[101] = json.dumps(rec, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    if sidecar == "missing":
+        (tmp_path / "ds.bin").unlink()
+    with pytest.raises(SchemaError, match="line 102: regime 7 is not 0 or 1"):
+        dp.load_dataset(str(path))
+
+
 def _edit_sidecar(arrays, defect):
     """Break asset 0 of date 100 in the sidecar's arrays."""
     if defect == "regime-7":
@@ -652,6 +696,83 @@ def test_container_arrays_are_aligned_writable_and_apart_from_the_file(tmp_path)
         assert got.flags.aligned and got.flags.writeable
     back["f"][0] = 7.0
     assert container.read(path, b"TEST")[0]["f"][0] == 0.0
+
+
+@pytest.mark.parametrize("n_bools", [3, 8])
+def test_container_arrays_are_views_of_one_buffer(tmp_path, n_bools):
+    # three bools put "g" off its 8-byte alignment; eight keep it aligned
+    arrays = [("f", np.arange(3.0)), ("i", np.arange(2, dtype=np.int64)),
+              ("b", np.arange(n_bools) % 2 == 0), ("g", np.arange(4.0).reshape(2, 2)),
+              ("e", np.zeros((0, 2)))]
+    path = str(tmp_path / "c.bin")
+    container.write(path, b"TEST", arrays, {})
+    back, _ = container.read(path, b"TEST")
+    base = back["f"].base
+    assert isinstance(base, np.ndarray) and base.nbytes >= 5 * 8 + n_bools + 4 * 8
+    views = {name for name, arr in back.items() if arr.base is base}
+    # numpy counts an empty array as aligned wherever it starts
+    copied = {"g"} if n_bools == 3 else set()
+    assert views == set(back) - copied
+    assert all(back[name].base is None for name in copied)
+    for name, want in arrays:
+        assert back[name].tobytes() == want.tobytes() and back[name].flags.aligned
+
+
+def _container_file(path, hlen: int, header: bytes) -> str:
+    """A 128-byte container file: preamble, then ``header`` padded with
+    spaces, which JSON allows."""
+    raw = b"TEST" + struct.pack("<IQ", container.VERSION, hlen) + header.ljust(112)
+    assert len(raw) == 128
+    path.write_bytes(raw)
+    return str(path)
+
+
+@pytest.mark.parametrize("declared", ["hlen", "shape", "shapes"])
+def test_container_checks_declared_sizes_before_allocating(tmp_path, declared):
+    # a 128-byte file whose header declares far more than it holds
+    if declared == "hlen":
+        path = _container_file(tmp_path / "c.bin", 1 << 62, b"")
+        want = "128 bytes, header alone needs"
+    else:
+        shape = [1 << 40] if declared == "shape" else [1 << 20, 1 << 20, 1 << 20]
+        header = json.dumps({"arrays": [{"dtype": "<f8", "name": "a", "shape": shape}],
+                             "meta": {}, "sha256": ""}).encode()
+        path = _container_file(tmp_path / "c.bin", 112, header)
+        want = "128 bytes, its header describes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=want):
+            container.read(path, b"TEST")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
+def test_container_trailing_bytes_are_a_schema_error(tmp_path):
+    path = tmp_path / "c.bin"
+    container.write(str(path), b"TEST", [("f", np.arange(3.0))], {})
+    size = path.stat().st_size
+    path.write_bytes(path.read_bytes() + b"\0" * 5)
+    with pytest.raises(SchemaError, match=f"{size + 5} bytes, its header describes {size}"):
+        container.read(str(path), b"TEST")
+
+
+def test_container_write_hashes_and_writes_the_arrays_own_bytes(tmp_path):
+    big = np.arange(1 << 17, dtype=np.float64)  # 1 MiB
+    arrays = [("big", big), ("b", np.array([True, False])),
+              ("t", np.arange(6.0).reshape(2, 3).T)]  # not contiguous: written in C order
+    path = tmp_path / "c.bin"
+    tracemalloc.start()
+    try:
+        container.write(str(path), b"TEST", arrays, {})
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < big.nbytes // 4
+    assert path.read_bytes().endswith(b"".join(a.tobytes() for _, a in arrays))
+    back, _ = container.read(str(path), b"TEST")
+    assert all(np.array_equal(back[name], a) for name, a in arrays)
 
 
 def test_usable_dates_matches_the_per_date_rule(small_ds):

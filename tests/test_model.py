@@ -9,7 +9,7 @@ from finfusion import fusion as fus
 from finfusion import heads as task_heads
 from finfusion import model as fm
 from finfusion.autodiff import Tensor
-from finfusion.errors import ConfigError, NumericalError
+from finfusion.errors import ConfigError, DegenerateInputError, NumericalError
 from tests.test_encoders import tiny_cfg
 
 HEAD_KEYS = {
@@ -121,6 +121,12 @@ def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
     for name, parts in want.items():
         assert got[name].dtype == parts[0].dtype, name
         assert got[name].tobytes() == np.concatenate(parts).tobytes(), name
+
+
+def test_forward_chunks_rejects_an_empty_batch(world):
+    _, mcfg, params, ds = world
+    with pytest.raises(DegenerateInputError, match="forward_chunks got an empty batch"):
+        fm.forward_chunks(ds, [], params, mcfg)
 
 
 def test_model_config_defaults_come_from_the_data(world):
