@@ -8,6 +8,7 @@ command reads the clock or OS entropy.
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import json
 import os
@@ -472,7 +473,49 @@ def build_parser() -> argparse.ArgumentParser:
 PARSER = build_parser()
 
 
+# ---------------------------------------------------------------------------
+# allocator
+
+# glibc's mallopt(3) parameter numbers (malloc.h) and the values main pins
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD = 64 << 20
+TRIM_THRESHOLD = 256 << 20
+_malloc_pinned = False
+
+
+def pin_malloc() -> None:
+    """Fix glibc's mmap and trim thresholds, once per process.
+
+    By default glibc raises its mmap threshold to the largest block freed so
+    far and trims the heap top beyond twice that, so the large temporaries
+    of a 64-row chunk are handed back to the OS between chunks and requests
+    and come back as fresh, zeroed pages. Setting either threshold switches
+    that off: blocks under ``MMAP_THRESHOLD`` come from the heap, which
+    keeps up to ``TRIM_THRESHOLD`` of free top for the next chunk. Where the
+    C library has no ``mallopt`` (macOS, Windows) this does nothing."""
+    global _malloc_pinned
+    if _malloc_pinned:
+        return
+    _malloc_pinned = True
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    The first call in a process pins the allocator (``pin_malloc``), so
+    later chunks and requests reuse the pages earlier ones freed; importing
+    the package alone leaves malloc as it was. Errors the package raises
+    become one ``error:`` line on stderr and their exit code."""
+    pin_malloc()
     args = PARSER.parse_args(argv)
     try:
         # overflow and invalid-value warnings would only repeat, on stderr,

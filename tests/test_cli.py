@@ -1,20 +1,23 @@
 """Command-line surface: exit codes, artifacts, and reproducibility.
 
 Every command runs in-process through cli.main so exit codes and stdout
-are observable without subprocesses; only the import guard starts a fresh
-interpreter. A single tiny dataset and trained checkpoint are shared across
-the module.
+are observable without subprocesses; only the import guards and the page
+reuse check start a fresh interpreter. A single tiny dataset and trained
+checkpoint are shared across the module.
 """
 
+import ctypes
 import dataclasses
 import json
 import math
 import numbers
 import os
+import platform
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -707,6 +710,18 @@ def test_forecast_bisects_its_quantiles_once(work, capsys, monkeypatch):
     assert list(payload["quantiles"]) == ["0.1", "0.5", "0.9"]
 
 
+def _fresh_python(script):
+    """Run ``script`` in a new interpreter that imports this package; returns
+    the last line of its stdout."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).resolve().parents[1]),
+                      os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_a_command_imports_no_scipy(work):
     # scipy is a test-only dependency: a fresh process that runs a command
     # must not load any of it
@@ -714,12 +729,7 @@ def test_a_command_imports_no_scipy(work):
               f"rc = cli.main(['forecast', '--checkpoint', {work['ckpt']!r}, "
               f"'--data', {work['data']!r}, '--date', '100', '--asset', '1'])\n"
               "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert _fresh_python(script) == "0 []"
 
 
 @pytest.mark.parametrize("command", ["forecast", "report", "eval"])
@@ -884,6 +894,101 @@ def test_the_parser_is_built_once_and_keeps_no_state(work, tmp_path, monkeypatch
             == (work["data_dir"] / "config.json").read_bytes())
     assert ((second / "dataset.jsonl").read_bytes()
             == (work["data_dir"] / "dataset.jsonl").read_bytes())
+
+
+# ---------------------------------------------------------------------------
+# allocator
+
+def _forecast(work):
+    return ["forecast", "--checkpoint", work["ckpt"], "--data", work["data"],
+            "--date", "100", "--asset", "1"]
+
+
+def test_main_pins_malloc_once_per_process(work, monkeypatch, capsys):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    def load_dataset(path, load=dp.load_dataset):
+        calls.append("load_dataset")
+        return load(path)
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    monkeypatch.setattr(cli, "_malloc_pinned", False)
+    monkeypatch.setattr(dp, "load_dataset", load_dataset)
+    assert cli.main(_forecast(work)) == 0
+    assert cli.main(_forecast(work)) == 0
+    capsys.readouterr()
+    # M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1 in glibc's malloc.h; both
+    # are set before the first command reads anything
+    assert calls == [(-3, 64 << 20), (-1, 256 << 20), "load_dataset", "load_dataset"]
+    assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
+    assert mallopt.restype is ctypes.c_int
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: SimpleNamespace()],
+                         ids=["CDLL-raises", "no-mallopt"])
+def test_a_libc_without_mallopt_leaves_the_command_as_it_was(work, monkeypatch, capsys,
+                                                             cdll):
+    assert cli.main(_forecast(work)) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+    monkeypatch.setattr(cli, "_malloc_pinned", False)
+    assert cli.main(_forecast(work)) == 0
+    assert capsys.readouterr().out == expected
+    assert cli._malloc_pinned
+
+
+def test_importing_the_package_leaves_malloc_alone():
+    script = ("import ctypes, types\n"
+              "calls = []\n"
+              "def mallopt(param, value):\n"
+              "    calls.append((param, value))\n"
+              "    return 1\n"
+              "ctypes.CDLL = lambda name: types.SimpleNamespace(mallopt=mallopt)\n"
+              "import finfusion, finfusion.cli as cli\n"
+              "before = list(calls)\n"
+              "cli.pin_malloc()\n"
+              "print(before, calls)\n")
+    assert _fresh_python(script) == "[] [(-3, 67108864), (-1, 268435456)]"
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_repeated_evals_reuse_their_pages(tmp_path):
+    # default dims on a small world: unpinned, glibc hands each chunk's
+    # temporaries back to the OS, and every eval faults them in again
+    # (about 2,000 minor faults per request)
+    sets = ["synthetic.n_steps=150", "synthetic.n_assets=2"]
+    script = f"""
+import contextlib, io, os, resource
+import finfusion.cli as cli
+from finfusion import datapipe, training
+from finfusion.config import RunConfig
+d, sets = {str(tmp_path)!r}, {sets!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["generate", "--out", d,
+                     *[a for s in sets for a in ("--set", s)]]) == 0
+cfg = RunConfig.load(None, sets)
+training.TrainingRun(datapipe.load_dataset(os.path.join(d, "dataset.jsonl")),
+                     cfg.model, cfg.training).save(os.path.join(d, "init.bin"))
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["eval", "--checkpoint", os.path.join(d, "init.bin"),
+                         "--data", os.path.join(d, "dataset.jsonl"),
+                         "--split", "test"]) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+    faults = json.loads(_fresh_python(script))
+    assert faults[2] <= 64, faults
 
 
 # every integer dimension and count of the model: negative is never valid,
