@@ -16,20 +16,30 @@ overflows or leaves the domain. Every other op lets NaN and inf flow
 through; callers check what they consume once with ``require_finite``: the
 training step its loss and gradients, forward-only passes their outputs.
 
-Two fused ops, each one tape op with a hand-written backward, cover what
-every layer repeats: ``linear`` (``x @ w + b``) and ``attention`` (head
-split, scaled scores, mask, softmax, ``attn @ v`` and head merge).
+Three fused ops, each one tape op with a hand-written backward, cover what
+every layer repeats: ``linear`` (``x @ w + b``), ``attention`` (head split,
+scaled scores, mask, softmax, ``attn @ v`` and head merge) and
+``feed_forward`` (``linear``, ``relu``, ``linear``).
 
-The fused kernels (``linear``, ``attention``, ``layer_norm``, ``softmax``)
-build their temporaries in place, but only in arrays they have just
-allocated. No kernel writes into its inputs or into the adjoint ``g`` its
-backward receives: ``add`` hands one ``g`` to both parents. Each performs
-the same float operations in the same order as the plain expression it
-replaces, so the in-place form changes no bit.
+The fused kernels (``linear``, ``feed_forward``, ``attention``,
+``layer_norm``, ``softmax``) build their temporaries in place, but only in
+arrays they have just allocated. No kernel writes into its inputs or into
+the adjoint ``g`` its backward receives: ``add`` hands one ``g`` to both
+parents. Each performs the same float operations in the same order as the
+plain expression it replaces, so the in-place form changes no bit.
+
+A tape op holds only what its backward reads. It keeps its leaf parents,
+whose ``grad`` buffers ``backward`` fills, and names every other parent by
+its node: the recording tape's serial number and the op's index on it, kept
+in the result's ``node`` slot. Its ``backward_fn`` captures the arrays it
+reads and, of a parent whose value it does not read, just the shape and
+flag, so an op result that no backward reads is freed once the caller
+drops it.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,6 +66,7 @@ __all__ = [
     "elu",
     "matmul",
     "linear",
+    "feed_forward",
     "reduce_sum",
     "reduce_mean",
     "logsumexp",
@@ -87,10 +98,12 @@ class Tensor:
     ``requires_grad=True`` at construction marks a leaf: a ``grad`` buffer is
     allocated and ``backward`` accumulates into it. Tensors produced by ops
     carry the flag when a parent does, but keep ``grad=None``; their adjoints
-    live only for the duration of a backward pass.
+    live only for the duration of a backward pass. A recorded result's
+    ``node`` is ``(tape serial, op index)``; it is None for every other
+    tensor.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.array(data, dtype=np.float64, copy=True)
@@ -98,6 +111,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = np.zeros_like(arr) if requires_grad else None
+        self.node = None
 
     @classmethod
     def leaf(cls, arr: np.ndarray, grad: np.ndarray) -> "Tensor":
@@ -106,7 +120,7 @@ class Tensor:
         the constructor's copy and finiteness check: for arrays the caller
         has just made and checked itself."""
         t = cls.__new__(cls)
-        t.data, t.requires_grad, t.grad = arr, True, grad
+        t.data, t.requires_grad, t.grad, t.node = arr, True, grad, None
         return t
 
     @property
@@ -159,12 +173,18 @@ def _as_tensor(x) -> Tensor:
 
 
 class _TapeOp:
-    __slots__ = ("out", "parents", "backward_fn")
+    """One recorded op: its own node, one entry per parent (the leaf tensor,
+    the node of an op result, or None for a constant) and its backward."""
 
-    def __init__(self, out, parents, backward_fn):
-        self.out = out
+    __slots__ = ("node", "parents", "backward_fn")
+
+    def __init__(self, node, parents, backward_fn):
+        self.node = node
         self.parents = parents
         self.backward_fn = backward_fn
+
+
+_SERIALS = count()
 
 
 class Tape:
@@ -172,9 +192,12 @@ class Tape:
 
     Use as a context manager; ops executed inside record themselves when any
     input requires grad. One tape serves one single-threaded evaluation.
+    Each tape has its own serial number, so a result recorded on another
+    tape is a constant to this tape's ``backward``.
     """
 
     def __init__(self):
+        self.serial = next(_SERIALS)
         self.ops: list[_TapeOp] = []
 
     def __enter__(self) -> "Tape":
@@ -199,45 +222,58 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
 
     ``backward_fn`` maps the output adjoint to one adjoint per parent (None
     for non-differentiable slots, and for parents that do not require grad,
-    whose adjoint ``backward`` would drop). Extension point for fused
-    primitives that live outside this module.
+    whose adjoint ``backward`` would drop). It captures only what it reads:
+    a parent whose value its rule reads, and of every other parent just the
+    shape and flag, since a captured tensor keeps its value alive until the
+    tape goes. Extension point for fused primitives that live outside this
+    module.
     """
-    arr = np.asarray(data, dtype=np.float64)
     out = Tensor.__new__(Tensor)
-    out.data = arr
+    out.data = np.asarray(data, dtype=np.float64)
     out.requires_grad = False
-    out.grad = None
-    tape = _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
-    if tape is not None and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        tape.ops.append(_TapeOp(out, tuple(parents), backward_fn))
+    out.grad = out.node = None
+    if _ACTIVE_TAPES:
+        # one pass: a leaf by itself, an op result by its node
+        tracked, refs = False, []
+        for p in parents:
+            if p.requires_grad:
+                tracked = True
+                refs.append(p if p.grad is not None else p.node)
+            else:
+                refs.append(None)
+        if tracked:
+            tape = _ACTIVE_TAPES[-1]
+            out.requires_grad = True
+            out.node = node = (tape.serial, len(tape.ops))
+            tape.ops.append(_TapeOp(node, tuple(refs), backward_fn))
     return out
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate leaf gradients with d(loss)/d(leaf).
 
-    Visits the tape in exact reverse execution order. Repeated calls
-    accumulate into leaf ``grad`` buffers until they are cleared.
+    Visits the tape in exact reverse execution order, keying each op
+    result's adjoint by its node. Repeated calls accumulate into leaf
+    ``grad`` buffers until they are cleared.
     """
     if loss.size != 1:
         raise ContractError("backward requires a scalar loss")
-    adjoints: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    adjoints: dict[tuple, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     if loss.grad is not None:
         loss.grad += 1.0
+    pop = adjoints.pop
     for op in reversed(tape.ops):
-        g = adjoints.pop(id(op.out), None)
+        g = pop(op.node, None)
         if g is None:
             continue
-        parent_grads = op.backward_fn(g)
-        for parent, pg in zip(op.parents, parent_grads):
-            if pg is None:
+        for ref, pg in zip(op.parents, op.backward_fn(g)):
+            if pg is None or ref is None:
                 continue
-            if parent.grad is not None:
-                parent.grad += pg
-            elif parent.requires_grad:
-                prev = adjoints.get(id(parent))
-                adjoints[id(parent)] = pg if prev is None else prev + pg
+            if ref.__class__ is tuple:
+                prev = adjoints.get(ref)
+                adjoints[ref] = pg if prev is None else prev + pg
+            else:
+                ref.grad += pg
 
 
 def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, eps: float = 1e-4) -> float:
@@ -308,10 +344,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape)
     out = a.data + b.data
+    a_shape, b_shape, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if ra else None,
+                _unbroadcast(g, b_shape) if rb else None)
 
     return custom_op(out, (a, b), bwd)
 
@@ -320,10 +357,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape)
     out = a.data - b.data
+    a_shape, b_shape, ra, rb = a.shape, b.shape, a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(-g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a_shape) if ra else None,
+                _unbroadcast(-g, b_shape) if rb else None)
 
     return custom_op(out, (a, b), bwd)
 
@@ -332,10 +370,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     _check_broadcast(a.shape, b.shape)
     out = a.data * b.data
+    # each side keeps the other's value only if its own gradient is needed
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def bwd(g):
-        return (_unbroadcast(g * b.data, a.shape) if a.requires_grad else None,
-                _unbroadcast(g * a.data, b.shape) if b.requires_grad else None)
+        return (None if b_data is None else _unbroadcast(g * b_data, a_shape),
+                None if a_data is None else _unbroadcast(g * a_data, b_shape))
 
     return custom_op(out, (a, b), bwd)
 
@@ -416,23 +458,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise DimensionError(f"matmul batch dims disagree: {a.shape} x {b.shape}")
     out = np.matmul(a.data, b.data)
+    # a's gradient reads b's value and b's reads a's
+    a_shape, b_shape = a.shape, b.shape
+    a_data = a.data if b.requires_grad else None
+    b_data = b.data if a.requires_grad else None
 
     def bwd(g):
-        if b.ndim <= 2:
+        if len(b_shape) <= 2:
             # (..., m, k) x one shared (k, n) or (k,) weight: every stacked row
             # is a row of one 2-D product, so each gradient is a single gemm
             # (gemv) with no per-batch (k, n) stack to sum
-            rows = a.data.reshape(-1, a.shape[-1])
-            if b.ndim == 1:
-                ga = g[..., None] * b.data if a.requires_grad else None
-                return ga, rows.T @ g.reshape(-1) if b.requires_grad else None
-            g2 = g.reshape(-1, b.shape[1])
-            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            return ga, rows.T @ g2 if b.requires_grad else None
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2)) if a.requires_grad else None
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g) if b.requires_grad else None
-        return (None if ga is None else _unbroadcast(ga, a.shape),
-                None if gb is None else _unbroadcast(gb, b.shape))
+            rows = None if a_data is None else a_data.reshape(-1, a_shape[-1])
+            if len(b_shape) == 1:
+                ga = None if b_data is None else g[..., None] * b_data
+                return ga, None if rows is None else rows.T @ g.reshape(-1)
+            g2 = g.reshape(-1, b_shape[1])
+            ga = None if b_data is None else (g2 @ b_data.T).reshape(a_shape)
+            return ga, None if rows is None else rows.T @ g2
+        ga = None if b_data is None else np.matmul(g, np.swapaxes(b_data, -1, -2))
+        gb = None if a_data is None else np.matmul(np.swapaxes(a_data, -1, -2), g)
+        return (None if ga is None else _unbroadcast(ga, a_shape),
+                None if gb is None else _unbroadcast(gb, b_shape))
 
     return custom_op(out, (a, b), bwd)
 
@@ -448,14 +494,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     # path for T = 1 rows and moves their bits
     out = np.matmul(x.data, w.data)
     out += b.data
+    b_shape = b.shape
 
     def bwd(g):
         g2, w2 = g.reshape(-1, n), w.data.reshape(-1, n)
         gx = (g2 @ w2.T).reshape(x.shape) if x.requires_grad else None
         gw = x.data.reshape(-1, w2.shape[0]).T @ g2
-        return gx, gw.reshape(w.shape), g2.sum(axis=0).reshape(b.shape)
+        return gx, gw.reshape(w.shape), g2.sum(axis=0).reshape(b_shape)
 
     return custom_op(out, (x, w, b), bwd)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op: (..., d) rows
+    through a (d, f) and an (f, d') layer, each with its bias.
+
+    The hidden comes from ``linear``'s stacked matmul and is rectified in
+    place, so the op keeps one (..., f) array, the rectified hidden; its
+    ``> 0`` mask is the pre-activation's. Backward multiplies the hidden
+    adjoint by that mask in place, the product ``relu``'s backward forms.
+    """
+    if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1]
+            or w1.shape[1:] != w2.shape[:1] or b1.shape != w1.shape[1:]
+            or b2.shape != w2.shape[1:]):
+        raise DimensionError(f"feed_forward shapes disagree: {x.shape} x {w1.shape} "
+                             f"+ {b1.shape} x {w2.shape} + {b2.shape}")
+    xd, w1d, w2d = x.data, w1.data, w2.data
+    h = np.matmul(xd, w1d)
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    out = np.matmul(h, w2d)
+    out += b2.data
+    rx = x.requires_grad
+
+    def bwd(g):
+        (d, f), n = w1d.shape, w2d.shape[1]
+        g2, hidden = g.reshape(-1, n), h.reshape(-1, f)
+        gh = g2 @ w2d.T
+        gh *= hidden > 0.0
+        gx = (gh @ w1d.T).reshape(xd.shape) if rx else None
+        return (gx, xd.reshape(-1, d).T @ gh, gh.sum(axis=0),
+                hidden.T @ g2, g2.sum(axis=0))
+
+    return custom_op(out, (x, w1, b1, w2, b2), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -472,12 +553,13 @@ def _axis_tuple(axis, ndim):
 def reduce_sum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     out = a.data.sum(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def bwd(g):
         gg = g
         if not keepdims:
             gg = np.expand_dims(g, axes)
-        return (np.broadcast_to(gg, a.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return custom_op(out, (a,), bwd)
 
@@ -486,12 +568,13 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     axes = _axis_tuple(axis, a.ndim)
     count = int(np.prod([a.shape[ax] for ax in axes])) if a.ndim else 1
     out = a.data.mean(axis=axes, keepdims=keepdims)
+    shape = a.shape
 
     def bwd(g):
         gg = g
         if not keepdims:
             gg = np.expand_dims(g, axes)
-        return (np.divide(np.broadcast_to(gg, a.shape), count),)
+        return (np.divide(np.broadcast_to(gg, shape), count),)
 
     return custom_op(out, (a,), bwd)
 
@@ -587,6 +670,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat *= inv
     np.multiply(xhat, gain.data, out=out)
     out += bias.data
+    bias_shape = bias.shape
 
     def bwd(g):
         # gx = inv * (gg - mean(gg) - xhat * mean(gg * xhat)), gg = g * gain
@@ -597,7 +681,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gx -= np.multiply(xhat, m2, out=tmp)
         gx *= inv
         ggain = _unbroadcast(np.multiply(g, xhat, out=tmp), gain.shape)
-        return gx, ggain, _unbroadcast(g, bias.shape)
+        return gx, ggain, _unbroadcast(g, bias_shape)
 
     return custom_op(out, (x, gain, bias), bwd)
 
@@ -631,7 +715,8 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     new_shape = tuple(shape)
     out = a.data.reshape(new_shape)
-    return custom_op(out, (a,), lambda g: (g.reshape(a.shape),))
+    a_shape = a.shape
+    return custom_op(out, (a,), lambda g: (g.reshape(a_shape),))
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -649,10 +734,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     out = np.concatenate([t.data for t in ts], axis=ax)
     sizes = [t.shape[ax] for t in ts]
     splits = np.cumsum(sizes)[:-1]
+    flags = [t.requires_grad for t in ts]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(piece) if t.requires_grad else None
-                     for t, piece in zip(ts, np.split(g, splits, axis=ax)))
+        return tuple(np.ascontiguousarray(piece) if r else None
+                     for r, piece in zip(flags, np.split(g, splits, axis=ax)))
 
     return custom_op(out, tuple(ts), bwd)
 
@@ -663,9 +749,10 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     idx[ax] = slice(start, stop)
     idx = tuple(idx)
     out = a.data[idx]
+    shape = a.shape
 
     def bwd(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros(shape)
         full[idx] = g
         return (full,)
 
@@ -678,9 +765,10 @@ def take_rows(table: Tensor, ids) -> Tensor:
     if idx.min(initial=0) < 0 or idx.max(initial=-1) >= table.shape[0]:
         raise IndexError("row index outside table")
     out = table.data[idx]
+    shape = table.shape
 
     def bwd(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape)
         np.add.at(gt, idx, g)
         return (gt,)
 

@@ -141,8 +141,8 @@ def transformer_layer(x: Tensor, params: dict, prefix: str, n_heads: int,
     normed = ad.layer_norm(x, params[f"{prefix}.ln1.g"], params[f"{prefix}.ln1.b"])
     x = x + multi_head_attention(normed, params, prefix, n_heads, keep)
     normed = ad.layer_norm(x, params[f"{prefix}.ln2.g"], params[f"{prefix}.ln2.b"])
-    h = ad.relu(ad.linear(normed, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"]))
-    return x + ad.linear(h, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"])
+    return x + ad.feed_forward(normed, *(params[f"{prefix}.ff.{n}"]
+                                         for n in ("w1", "b1", "w2", "b2")))
 
 
 def graph_keep(adjacency: np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ Hand-derived oracle values are frozen as literals; gradient correctness is
 checked against central finite differences.
 """
 
+import gc
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -361,6 +363,83 @@ def test_chain_rule_composition():
 
 
 # ---------------------------------------------------------------------------
+# what a tape keeps alive
+#
+# The cycle collector is off in these tests, so a value that a reference
+# cycle keeps alive counts as retained.
+
+def _residual_net(x, w, keep=None):
+    """A residual add, a reshape and tanh; ``keep`` collects every op result
+    when the caller holds on to them."""
+    keep = [] if keep is None else keep
+    h = ad.mul(x, Tensor(2.0))
+    r = ad.add(h, x)           # a residual sum: no backward reads it
+    flat = reshape(r, (-1,))   # a reshape source: its backward reads a shape
+    t = ad.tanh(flat)          # tanh's backward reads its own output
+    m = matmul(reshape(t, x.shape), w)
+    keep += [h, r, flat, t, m]
+    return reduce_sum(m * m)
+
+
+@pytest.fixture
+def no_cycle_collector():
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def test_tape_frees_an_op_result_no_backward_reads(no_cycle_collector):
+    rng = np.random.default_rng(40)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    with Tape() as tape:
+        h = ad.mul(x, Tensor(2.0))
+        r = ad.add(h, x)
+        flat = reshape(r, (-1,))
+        t = ad.tanh(flat)
+        loss = reduce_sum(t)
+        dropped = [weakref.ref(a.data) for a in (h, r, flat)]
+        kept = weakref.ref(t.data)
+        del h, r, flat, t
+        assert [ref() is None for ref in dropped] == [True] * 3
+        # tanh's backward reads its output, so the tape keeps it
+        assert kept() is not None
+    backward(loss, tape)
+    np.testing.assert_allclose(x.grad, 3.0 * (1.0 - np.tanh(3.0 * x.data) ** 2),
+                               rtol=1e-12)
+    # nothing refers back to the tape, so dropping it frees what it kept
+    tape_ref = weakref.ref(tape)
+    del tape, loss
+    assert tape_ref() is None and kept() is None
+
+
+def test_gradients_do_not_depend_on_what_the_caller_keeps(no_cycle_collector):
+    rng = np.random.default_rng(41)
+    arrays = rng.normal(size=(4, 5)), rng.normal(size=(5, 3))
+    grads = []
+    for keep in ([], None):
+        x, w = (Tensor(a, requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            loss = _residual_net(x, w, keep)
+        backward(loss, tape)
+        grads.append((x.grad.tobytes(), w.grad.tobytes()))
+    assert grads[0] == grads[1]
+
+
+def test_an_outer_tape_result_is_a_constant_to_an_inner_backward():
+    x = Tensor(1.5, requires_grad=True)
+    with Tape() as outer:
+        y = x * x
+        with Tape() as inner:
+            loss = y * x
+    backward(loss, inner)
+    # d(y * x)/dx with y held constant: the inner backward stops at y
+    assert len(outer) == 1 and len(inner) == 1
+    assert x.grad == pytest.approx(2.25)
+
+
+# ---------------------------------------------------------------------------
 # grad_check harness
 
 def test_grad_check_sum_of_squares():
@@ -653,6 +732,24 @@ def _ref_linear(x, w, b):
     return ad.custom_op(out, (x, w, b), bwd)
 
 
+def _ref_feed_forward(x, w1, b1, w2, b2):
+    # the unfused layer: linear, relu (whose backward is a bool-mask
+    # product), linear
+    return _ref_linear(ad.relu(_ref_linear(x, w1, b1)), w2, b2)
+
+
+def _kinked_inputs(x_shape):
+    """feed_forward inputs whose first three hidden units see a
+    pre-activation of exactly 0 on every row."""
+    def make(rng):
+        x, w1, b1, w2, b2 = (rng.normal(size=s)
+                             for s in (x_shape, (5, 6), (6,), (6, 4), (4,)))
+        w1[:, :3] = 0.0
+        b1[:3] = 0.0
+        return x, w1, b1, w2, b2
+    return make
+
+
 def _ref_attention(q, k, v, n_heads, keep):
     b, t, d = q.shape
     scale = 1.0 / np.sqrt(d // n_heads)
@@ -727,10 +824,17 @@ def _ref_reduce_mean(a, axis=None, keepdims=False):
 
 
 def _kernel_cases():
-    """(id, kernel, reference, input shapes) for every rewritten kernel."""
+    """(id, kernel, reference, inputs) for every rewritten kernel; inputs
+    are the input shapes, or a function of the rng that builds the arrays."""
     cases = [(f"linear-{x}x{w}", ad.linear, _ref_linear, (x, w, b))
              for x, w, b in [((3, 4, 5), (5, 6), (6,)), ((3, 1, 5), (5, 6), (6,)),
                              ((4, 5), (5, 6), (6,)), ((3, 4, 5), (5,), (1,))]]
+    for x in [(3, 4, 5), (3, 1, 5), (4, 5)]:
+        cases.append((f"feed_forward-{x}", ad.feed_forward, _ref_feed_forward,
+                      (x, (5, 6), (6,), (6, 4), (4,))))
+    for x in [(3, 4, 5), (1, 1, 5)]:
+        cases.append((f"feed_forward-kinked-{x}", ad.feed_forward, _ref_feed_forward,
+                      _kinked_inputs(x)))
     for mask in sorted(_MASKS):
         for t in (1, 5):
             keep = _MASKS[mask](3, t)
@@ -757,11 +861,15 @@ def _kernel_cases():
 _KERNELS = {name: case for name, *case in _kernel_cases()}
 
 
+def _kernel_inputs(inputs, rng):
+    return list(inputs(rng)) if callable(inputs) else [rng.normal(size=s) for s in inputs]
+
+
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_equals_its_out_of_place_reference_bit_for_bit(name):
-    kernel, reference, shapes = _KERNELS[name]
+    kernel, reference, inputs = _KERNELS[name]
     rng = np.random.default_rng(24)
-    arrays = [rng.normal(size=s) for s in shapes]
+    arrays = _kernel_inputs(inputs, rng)
     coeffs = rng.normal(size=reference(*map(Tensor, arrays)).shape)
     got = _value_and_grads(kernel, arrays, coeffs)
     want = _value_and_grads(reference, arrays, coeffs)
@@ -772,9 +880,9 @@ def test_kernel_equals_its_out_of_place_reference_bit_for_bit(name):
 
 @pytest.mark.parametrize("name", sorted(_KERNELS))
 def test_kernel_writes_into_neither_its_inputs_nor_its_adjoint(name):
-    kernel, _, shapes = _KERNELS[name]
+    kernel, _, inputs = _KERNELS[name]
     rng = np.random.default_rng(25)
-    leaves = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    leaves = [Tensor(a, requires_grad=True) for a in _kernel_inputs(inputs, rng)]
     inputs = [t.data.copy() for t in leaves]
     with Tape() as tape:
         out = kernel(*leaves)
@@ -792,6 +900,60 @@ def test_kernel_writes_into_neither_its_inputs_nor_its_adjoint(name):
     for a, b in zip(first, second):
         assert (a is None) == (b is None)
         assert a is None or a.tobytes() == b.tobytes()
+
+
+def test_feed_forward_masks_a_non_finite_adjoint_as_relu_does():
+    # relu's backward multiplies by its mask, so an infinite adjoint at a
+    # dead hidden unit becomes NaN and the step's finiteness check sees it;
+    # a select would zero it. (A select's +0.0 for a negative adjoint's -0.0
+    # leaves no trace here: the two gemms and the sum that read the masked
+    # adjoint all add onto +0.0.)
+    rng = np.random.default_rng(28)
+    arrays = list(_kinked_inputs((3, 4, 5))(rng))
+    coeffs = rng.normal(size=(3, 4, 4))
+    coeffs[1, 2, 0] = np.inf
+
+    def grads(f):  # of sum(f * coeffs), whose adjoint Tensor() would reject
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = f(*leaves)
+            loss = ad.custom_op(np.sum(out.data * coeffs), (out,), lambda g: (g * coeffs,))
+        backward(loss, tape)
+        return [t.grad for t in leaves]
+
+    with np.errstate(invalid="ignore"):
+        got, want = grads(ad.feed_forward), grads(_ref_feed_forward)
+    assert np.isnan(got[2][:3]).all()
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+def test_feed_forward_matches_finite_differences_away_from_the_kink():
+    rng = np.random.default_rng(27)
+    x, w1, b1, w2, b2 = (Tensor(rng.normal(size=s), requires_grad=True)
+                         for s in ((2, 3, 4), (4, 6), (6,), (6, 4), (4,)))
+    pre = np.matmul(x.data, w1.data) + b1.data
+    assert np.abs(pre).min() > 1e-2  # no pre-activation within eps of 0
+    coeffs = Tensor(rng.normal(size=(2, 3, 4)))
+
+    def loss(*args):
+        return reduce_sum(ad.tanh(ad.feed_forward(*args)) * coeffs)
+
+    leaves = [x, w1, b1, w2, b2]
+    for i, target in enumerate(leaves):
+        def f(t, i=i):
+            return loss(*(t if j == i else leaf for j, leaf in enumerate(leaves)))
+        assert grad_check(f, target) < 1e-6, i
+
+
+def test_feed_forward_rejects_mismatched_shapes():
+    x = Tensor(np.ones((2, 3, 4)))
+    w1, b1, w2, b2 = (Tensor(np.ones(s)) for s in ((4, 6), (6,), (6, 4), (4,)))
+    ad.feed_forward(x, w1, b1, w2, b2)
+    for bad in ((x, w2, b1, w2, b2), (x, w1, b2, w2, b2), (x, w1, b1, w1, b2),
+                (x, w1, b1, w2, b1), (x, Tensor(np.ones(4)), b1, w2, b2)):
+        with pytest.raises(DimensionError):
+            ad.feed_forward(*bad)
 
 
 def test_residual_graph_with_shared_adjoints_matches_finite_differences():
