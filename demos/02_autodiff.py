@@ -23,8 +23,9 @@ def mse():
 
 with ad.Tape() as tape:
     loss = mse()
+recorded = len(tape)  # backward takes every op off the tape as it replays it
 ad.backward(loss, tape)
-print(f"initial mse  {loss.item():.4f}   tape length {len(tape)}")
+print(f"initial mse  {loss.item():.4f}   tape length {recorded}")
 print(f"grad shapes  w1 {w1.grad.shape}  b1 {b1.grad.shape}  "
       f"w2 {w2.grad.shape}  b2 {b2.grad.shape}")
 

@@ -2,7 +2,8 @@
 
 Every learnable component in the package is built from the primitives here.
 Ops record onto the innermost active ``Tape``; ``backward`` replays the tape
-in exact reverse order. Tensors created outside a tape are plain values.
+in exact reverse order, releasing each op as it replays it, so a tape serves
+one backward. Tensors created outside a tape are plain values.
 
 Broadcasting is deliberately narrow: equal shapes, scalars, or a lower-rank
 operand aligned against the trailing dimensions (size-1 expansion allowed).
@@ -191,14 +192,19 @@ class Tape:
     """Execution-ordered record of differentiable ops.
 
     Use as a context manager; ops executed inside record themselves when any
-    input requires grad. One tape serves one single-threaded evaluation.
+    input requires grad. One tape serves one single-threaded evaluation and
+    one ``backward``, which takes every op off ``ops`` as it replays it.
     Each tape has its own serial number, so a result recorded on another
-    tape is a constant to this tape's ``backward``.
+    tape is a constant to this tape's ``backward``, and numbers its ops from
+    its own counter, so an op recorded after the replay takes a node no
+    earlier op had.
     """
 
     def __init__(self):
         self.serial = next(_SERIALS)
         self.ops: list[_TapeOp] = []
+        self.replayed = False
+        self._indices = count()
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -244,7 +250,7 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
         if tracked:
             tape = _ACTIVE_TAPES[-1]
             out.requires_grad = True
-            out.node = node = (tape.serial, len(tape.ops))
+            out.node = node = (tape.serial, next(tape._indices))
             tape.ops.append(_TapeOp(node, tuple(refs), backward_fn))
     return out
 
@@ -252,17 +258,25 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
 def backward(loss: Tensor, tape: Tape) -> None:
     """Populate leaf gradients with d(loss)/d(leaf).
 
-    Visits the tape in exact reverse execution order, keying each op
-    result's adjoint by its node. Repeated calls accumulate into leaf
-    ``grad`` buffers until they are cleared.
+    Takes the ops off the tape in exact reverse execution order, keying each
+    op result's adjoint by its node, so an op and the arrays its backward
+    captured are freed once its adjoints are handed on, and the tape ends
+    empty. A tape serves one call: a second raises ContractError. Calls on
+    separate recordings accumulate into leaf ``grad`` buffers until they are
+    cleared.
     """
     if loss.size != 1:
         raise ContractError("backward requires a scalar loss")
+    if tape.replayed:
+        raise ContractError("backward on a tape it has already replayed")
+    tape.replayed = True
     adjoints: dict[tuple, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     if loss.grad is not None:
         loss.grad += 1.0
     pop = adjoints.pop
-    for op in reversed(tape.ops):
+    ops = tape.ops
+    while ops:
+        op = ops.pop()
         g = pop(op.node, None)
         if g is None:
             continue

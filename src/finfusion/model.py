@@ -17,7 +17,10 @@ from .datapipe import GRAPH_FEATURE_NAMES, MACRO_SLOTS, build_vocab
 from .errors import ConfigError, DegenerateInputError, check_number
 
 # rows per chunk of a read-only backbone pass (evaluation, the RL env's state
-# table); fixed chunks bound the pass's peak memory and fix its rounding
+# table); fixed chunks bound the pass's peak memory and fix its rounding: a
+# row's last bits depend on where its chunk ends (at the default dims, chunks
+# of a multiple of 4 rows round alike, others do not), so a one-row
+# ``forecast`` can differ in the last bit from ``eval``'s value for that row
 EVAL_BATCH = 64
 
 # integer fields of ModelConfig: those that must be positive (the graph

@@ -328,11 +328,48 @@ def test_binary_ops_give_no_adjoint_to_a_constant_parent(op, trained):
 
 def test_backward_accumulates_across_calls():
     x = Tensor(2.0, requires_grad=True)
+    for _ in range(2):
+        with Tape() as tape:
+            loss = x * x
+        backward(loss, tape)
+    assert x.grad == pytest.approx(8.0)
+    x.zero_grad()
     with Tape() as tape:
         loss = x * x
     backward(loss, tape)
+    assert x.grad == pytest.approx(4.0)
+
+
+def test_backward_empties_the_tape():
+    x = Tensor(np.array([0.5, -1.0]), requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(ad.tanh(x * x))
+    assert len(tape) == 3
     backward(loss, tape)
-    assert x.grad == pytest.approx(8.0)
+    assert len(tape) == 0
+
+
+def test_a_second_backward_on_a_replayed_tape_is_refused():
+    x = Tensor(2.0, requires_grad=True)
+    with Tape() as tape:
+        loss = x * x
+    backward(loss, tape)
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(loss, tape)
+    # the refused call added nothing
+    assert x.grad == pytest.approx(4.0)
+
+
+def test_an_op_recorded_after_the_replay_takes_a_fresh_node():
+    x = Tensor(2.0, requires_grad=True)
+    with Tape() as tape:
+        first = [x * x, x * 3.0]
+        backward(first[0] + first[1], tape)
+        later = [x * x, x * 5.0]
+    earlier = {t.node for t in first}
+    assert len(earlier) == 2 and len({t.node for t in later}) == 2
+    assert not earlier & {t.node for t in later}
+    assert len(tape) == 2
 
 
 def test_backward_rejects_vector_loss():
@@ -433,10 +470,36 @@ def test_an_outer_tape_result_is_a_constant_to_an_inner_backward():
         y = x * x
         with Tape() as inner:
             loss = y * x
+    assert len(outer) == 1 and len(inner) == 1
     backward(loss, inner)
     # d(y * x)/dx with y held constant: the inner backward stops at y
-    assert len(outer) == 1 and len(inner) == 1
+    assert len(outer) == 1 and len(inner) == 0
     assert x.grad == pytest.approx(2.25)
+
+
+def test_backward_frees_an_op_before_it_replays_the_next(no_cycle_collector):
+    """An array that only one op's backward holds is freed by the time an
+    op recorded before it, and so replayed after it, runs its backward."""
+    x = Tensor(np.array([0.3, -0.7]), requires_grad=True)
+    seen = []
+
+    def spy(t):
+        # an identity op whose backward looks at the tanh output
+        def bwd(g):
+            seen.append(captured() is None)
+            return (g,)
+        return ad.custom_op(t.data.copy(), (t,), bwd)
+
+    with Tape() as tape:
+        h = spy(x)
+        y = ad.tanh(h)   # tanh's backward holds its output, and only it
+        captured = weakref.ref(y.data)
+        loss = reduce_sum(y)
+        del h, y
+    assert captured() is not None
+    backward(loss, tape)
+    assert seen == [True]
+    np.testing.assert_allclose(x.grad, 1.0 - np.tanh(x.data) ** 2, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

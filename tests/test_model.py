@@ -123,6 +123,24 @@ def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
         assert got[name].tobytes() == np.concatenate(parts).tobytes(), name
 
 
+def test_forward_chunks_rounds_alike_at_64_and_128_row_chunks(world, monkeypatch):
+    """At the default dims a row's last bits depend on where its chunk ends;
+    64- and 128-row chunks round alike, so a pass may use either."""
+    _, _, _, ds = world
+    mcfg = fm.ModelConfig(price_features=12, graph_features=len(dp.GRAPH_FEATURE_NAMES),
+                          vocab_size=len(ds.vocab))
+    params = fm.init_model_params(mcfg, np.random.default_rng(0))
+    pairs = ds.sample_pairs("train")
+    assert len(pairs) > 128 + 1  # both sizes split the pass, at other rows
+    outs = []
+    for rows in (64, 128):
+        monkeypatch.setattr(fm, "EVAL_BATCH", rows)
+        outs.append(fm.forward_chunks(ds, pairs, params, mcfg))
+    assert set(outs[0]) == set(outs[1])
+    for name in outs[0]:
+        assert outs[0][name].tobytes() == outs[1][name].tobytes(), name
+
+
 def test_forward_chunks_rejects_an_empty_batch(world):
     _, mcfg, params, ds = world
     with pytest.raises(DegenerateInputError, match="forward_chunks got an empty batch"):
