@@ -22,6 +22,12 @@ every layer repeats: ``linear`` (``x @ w + b``), ``attention`` (head split,
 scaled scores, mask, softmax, ``attn @ v`` and head merge) and
 ``feed_forward`` (``linear``, ``relu``, ``linear``).
 
+``feed_forward`` runs its stacked (..., T, d) rows in blocks of at most
+``FF_BLOCK_BYTES`` of hidden, each block through one flat (rows, d) gemm
+per layer when T > 1, where numpy would run one small gemm per stacked
+(T, d) matrix. At the default and README widths each row gets the bits the
+stacked call gives it. ``matmul`` and ``linear`` keep numpy's stacked call.
+
 The fused kernels (``linear``, ``feed_forward``, ``attention``,
 ``layer_norm``, ``softmax``) build their temporaries in place, but only in
 arrays they have just allocated. No kernel writes into its inputs or into
@@ -85,6 +91,10 @@ __all__ = [
 ]
 
 _EPS_MASK = -1e9  # additive mask value; exp underflows to exactly 0.0
+# bytes of one feed-forward hidden block: a quarter of a 2 MiB per-core L2,
+# so the bias and ReLU passes over a block, and the second gemm that reads
+# it, find it in cache (256 rows at d_ff 256; one block at the README dims)
+FF_BLOCK_BYTES = 512 * 1024
 
 
 def require_finite(arr: np.ndarray, context: str) -> None:
@@ -505,7 +515,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if w.ndim not in (1, 2) or x.shape[-1:] != w.shape[:1] or b.ndim > 1 or b.size != n:
         raise DimensionError(f"linear shapes disagree: {x.shape} x {w.shape} + {b.shape}")
     # keep the stacked matmul: one flattened 2-D gemm takes another BLAS
-    # path for T = 1 rows and moves their bits
+    # path for T = 1 rows and moves their bits, and at the default dims it
+    # is slower than the stacked gemms for the d x d and input projections
+    # (feed_forward's d x d_ff layers are faster flat)
     out = np.matmul(x.data, w.data)
     out += b.data
     b_shape = b.shape
@@ -519,30 +531,67 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return custom_op(out, (x, w, b), bwd)
 
 
+def _ff_block(rows, w1, b1, w2, b2, h=None, out=None) -> tuple:
+    """One block of ``feed_forward``'s rows through both layers: the
+    rectified hidden and the output, written into ``h`` and ``out`` if
+    given."""
+    h = np.matmul(rows, w1, out=h)
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    out = np.matmul(h, w2, out=out)
+    out += b2
+    return h, out
+
+
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op: (..., d) rows
     through a (d, f) and an (f, d') layer, each with its bias.
 
-    The hidden comes from ``linear``'s stacked matmul and is rectified in
-    place, so the op keeps one (..., f) array, the rectified hidden; its
-    ``> 0`` mask is the pre-activation's. Backward multiplies the hidden
-    adjoint by that mask in place, the product ``relu``'s backward forms.
+    The rows go through both layers in blocks of at most ``FF_BLOCK_BYTES``
+    of hidden (or one stacked matrix), and a block's hidden is rectified in
+    place. For T > 1 a block is one flat gemm per layer, which at the
+    default dims usually costs less than numpy's stacked call and, at the
+    default and README widths, gives each row the same bits. (BLAS may
+    round a row by its place in the gemm's panel: with OpenBLAS 0.3.31's
+    Haswell kernels, at a layer width of 1, 2 or 3 mod 8 and an inner width
+    of 16 or more, the last bits can differ.) T = 1 rows and a one-column
+    layer keep the stacked call, which numpy runs as gemv, whose rounding
+    of a row depends on how the rows are grouped. A recorded op writes the
+    blocks into one (rows, f) array, the rectified hidden backward reads;
+    its ``> 0`` mask is the pre-activation's. Unrecorded, one block buffer
+    serves every block. Backward multiplies the hidden adjoint by that mask
+    in place, the product ``relu``'s backward forms.
     """
     if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1]
             or w1.shape[1:] != w2.shape[:1] or b1.shape != w1.shape[1:]
             or b2.shape != w2.shape[1:]):
         raise DimensionError(f"feed_forward shapes disagree: {x.shape} x {w1.shape} "
                              f"+ {b1.shape} x {w2.shape} + {b2.shape}")
-    xd, w1d, w2d = x.data, w1.data, w2.data
-    h = np.matmul(xd, w1d)
-    h += b1.data
-    np.maximum(h, 0.0, out=h)
-    out = np.matmul(h, w2d)
-    out += b2.data
+    xd, w1d, w2d, b1d, b2d = x.data, w1.data, w2.data, b1.data, b2.data
+    (d, f), n = w1d.shape, w2d.shape[1]
+    # blocks of (R, d) rows for one flat gemm each, or of whole (T, d)
+    # matrices for numpy's stacked call
+    if xd.ndim > 1 and xd.shape[-2] > 1 and f > 1 and n > 1:
+        rows, per = xd.reshape(-1, d), 1
+    else:
+        rows = xd.reshape((-1,) + xd.shape[-2:]) if xd.ndim > 1 else xd.reshape(1, 1, d)
+        per = rows.shape[1]
+    block = max(1, FF_BLOCK_BYTES // (8 * f * per))
+    if len(rows) <= block:
+        h, out = _ff_block(rows, w1d, b1d, w2d, b2d)
+    else:
+        recorded = bool(_ACTIVE_TAPES) and any(
+            p.requires_grad for p in (x, w1, b1, w2, b2))
+        h = np.empty((len(rows) if recorded else block,) + rows.shape[1:-1] + (f,))
+        out = np.empty(rows.shape[:-1] + (n,))
+        for lo in range(0, len(rows), block):
+            hi = min(lo + block, len(rows))
+            _ff_block(rows[lo:hi], w1d, b1d, w2d, b2d,
+                      h[lo:hi] if recorded else h[:hi - lo], out[lo:hi])
+    out = out.reshape(xd.shape[:-1] + (n,))
     rx = x.requires_grad
 
     def bwd(g):
-        (d, f), n = w1d.shape, w2d.shape[1]
         g2, hidden = g.reshape(-1, n), h.reshape(-1, f)
         gh = g2 @ w2d.T
         gh *= hidden > 0.0

@@ -4,7 +4,8 @@ Three views mirror the evaluation tables: micro forecasting (directional
 accuracy, MAPE, hit ratio), per-institution distress classification, and
 macro early warning. One ``forward_chunks`` pass over a split's (asset,
 date) pairs, with both heads, serves all three: the micro table reads every
-row, and the distress and warning tables read asset 0's row of each date.
+row, and the distress and warning tables read the risk head's one score of
+each date, from asset 0's row.
 The multi-seed protocol retrains from scratch per seed and aggregates with
 mean and sample std.
 """
@@ -82,10 +83,11 @@ def evaluate_split(dataset, params, cfg, split: str,
                    kinds=fus.MODALITIES) -> dict:
     """Flat dotted-key metric dict covering all three tables, from one
     ``forward_chunks`` pass over ``dataset.sample_pairs(split)`` with both
-    heads. The micro table reads every row; ``sample_pairs`` is date-major,
-    so every ``n_assets``-th row, from the first, is asset 0's row of the
-    next date, which the distress and warning tables read."""
-    rows = fm.forward_chunks(dataset, _split_pairs(dataset, split), params, cfg,
+    heads. The micro table reads every row; the distress and warning tables
+    read the risk outputs, one per date, and the labels of the rows they
+    were scored on."""
+    pairs = _split_pairs(dataset, split)
+    rows = fm.forward_chunks(dataset, pairs, params, cfg,
                              kinds=kinds, heads=("micro", "risk"),
                              labels=_MICRO_LABELS + _RISK_LABELS)
     out = {}
@@ -97,8 +99,11 @@ def evaluate_split(dataset, params, cfg, split: str,
     out["micro.mape"] = mape[0] if mape is not None else None
     out["micro.hit_ratio"] = mx.hit_ratio(true, pred)
 
+    scored = fm.date_first_rows(pairs)
     risk = predict_risk(dataset, params, cfg, split, kinds,
-                        out={name: arr[::dataset.n_assets] for name, arr in rows.items()})
+                        out={**{name: rows[name][scored] for name in _RISK_LABELS},
+                             "risk_score": rows["risk_score"],
+                             "contributions": rows["contributions"]})
     node_scores = risk["contributions"].reshape(-1)
     node_labels = risk["node_distress"].reshape(-1)
     node_preds = (node_scores >= cfg.warning_threshold).astype(np.int64)
@@ -154,10 +159,10 @@ def bulletin_for_date(dataset, params, cfg, date: int, horizon: int = 1,
     ahead."""
     dataset.check_date(date)
     batch = dataset.batch_arrays([(a, date) for a in range(dataset.n_assets)])
-    out = fm.forward_batch(batch, params, cfg, kinds, horizon=horizon)
+    out = fm.forward_batch(batch, params, cfg, kinds, horizon=horizon, risk_rows=[0])
     forecasts = heads.micro_forecast(out["mdn_weights"].data, out["mdn_means"].data,
                                      out["mdn_sigmas"].data, dataset.norm)
-    # every row shares the date's graph; row 0 carries the market-wide score
+    # the risk head scores the date once, from its first row, asset 0's
     score = float(out["risk_score"].data[0])
     return heads.generate_bulletin(score, score >= cfg.warning_threshold,
                                    out["contributions"].data[0], forecasts,

@@ -126,12 +126,15 @@ def embed_batch(batch: dict, params: dict, cfg, kinds, keep: np.ndarray) -> dict
 
 
 def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
-                  kinds=fus.MODALITIES, heads=("micro", "risk"), horizon: int = 1) -> dict:
+                  kinds=fus.MODALITIES, heads=("micro", "risk"), horizon: int = 1,
+                  risk_rows=None) -> dict:
     """Run the encoders named in ``kinds``, fusion, and the task heads named in
     ``heads`` on one fully aligned batch; modalities outside ``kinds`` are
     fused as absent from every row. This is the only way into the micro
     head: its mixture is for the return ``horizon`` steps past each row's
-    date, rolled by ``heads.micro_head_batch`` from the fused state.
+    date, rolled by ``heads.micro_head_batch`` from the fused state. The
+    risk head scores the rows indexed by ``risk_rows``, one per date (see
+    ``date_first_rows``), or every row if it is None.
 
     ``batch`` carries numpy arrays: price (B, T, F), tokens (B, L) with
     tok_len (B,), macro (B, M), graph node features (B, N, Fg) and adjacency
@@ -139,7 +142,7 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
     ``embs`` (kind -> embedding of each encoded modality) and
     ``fuse_weights`` always; the z-scored (B, K) mixture ``mdn_weights``,
     ``mdn_means`` and ``mdn_sigmas`` with the micro head; ``risk_score`` and
-    ``contributions`` with the risk head.
+    ``contributions``, one row per scored row, with the risk head.
 
     The ops inside do not check finiteness; the returned tensors are checked
     once here, so every caller gets finite outputs or a NumericalError.
@@ -154,12 +157,23 @@ def forward_batch(batch: dict, params: dict, cfg: ModelConfig,
             ad.reshape(z, (b, 1, cfg.d_model)), params, cfg, k=horizon)
         out.update(zip(("mdn_weights", "mdn_means", "mdn_sigmas"), mixture))
     if "risk" in heads:
+        feats = batch["graph_feats"]
+        if risk_rows is not None:
+            z, feats, keep = ad.take_rows(z, risk_rows), feats[risk_rows], keep[risk_rows]
         out["risk_score"], out["contributions"] = task_heads.macro_risk_batch(
-            z, batch["graph_feats"], keep, params, cfg)
+            z, feats, keep, params, cfg)
     for name, t in list(embs.items()) + list(out.items()):
         if isinstance(t, Tensor):
             ad.require_finite(t.data, f"forward output {name}")
     return out
+
+
+def date_first_rows(pairs) -> np.ndarray:
+    """Indices of the first (asset, date) pair of each date in ``pairs``, in
+    order: the rows the risk head scores. Each date's rows share its graph
+    and every caller numbers asset 0's row first, so this is asset 0's."""
+    dates = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[:, 1]
+    return np.sort(np.unique(dates, return_index=True)[1])
 
 
 def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
@@ -167,14 +181,20 @@ def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
     """One read-only ``forward_batch`` pass over the (asset, date) ``pairs``
     of ``dataset`` in chunks of ``EVAL_BATCH`` rows. Returns the values of
     every output tensor and the ``batch_arrays`` entries named in ``labels``,
-    each concatenated over the chunks. DegenerateInputError if ``pairs`` is
-    empty."""
+    each concatenated over the chunks. The risk outputs hold one row per
+    date, from ``date_first_rows``; the others one per pair.
+    DegenerateInputError if ``pairs`` is empty."""
     if not len(pairs):
         raise DegenerateInputError("forward_chunks got an empty batch of (asset, date) pairs")
+    first = np.zeros(len(pairs), dtype=bool)
+    first[date_first_rows(pairs)] = True
     parts: dict = {}
     for i in range(0, len(pairs), EVAL_BATCH):
         batch = dataset.batch_arrays(pairs[i:i + EVAL_BATCH])
-        out = forward_batch(batch, params, cfg, kinds=kinds, heads=heads)
+        scored = np.flatnonzero(first[i:i + EVAL_BATCH])
+        out = forward_batch(batch, params, cfg, kinds=kinds, risk_rows=scored,
+                            heads=heads if scored.size else
+                            tuple(h for h in heads if h != "risk"))
         for name, t in out.items():
             if isinstance(t, Tensor):
                 parts.setdefault(name, []).append(t.data)

@@ -7,6 +7,7 @@ checked against central finite differences.
 import gc
 import inspect
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -1017,6 +1018,96 @@ def test_feed_forward_rejects_mismatched_shapes():
                 (x, w1, b1, w2, b1), (x, Tensor(np.ones(4)), b1, w2, b2)):
         with pytest.raises(DimensionError):
             ad.feed_forward(*bad)
+
+
+# Stacked (B, T, d) rows at the default dims (d_model 64, d_ff 256): a
+# feed-forward block holds 256 rows there, and each B * T below spans three
+# blocks plus a remainder (three blocks of 256 one-row matrices at T = 1)
+_DEFAULT_FF_DIMS = (64, 256)
+_ROWS_BY_T = {1: 800, 2: 400, 4: 200, 30: 27}
+
+
+def _default_ff_arrays(t, seed):
+    d, f = _DEFAULT_FF_DIMS
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=s) for s in ((_ROWS_BY_T[t], t, d), (d, f), (f,), (f, d), (d,))]
+
+
+def test_the_default_dims_span_three_feed_forward_blocks_and_a_remainder():
+    d, f = _DEFAULT_FF_DIMS
+    assert ad.FF_BLOCK_BYTES // (8 * f) == 256
+    for t, b in _ROWS_BY_T.items():
+        blocks, rest = divmod(b * t if t > 1 else b, 256)
+        assert blocks == 3 and rest > 0, t
+
+
+@pytest.mark.parametrize("t", sorted(_ROWS_BY_T))
+def test_linear_equals_the_stacked_matmul_bit_for_bit(t):
+    x, w, b, _, _ = _default_ff_arrays(t, 31)
+    want = np.matmul(x, w) + b
+    got = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+@pytest.mark.parametrize("t", sorted(_ROWS_BY_T))
+def test_feed_forward_equals_the_stacked_matmuls_bit_for_bit(t, recorded):
+    # the unblocked layer: two stacked matmuls over every row at once
+    arrays = _default_ff_arrays(t, 32)
+    x, w1, b1, w2, b2 = arrays
+    want = np.matmul(np.maximum(np.matmul(x, w1) + b1, 0.0), w2) + b2
+    leaves = [Tensor(a, requires_grad=recorded) for a in arrays]
+    with Tape() as tape:
+        got = ad.feed_forward(*leaves).data
+    assert len(tape) == int(recorded)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("t", sorted(_ROWS_BY_T))
+def test_feed_forward_blocks_give_the_single_block_adjoints(t, monkeypatch):
+    arrays = _default_ff_arrays(t, 33)
+    coeffs = np.random.default_rng(34).normal(size=arrays[0].shape)
+    blocked = _value_and_grads(ad.feed_forward, arrays, coeffs)
+    monkeypatch.setattr(ad, "FF_BLOCK_BYTES", 1 << 40)
+    single = _value_and_grads(ad.feed_forward, arrays, coeffs)
+    for g, w in zip(blocked, single):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_an_unrecorded_feed_forward_holds_one_hidden_block():
+    # 810 rows: the full hidden would take 1.66 MB, one block 512 KiB
+    x, w1, b1, w2, b2 = map(Tensor, _default_ff_arrays(30, 36))
+    hidden_bytes = x.shape[0] * x.shape[1] * w1.shape[1] * 8
+    ad.feed_forward(x, w1, b1, w2, b2)  # warm up
+    tracemalloc.start()
+    try:
+        out = ad.feed_forward(x, w1, b1, w2, b2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ad.FF_BLOCK_BYTES + out.data.nbytes + (128 << 10) < hidden_bytes
+
+
+@pytest.mark.parametrize("x_shape", [(2, 5, 4), (10, 1, 4)])
+def test_feed_forward_matches_finite_differences_over_several_blocks(x_shape,
+                                                                     monkeypatch):
+    # three hidden rows per block: ten rows make three blocks and a remainder,
+    # and grad_check's unrecorded evaluations reuse one block buffer
+    monkeypatch.setattr(ad, "FF_BLOCK_BYTES", 3 * 8 * 6)
+    rng = np.random.default_rng(35)
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in (x_shape, (4, 6), (6,), (6, 3), (3,))]
+    pre = np.matmul(leaves[0].data, leaves[1].data) + leaves[2].data
+    assert np.abs(pre).min() > 1e-3  # no pre-activation within eps of 0
+    coeffs = Tensor(rng.normal(size=x_shape[:-1] + (3,)))
+
+    def loss(*args):
+        return reduce_sum(ad.tanh(ad.feed_forward(*args)) * coeffs)
+
+    for i, target in enumerate(leaves):
+        def f(t, i=i):
+            return loss(*(t if j == i else leaf for j, leaf in enumerate(leaves)))
+        assert grad_check(f, target) < 1e-6, i
 
 
 def test_residual_graph_with_shared_adjoints_matches_finite_differences():

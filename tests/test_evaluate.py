@@ -8,6 +8,7 @@ import pytest
 import finfusion.datapipe as dp
 import finfusion.evaluate as ev
 import finfusion.fusion as fus
+import finfusion.heads as heads
 import finfusion.model as fm
 import finfusion.training as tr
 from finfusion.errors import ContractError
@@ -126,6 +127,52 @@ def test_evaluate_split_one_pass_gives_the_standalone_arrays(which, kinds, split
             assert got[key].dtype == alone[key].dtype, key
             assert got[key].shape == alone[key].shape, key
             assert got[key].tobytes() == alone[key].tobytes(), key
+
+
+@pytest.fixture(scope="module")
+def world4():
+    ds = dp.build_dataset(dp.SyntheticConfig(
+        n_steps=150, n_assets=4, n_institutions=4, seed=46))
+    mcfg = tiny_cfg(price_features=12,
+                    graph_features=len(dp.GRAPH_FEATURE_NAMES),
+                    vocab_size=len(ds.vocab))
+    params = fm.init_model_params(mcfg, np.random.default_rng(10))
+    return ds, mcfg, params
+
+
+def _every_row_risk(ds, params, mcfg, pairs):
+    """The risk head on every row of ``pairs``, in the read-only pass's
+    chunks: the reference whose asset-0 rows a pass that scores one row per
+    date must reproduce."""
+    parts = {"risk_score": [], "contributions": []}
+    for i in range(0, len(pairs), fm.EVAL_BATCH):
+        out = fm.forward_batch(ds.batch_arrays(pairs[i:i + fm.EVAL_BATCH]),
+                               params, mcfg, heads=("risk",))
+        for name, arrs in parts.items():
+            arrs.append(out[name].data)
+    return {name: np.concatenate(arrs) for name, arrs in parts.items()}
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_the_risk_head_scores_one_row_per_date(split, world4, spy):
+    ds, mcfg, params = world4
+    dates = ds.splits[split]
+    scored = spy(heads, "macro_risk_batch")
+    risk_calls = spy(ev, "predict_risk")
+    ev.evaluate_split(ds, params, mcfg, split)
+    assert sum(call.args[0].shape[0] for call in scored) == len(dates)
+    got = risk_calls[0].result
+    want = _every_row_risk(ds, params, mcfg, ds.sample_pairs(split))
+    for key, name in (("score", "risk_score"), ("contributions", "contributions")):
+        asset0 = want[name][::ds.n_assets]
+        assert got[key].shape == asset0.shape and got[key].tobytes() == asset0.tobytes()
+
+    date = dates[len(dates) // 2]
+    scored.clear()
+    bulletin = ev.bulletin_for_date(ds, params, mcfg, date)
+    assert [call.args[0].shape[0] for call in scored] == [1]
+    want = _every_row_risk(ds, params, mcfg, [(a, date) for a in range(ds.n_assets)])
+    assert bulletin.score == float(want["risk_score"][0])
 
 
 def test_evaluate_split_rejects_an_empty_split(world, monkeypatch):

@@ -117,10 +117,33 @@ def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
             want.setdefault(name, []).append(out[name].data)
         for name in labels:
             want.setdefault(name, []).append(batch[name])
+    # the pass scores each date once, on its first row, which the per-chunk
+    # forwards above scored along with every other row
+    first = fm.date_first_rows(pairs)
+    assert len(first) == len(ds.splits["train"]) < len(pairs)
     assert set(got) == set(want)
     for name, parts in want.items():
-        assert got[name].dtype == parts[0].dtype, name
-        assert got[name].tobytes() == np.concatenate(parts).tobytes(), name
+        full = np.concatenate(parts)
+        if name in HEAD_KEYS["risk"]:
+            full = full[first]
+        assert got[name].dtype == full.dtype, name
+        assert got[name].tobytes() == full.tobytes(), name
+
+
+def test_forward_chunks_runs_no_risk_head_on_a_chunk_that_starts_no_date(world,
+                                                                        monkeypatch, spy):
+    # one-row chunks: asset 1's chunk of each date scores nothing
+    _, mcfg, params, ds = world
+    monkeypatch.setattr(fm, "EVAL_BATCH", 1)
+    dates = ds.splits["val"]
+    scored = spy(fm.task_heads, "macro_risk_batch")
+    got = fm.forward_chunks(ds, ds.sample_pairs("val"), params, mcfg, heads=("risk",))
+    assert len(scored) == len(dates)
+    for i, t in enumerate(dates):
+        want = fm.forward_batch(ds.batch_arrays([(0, t)]), params, mcfg, heads=("risk",))
+        for name in HEAD_KEYS["risk"]:
+            assert got[name][i].tobytes() == want[name].data[0].tobytes(), (name, t)
+    assert got["z"].shape[0] == len(dates) * ds.n_assets
 
 
 def test_forward_chunks_rounds_alike_at_64_and_128_row_chunks(world, monkeypatch):

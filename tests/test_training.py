@@ -348,6 +348,24 @@ def test_adamw_late_joiner_gets_fresh_bias_correction():
     assert np.allclose(b.data, -0.01 * np.sign(g), atol=1e-7)
 
 
+def test_adamw_blocks_give_the_single_block_bits(monkeypatch):
+    # a 7-element block splits every span, one of them several times over
+    def three_steps():
+        rng = np.random.default_rng(6)
+        params = {n: _leaf(rng.normal(size=s))
+                  for n, s in (("a.w", (5, 6)), ("b.w", (3,)), ("c.w", (4, 4)))}
+        buf = tr.ParamBuffer(params)
+        state = tr.AdamWState()
+        for names in (["a.w", "b.w"], ["a.w", "b.w", "c.w"], ["c.w"]):
+            buf.grad[:] = rng.normal(size=buf.grad.size)
+            tr.adamw_step(buf, names, state, lr=0.01)
+        return buf.data.tobytes(), state.m.tobytes(), state.v.tobytes()
+
+    single = three_steps()
+    monkeypatch.setattr(tr, "_ADAM_BLOCK", 7)
+    assert three_steps() == single
+
+
 def test_adamw_rejects_shape_mismatch():
     state = tr.AdamWState()
     _step({"p": _leaf(np.zeros((2, 3)))}, {"p": np.zeros((2, 3))}, state, 0.01)
