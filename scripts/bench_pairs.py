@@ -15,9 +15,12 @@ over the session falls on both sides alike.
 Every run's info and result lines, as perfbench printed them, are added to
 the `runs` list of the `--out` file (created if missing, extended if not).
 Then, for the plain (`--trace 0`) runs of the workload in that file, the
-script prints one line per end-to-end metric of the change tree's
-`BENCHMARK.json`: both medians, the parent's quartiles, the change's wins
-(ties count for neither side) and a verdict:
+script judges the pairs in which both runs finished, report `correct` and
+failed no operation; it prints how many other pairs it dropped (perfbench
+exits 0 when it reports `correct: false`). For each end-to-end metric of
+the change tree's `BENCHMARK.json` it prints one line: both medians, the
+parent's quartiles, the change's wins (ties count for neither side) and a
+verdict:
 
 - `gain`: the change wins at least nine tenths of the pairs and its median
   is better than the parent's by more than the parent's quartile distance;
@@ -151,6 +154,13 @@ def judge(parent: list, change: list, better: str, bound: float) -> dict:
             "verdict": verdict}
 
 
+def sound(run: dict) -> bool:
+    """True for a run that finished, reports ``correct`` and failed no
+    operation: the only runs whose metrics are judged."""
+    result = run["result"]
+    return bool(result) and result["correct"] and not result["failed"]
+
+
 def summarise(book: dict, workload: str, bench: dict) -> None:
     by_seed = {}
     for r in book["runs"]:
@@ -159,11 +169,10 @@ def summarise(book: dict, workload: str, bench: dict) -> None:
     pairs = [(s["parent"], s["change"]) for _, s in sorted(by_seed.items())
              if "parent" in s and "change" in s]
     failed = [f"{r['side']} seed {r['seed']}" for pair in pairs for r in pair
-              if r["result"] is None or r["result"]["failed"]
-              or not r["result"]["correct"]]
-    ok = [(p, c) for p, c in pairs if p["result"] and c["result"]]
-    print(f"{workload}: {len(pairs)} pairs, failed or incorrect runs: "
-          f"{', '.join(failed) or 'none'}")
+              if not sound(r)]
+    ok = [(p, c) for p, c in pairs if sound(p) and sound(c)]
+    print(f"{workload}: {len(pairs)} pairs, {len(pairs) - len(ok)} dropped; "
+          f"failed or incorrect runs: {', '.join(failed) or 'none'}")
     if not ok:
         return
     differ = [p["seed"] for p, c in ok

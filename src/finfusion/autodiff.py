@@ -22,11 +22,12 @@ every layer repeats: ``linear`` (``x @ w + b``), ``attention`` (head split,
 scaled scores, mask, softmax, ``attn @ v`` and head merge) and
 ``feed_forward`` (``linear``, ``relu``, ``linear``).
 
-``feed_forward`` runs its stacked (..., T, d) rows in blocks of at most
-``FF_BLOCK_BYTES`` of hidden, each block through one flat (rows, d) gemm
-per layer when T > 1, where numpy would run one small gemm per stacked
-(T, d) matrix. At the default and README widths each row gets the bits the
-stacked call gives it. ``matmul`` and ``linear`` keep numpy's stacked call.
+``feed_forward`` runs stacked (..., T, d) rows with T > 1 as flat
+(rows, d) rows, in blocks of at most ``FF_BLOCK_BYTES`` of hidden, each
+block through one gemm per layer, where numpy would run one small gemm per
+stacked (T, d) matrix. At the default and README widths each row gets the
+bits the stacked call gives it. T = 1 rows go through numpy's stacked call
+in one pass, as do ``matmul`` and ``linear``.
 
 The fused kernels (``linear``, ``feed_forward``, ``attention``,
 ``layer_norm``, ``softmax``) build their temporaries in place, but only in
@@ -37,11 +38,11 @@ plain expression it replaces, so the in-place form changes no bit.
 
 A tape op holds only what its backward reads. It keeps its leaf parents,
 whose ``grad`` buffers ``backward`` fills, and names every other parent by
-its node: the recording tape's serial number and the op's index on it, kept
-in the result's ``node`` slot. Its ``backward_fn`` captures the arrays it
-reads and, of a parent whose value it does not read, just the shape and
-flag, so an op result that no backward reads is freed once the caller
-drops it.
+its node: the int one module-wide counter gave the result when it was
+recorded, kept in the result's ``node`` slot. Its ``backward_fn`` captures
+the arrays it reads and, of a parent whose value it does not read, just
+the shape and flag, so an op result that no backward reads is freed once
+the caller drops it.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ class Tensor:
     allocated and ``backward`` accumulates into it. Tensors produced by ops
     carry the flag when a parent does, but keep ``grad=None``; their adjoints
     live only for the duration of a backward pass. A recorded result's
-    ``node`` is ``(tape serial, op index)``; it is None for every other
-    tensor.
+    ``node`` is its number from ``custom_op``'s one counter; it is None for
+    every other tensor.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -195,26 +196,20 @@ class _TapeOp:
         self.backward_fn = backward_fn
 
 
-_SERIALS = count()
-
-
 class Tape:
     """Execution-ordered record of differentiable ops.
 
     Use as a context manager; ops executed inside record themselves when any
     input requires grad. One tape serves one single-threaded evaluation and
     one ``backward``, which takes every op off ``ops`` as it replays it.
-    Each tape has its own serial number, so a result recorded on another
-    tape is a constant to this tape's ``backward``, and numbers its ops from
-    its own counter, so an op recorded after the replay takes a node no
-    earlier op had.
+    Every recorded result has a node no other result has, so a result
+    recorded on another tape is a constant to this tape's ``backward``, and
+    an op recorded after the replay takes a fresh node.
     """
 
     def __init__(self):
-        self.serial = next(_SERIALS)
         self.ops: list[_TapeOp] = []
         self.replayed = False
-        self._indices = count()
 
     def __enter__(self) -> "Tape":
         _ACTIVE_TAPES.append(self)
@@ -230,6 +225,7 @@ class Tape:
 
 
 _ACTIVE_TAPES: list[Tape] = []
+_NODES = count()  # the node of every recorded result, across all tapes
 
 
 def custom_op(data: np.ndarray, parents: Sequence[Tensor],
@@ -241,8 +237,9 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
     whose adjoint ``backward`` would drop). It captures only what it reads:
     a parent whose value its rule reads, and of every other parent just the
     shape and flag, since a captured tensor keeps its value alive until the
-    tape goes. Extension point for fused primitives that live outside this
-    module.
+    tape goes. A recorded result's node is the next number of one
+    module-wide counter. Extension point for fused primitives that live
+    outside this module.
     """
     out = Tensor.__new__(Tensor)
     out.data = np.asarray(data, dtype=np.float64)
@@ -258,10 +255,9 @@ def custom_op(data: np.ndarray, parents: Sequence[Tensor],
             else:
                 refs.append(None)
         if tracked:
-            tape = _ACTIVE_TAPES[-1]
             out.requires_grad = True
-            out.node = node = (tape.serial, next(tape._indices))
-            tape.ops.append(_TapeOp(node, tuple(refs), backward_fn))
+            out.node = node = next(_NODES)
+            _ACTIVE_TAPES[-1].ops.append(_TapeOp(node, tuple(refs), backward_fn))
     return out
 
 
@@ -280,7 +276,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
     if tape.replayed:
         raise ContractError("backward on a tape it has already replayed")
     tape.replayed = True
-    adjoints: dict[tuple, np.ndarray] = {loss.node: np.ones_like(loss.data)}
+    adjoints: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
     if loss.grad is not None:
         loss.grad += 1.0
     pop = adjoints.pop
@@ -293,7 +289,7 @@ def backward(loss: Tensor, tape: Tape) -> None:
         for ref, pg in zip(op.parents, op.backward_fn(g)):
             if pg is None or ref is None:
                 continue
-            if ref.__class__ is tuple:
+            if ref.__class__ is int:
                 prev = adjoints.get(ref)
                 adjoints[ref] = pg if prev is None else prev + pg
             else:
@@ -547,20 +543,21 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     """``linear(relu(linear(x, w1, b1)), w2, b2)`` as one op: (..., d) rows
     through a (d, f) and an (f, d') layer, each with its bias.
 
-    The rows go through both layers in blocks of at most ``FF_BLOCK_BYTES``
-    of hidden (or one stacked matrix), and a block's hidden is rectified in
-    place. For T > 1 a block is one flat gemm per layer, which at the
-    default dims usually costs less than numpy's stacked call and, at the
-    default and README widths, gives each row the same bits. (BLAS may
+    Stacked (..., T, d) rows with T > 1 go through both layers as flat
+    (rows, d) rows, in blocks of at most ``FF_BLOCK_BYTES`` of hidden, each
+    block one gemm per layer with its hidden rectified in place. At the
+    default dims that usually costs less than numpy's stacked call and, at
+    the default and README widths, gives each row the same bits. (BLAS may
     round a row by its place in the gemm's panel: with OpenBLAS 0.3.31's
     Haswell kernels, at a layer width of 1, 2 or 3 mod 8 and an inner width
-    of 16 or more, the last bits can differ.) T = 1 rows and a one-column
-    layer keep the stacked call, which numpy runs as gemv, whose rounding
-    of a row depends on how the rows are grouped. A recorded op writes the
-    blocks into one (rows, f) array, the rectified hidden backward reads;
-    its ``> 0`` mask is the pre-activation's. Unrecorded, one block buffer
-    serves every block. Backward multiplies the hidden adjoint by that mask
-    in place, the product ``relu``'s backward forms.
+    of 16 or more, the last bits can differ.) T = 1 rows, a single (d,) row
+    and a one-column layer go through numpy's stacked call in one pass,
+    which it runs as gemv, whose rounding of a row depends on how the rows
+    are grouped. A recorded op writes the blocks into one (rows, f) array,
+    the rectified hidden backward reads; its ``> 0`` mask is the
+    pre-activation's. Unrecorded, one block buffer serves every block.
+    Backward multiplies the hidden adjoint by that mask in place, the
+    product ``relu``'s backward forms.
     """
     if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1:] != w1.shape[:1]
             or w1.shape[1:] != w2.shape[:1] or b1.shape != w1.shape[1:]
@@ -569,21 +566,15 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
                              f"+ {b1.shape} x {w2.shape} + {b2.shape}")
     xd, w1d, w2d, b1d, b2d = x.data, w1.data, w2.data, b1.data, b2.data
     (d, f), n = w1d.shape, w2d.shape[1]
-    # blocks of (R, d) rows for one flat gemm each, or of whole (T, d)
-    # matrices for numpy's stacked call
-    if xd.ndim > 1 and xd.shape[-2] > 1 and f > 1 and n > 1:
-        rows, per = xd.reshape(-1, d), 1
+    if xd.ndim < 2 or xd.shape[-2] == 1 or f == 1 or n == 1:
+        h, out = _ff_block(xd, w1d, b1d, w2d, b2d)
     else:
-        rows = xd.reshape((-1,) + xd.shape[-2:]) if xd.ndim > 1 else xd.reshape(1, 1, d)
-        per = rows.shape[1]
-    block = max(1, FF_BLOCK_BYTES // (8 * f * per))
-    if len(rows) <= block:
-        h, out = _ff_block(rows, w1d, b1d, w2d, b2d)
-    else:
+        rows = xd.reshape(-1, d)
+        block = max(1, FF_BLOCK_BYTES // (8 * f))
         recorded = bool(_ACTIVE_TAPES) and any(
             p.requires_grad for p in (x, w1, b1, w2, b2))
-        h = np.empty((len(rows) if recorded else block,) + rows.shape[1:-1] + (f,))
-        out = np.empty(rows.shape[:-1] + (n,))
+        h = np.empty((len(rows) if recorded else min(block, len(rows)), f))
+        out = np.empty((len(rows), n))
         for lo in range(0, len(rows), block):
             hi = min(lo + block, len(rows))
             _ff_block(rows[lo:hi], w1d, b1d, w2d, b2d,

@@ -19,17 +19,6 @@ from . import rl as frl
 from . import training as tr
 from .errors import ConfigError
 
-# section name -> dataclass behind it
-SECTIONS = {
-    "synthetic": dp.SyntheticConfig,
-    "model": fm.ModelConfig,
-    "training": tr.TrainingConfig,
-    "loss": tr.LossWeights,
-    "forecast_loss": tr.ForecastLossConfig,
-    "rl": frl.RLConfig,
-    "align": fus.AlignConfig,
-}
-
 # stage names use hyphens; config keys use underscores
 _STAGE_KEYS = {s.replace("-", "_"): s for s in tr.STAGES}
 
@@ -154,6 +143,12 @@ class RunConfig:
     def hash(self) -> str:
         canonical = json.dumps(self.to_flat(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+# section name -> dataclass behind it: every RunConfig field but the stage
+# schedule and out_dir, which have keys of their own
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)
+            if f.name not in ("schedule", "out_dir")}
 
 
 def parse_override(text: str):

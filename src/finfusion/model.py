@@ -182,8 +182,10 @@ def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
     of ``dataset`` in chunks of ``EVAL_BATCH`` rows. Returns the values of
     every output tensor and the ``batch_arrays`` entries named in ``labels``,
     each concatenated over the chunks. The risk outputs hold one row per
-    date, from ``date_first_rows``; the others one per pair.
-    DegenerateInputError if ``pairs`` is empty."""
+    date, from ``date_first_rows``; the others one per pair. A chunk whose
+    every row starts its date scores them all, as its one plain
+    ``forward_batch`` call does; any other scores its date-start rows,
+    which may be none. DegenerateInputError if ``pairs`` is empty."""
     if not len(pairs):
         raise DegenerateInputError("forward_chunks got an empty batch of (asset, date) pairs")
     first = np.zeros(len(pairs), dtype=bool)
@@ -191,10 +193,9 @@ def forward_chunks(dataset, pairs, params: dict, cfg: ModelConfig,
     parts: dict = {}
     for i in range(0, len(pairs), EVAL_BATCH):
         batch = dataset.batch_arrays(pairs[i:i + EVAL_BATCH])
-        scored = np.flatnonzero(first[i:i + EVAL_BATCH])
-        out = forward_batch(batch, params, cfg, kinds=kinds, risk_rows=scored,
-                            heads=heads if scored.size else
-                            tuple(h for h in heads if h != "risk"))
+        starts = first[i:i + EVAL_BATCH]
+        out = forward_batch(batch, params, cfg, kinds=kinds, heads=heads,
+                            risk_rows=None if starts.all() else np.flatnonzero(starts))
         for name, t in out.items():
             if isinstance(t, Tensor):
                 parts.setdefault(name, []).append(t.data)

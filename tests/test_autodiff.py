@@ -1021,8 +1021,8 @@ def test_feed_forward_rejects_mismatched_shapes():
 
 
 # Stacked (B, T, d) rows at the default dims (d_model 64, d_ff 256): a
-# feed-forward block holds 256 rows there, and each B * T below spans three
-# blocks plus a remainder (three blocks of 256 one-row matrices at T = 1)
+# feed-forward block holds 256 rows there, and each B * T below with T > 1
+# spans three blocks plus a remainder; T = 1 rows are one stacked call
 _DEFAULT_FF_DIMS = (64, 256)
 _ROWS_BY_T = {1: 800, 2: 400, 4: 200, 30: 27}
 
@@ -1037,8 +1037,9 @@ def test_the_default_dims_span_three_feed_forward_blocks_and_a_remainder():
     d, f = _DEFAULT_FF_DIMS
     assert ad.FF_BLOCK_BYTES // (8 * f) == 256
     for t, b in _ROWS_BY_T.items():
-        blocks, rest = divmod(b * t if t > 1 else b, 256)
-        assert blocks == 3 and rest > 0, t
+        if t > 1:
+            blocks, rest = divmod(b * t, 256)
+            assert blocks == 3 and rest > 0, t
 
 
 @pytest.mark.parametrize("t", sorted(_ROWS_BY_T))
@@ -1088,11 +1089,12 @@ def test_an_unrecorded_feed_forward_holds_one_hidden_block():
     assert peak < ad.FF_BLOCK_BYTES + out.data.nbytes + (128 << 10) < hidden_bytes
 
 
-@pytest.mark.parametrize("x_shape", [(2, 5, 4), (10, 1, 4)])
+@pytest.mark.parametrize("x_shape", [(2, 5, 4), (10, 1, 4), (10, 4)])
 def test_feed_forward_matches_finite_differences_over_several_blocks(x_shape,
                                                                      monkeypatch):
-    # three hidden rows per block: ten rows make three blocks and a remainder,
-    # and grad_check's unrecorded evaluations reuse one block buffer
+    # three hidden rows per block: the (2, 5) and the flat ten rows make three
+    # blocks and a remainder, and grad_check's unrecorded evaluations reuse
+    # one block buffer; the T = 1 rows are one stacked call
     monkeypatch.setattr(ad, "FF_BLOCK_BYTES", 3 * 8 * 6)
     rng = np.random.default_rng(35)
     leaves = [Tensor(rng.normal(size=s), requires_grad=True)

@@ -130,20 +130,34 @@ def test_forward_chunks_concatenates_the_chunked_forwards(world, heads):
         assert got[name].tobytes() == full.tobytes(), name
 
 
-def test_forward_chunks_runs_no_risk_head_on_a_chunk_that_starts_no_date(world,
-                                                                        monkeypatch, spy):
-    # one-row chunks: asset 1's chunk of each date scores nothing
+def test_forward_chunks_scores_no_row_of_a_chunk_that_starts_no_date(world,
+                                                                      monkeypatch, spy):
+    # one-row chunks: asset 0's chunk of each date scores the date, and
+    # asset 1's chunk scores zero rows
     _, mcfg, params, ds = world
     monkeypatch.setattr(fm, "EVAL_BATCH", 1)
-    dates = ds.splits["val"]
+    dates, pairs = ds.splits["val"], ds.sample_pairs("val")
     scored = spy(fm.task_heads, "macro_risk_batch")
-    got = fm.forward_chunks(ds, ds.sample_pairs("val"), params, mcfg, heads=("risk",))
-    assert len(scored) == len(dates)
+    got = fm.forward_chunks(ds, pairs, params, mcfg, heads=("risk",))
+    assert [c.args[0].shape[0] for c in scored] == [int(a == 0) for a, _ in pairs]
     for i, t in enumerate(dates):
         want = fm.forward_batch(ds.batch_arrays([(0, t)]), params, mcfg, heads=("risk",))
         for name in HEAD_KEYS["risk"]:
             assert got[name][i].tobytes() == want[name].data[0].tobytes(), (name, t)
+    assert got["risk_score"].shape == (len(dates),)
     assert got["z"].shape[0] == len(dates) * ds.n_assets
+
+
+def test_forward_chunks_takes_no_rows_when_every_row_starts_its_date(world, spy):
+    # asset 0 alone: each chunk's risk head scores the chunk's z as it is
+    _, mcfg, params, ds = world
+    pairs = [(0, t) for t in ds.splits["train"]]
+    assert len(pairs) > fm.EVAL_BATCH
+    kinds = ("price", "macro", "graph")  # the text encoder gathers embeddings
+    taken = spy(fm.ad, "take_rows")
+    got = fm.forward_chunks(ds, pairs, params, mcfg, kinds=kinds)
+    assert taken == []
+    assert got["risk_score"].shape == (len(pairs),)
 
 
 def test_forward_chunks_rounds_alike_at_64_and_128_row_chunks(world, monkeypatch):
